@@ -2,13 +2,13 @@
 """Termination verdicts and fresh-process analysis times of the
 benchmark's constraint sets (the figures recorded in manifest.json).
 
-    python3 perfbench/analyze_mappings.py [--timeout 60]
+    python3 perfbench/analyze_mappings.py
 
 Each set is analyzed in its own interpreter, because ``analyze`` and
 the precedence oracle memoize across calls: in one process, a second
 overlapping set would look almost free.  The stratified mapping is
 also tried with the key EGD the benchmark leaves out, under a
-timeout.
+timeout of ``TIMEOUT_S`` seconds.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 sys.path.insert(0, HERE)
 
 import bibgen as B  # noqa: E402
+
+#: Seconds one set's analysis may take before it is reported as
+#: unfinished.
+TIMEOUT_S = 60
 
 
 def constraint_sets() -> dict:
@@ -53,7 +57,6 @@ def analyze_one(name: str) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--one", help=argparse.SUPPRESS)
-    parser.add_argument("--timeout", type=float, default=60.0)
     args = parser.parse_args()
     if args.one:
         print(json.dumps(analyze_one(args.one)))
@@ -63,11 +66,11 @@ def main() -> int:
         try:
             done = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--one", name],
-                stdout=subprocess.PIPE, timeout=args.timeout, check=True)
+                stdout=subprocess.PIPE, timeout=TIMEOUT_S, check=True)
             out[name] = json.loads(done.stdout)
         except subprocess.TimeoutExpired:
             out[name] = {"analyze_s": None,
-                         "note": f"did not finish within {args.timeout:g} s"}
+                         "note": f"did not finish within {TIMEOUT_S} s"}
     print(json.dumps(out, indent=2))
     return 0
 

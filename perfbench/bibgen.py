@@ -118,6 +118,16 @@ _WORDS = ("Chase", "Termination", "Stratification", "Query", "Answering",
           "Cleaning", "Repairs", "Consistent", "Join", "Processing")
 
 
+#: Generator parameters (``manifest.json`` records where each comes
+#: from).  Author popularity follows Lotka's law -- the number of
+#: authors with ``n`` papers falls as ``1/n**2`` -- whose rank-frequency
+#: form is Zipf with exponent 1.  The venue skew, the article share
+#: and the author-list lengths are assumptions.
+AUTHOR_SKEW = 1.0
+VENUE_SKEW = 0.8
+ARTICLE_SHARE = 0.4
+
+
 def rng_for(*parts) -> random.Random:
     """A private RNG keyed on a version tag and ``parts``."""
     return random.Random("perfbench:v1:" + ":".join(map(str, parts)))
@@ -194,14 +204,14 @@ def source_instance(rng: random.Random, n_pubs: int, tag: str,
                     authors: Sequence[str]) -> Source:
     """A source instance with ``n_pubs`` publications.
 
-    Author lists have 1-8 entries (mostly 2-4) drawn by Zipf
-    popularity from ``authors``; venues are Zipf-skewed too.  Keys
-    embed ``tag``, so instances built with distinct tags never share a
-    publication.
+    Author lists have 1-8 entries (mostly one or two, 2.4 on average)
+    drawn by Zipf popularity from ``authors``; venues are Zipf-skewed
+    too.  Keys embed ``tag``, so instances built with distinct tags
+    never share a publication.
     """
-    pick_author = zipf_picker(rng, authors, 1.1)
-    pick_journal = zipf_picker(rng, JOURNALS, 0.8)
-    pick_conf = zipf_picker(rng, CONFERENCES, 0.8)
+    pick_author = zipf_picker(rng, authors, AUTHOR_SKEW)
+    pick_journal = zipf_picker(rng, JOURNALS, VENUE_SKEW)
+    pick_conf = zipf_picker(rng, CONFERENCES, VENUE_SKEW)
     article, inproc, author = [], [], []
     volumes: Dict[str, tuple] = {}
     venues_used = set()
@@ -209,7 +219,7 @@ def source_instance(rng: random.Random, n_pubs: int, tag: str,
         year = 2000 + rng.randint(0, 24)
         title = " ".join(rng.choice(_WORDS)
                          for _ in range(rng.randint(3, 7))) + "."
-        if rng.random() < 0.4:
+        if rng.random() < ARTICLE_SHARE:
             journal = pick_journal()
             key = f"journals/{tag}/A{index}"
             article.append((key, title, year, journal))

@@ -138,16 +138,18 @@ class Gateway:
         return records, ended - started
 
     def warm_up(self, plan) -> list:
-        """The plan's warm-up one request at a time, then its worker
-        start-up burst; returns the failed replies."""
+        """The plan's warm-up one request at a time, its worker
+        start-up burst, then its cache fill on the timed phase's
+        connections; returns the failed replies."""
         records, _ = self.drive(plan.warmup, 1)
         spawned, _ = self.drive(plan.spawn, SPAWN_CONNECTIONS)
+        filled, _ = self.drive(plan.fill)
         self.setup_s = time.perf_counter() - self.launched
-        requests = plan.warmup + plan.spawn
+        requests = plan.warmup + plan.spawn + plan.fill
         return [{"request": f"warm:{index}", "label": request.label,
                  "problems": problems[:3]}
                 for index, (request, record)
-                in enumerate(zip(requests, records + spawned))
+                in enumerate(zip(requests, records + spawned + filled))
                 for problems in [check_record(record, request.expected)]
                 if problems]
 
@@ -201,19 +203,14 @@ class Gateway:
     def spans(self) -> dict:
         """Spans and GC events written by the traced gateway and its
         workers, merged (parent indices re-based per process)."""
-        spans: List[list] = []
+        dumps = []
         events: List[tuple] = []
         for name in sorted(os.listdir(self.outdir)):
             with open(os.path.join(self.outdir, name)) as handle:
                 dump = json.load(handle)
-            offset = len(spans)
-            for span in dump["spans"]:
-                if span[3] >= 0:
-                    span[3] += offset
-                span[7] += offset
-                spans.append(span)
+            dumps.append((dump["spans"], 0))
             events += [tuple(event) for event in dump["gc_events"]]
-        return {"spans": spans, "gc_events": events}
+        return {"spans": layers.merge(dumps), "gc_events": events}
 
 
 def _running(pid: int) -> bool:
@@ -243,12 +240,13 @@ def check_record(record: Optional[dict], expected: B.Expected) -> list:
     return B.check_reply(payload.get("result") or {}, expected)
 
 
-def layer_metrics(traced: dict, tail: int) -> dict:
+def layer_metrics(records: list, stats: list, tail: int) -> dict:
     """Gateway-only per-layer metrics: the HTTP split (client latency
-    minus the execution time the reply reports) and ``/stats``."""
+    minus the execution time the reply reports) and ``/stats`` (the
+    ``(before, after)`` replies around the timed phase)."""
     overheads = []
     in_workers = executed = 0
-    for record in traced["records"]:
+    for record in records:
         payload = parse(record) or {}
         result = payload.get("result") or {}
         cached = bool(result.get("cached"))
@@ -257,8 +255,7 @@ def layer_metrics(traced: dict, tail: int) -> dict:
         if not cached and result:
             executed += 1
             in_workers += str(result.get("worker", "")).startswith("pid-")
-    before = traced["stats_before"]["metrics"]
-    after = traced["stats_after"]["metrics"]
+    before, after = (reply["metrics"] for reply in stats)
 
     def counter(name):
         return (after["counters"].get(name, 0)
@@ -271,11 +268,10 @@ def layer_metrics(traced: dict, tail: int) -> dict:
         return new["count"] - old["count"], new["sum"] - old["sum"]
 
     waits, wait_sum = histogram("pool.dispatch_latency_s")
-    requests = len(traced["records"])
     return {
         "http.overhead_ms": 1000 * statistics.median(overheads),
         "http.overhead_tail_ms": 1000 * layers.percentile(overheads, tail),
-        "http.fastpath_ratio": counter("http.cache_fastpath") / requests,
+        "http.fastpath_ratio": counter("http.cache_fastpath") / len(records),
         "pool.worker_share": in_workers / executed if executed else 0.0,
         "pool.dispatch_wait_ms": 1000 * wait_sum / waits if waits else 0.0,
     }

@@ -12,6 +12,9 @@ A span's *self time* is its duration minus the time its child spans
 cover.  Every span except the benchmark's own ``request`` root belongs
 to a named layer (the part of its name before the first dot), so the
 root's self time is exactly the request time no layer accounts for.
+``ServiceSession.handle_line`` itself is deliberately not wrapped: the
+root brackets it, and its own code (decoding the spec line, the kind
+dispatch) shows as unattributed time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 #: span name -> (module, attribute path) of every wrapped entry point.
 ENTRY_POINTS = (
-    ("dispatch", "repro.service.dispatch", "ServiceSession.handle_line"),
     ("lang.parse", "repro.service.dispatch", "job_from_dict"),
     ("lang.parse", "repro.service.pool", "job_from_dict"),
     ("scheduler.plan", "repro.service.scheduler", "BatchScheduler.plan_job"),
@@ -50,7 +52,7 @@ ENTRY_POINTS = (
 )
 
 #: Layers reported as ``share.<layer>`` (self time / request time).
-LAYERS = ("dispatch", "lang", "jobs", "scheduler", "termination", "cache",
+LAYERS = ("lang", "jobs", "scheduler", "termination", "cache",
           "pool", "chase", "storage", "kb", "cq", "serialize")
 
 
@@ -131,6 +133,27 @@ class Recorder:
         self.request = None
         self._local = threading.local()
         self._lock = threading.Lock()
+
+
+def merge(dumps: List[Tuple[List[list], int]]) -> List[list]:
+    """Concatenate the spans of several runs.  Each dump is ``(spans,
+    request_offset)``: span and parent indices are re-based, integer
+    request ids shifted by the offset and other ids (warm-up labels)
+    prefixed with the dump's position, so ids stay distinct."""
+    merged: List[list] = []
+    for position, (spans, offset) in enumerate(dumps):
+        base = len(merged)
+        for span in spans:
+            span = list(span)
+            if span[3] >= 0:
+                span[3] += base
+            span[7] += base
+            if isinstance(span[4], int):
+                span[4] += offset
+            elif span[4] is not None:
+                span[4] = f"{position}:{span[4]}"
+            merged.append(span)
+    return merged
 
 
 def gc_totals(events, start: float = float("-inf"),

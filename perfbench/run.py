@@ -7,15 +7,17 @@ Usage, from the repository root::
     python3 perfbench/run.py --workload all --seed 1 --seconds 35
 
 Workloads (``workloads.py``): ``exchange`` and ``answer`` drive
-``ServiceSession.handle_line`` in a fresh interpreter; ``gateway``
-drives ``repro serve --http --workers 2`` over two keep-alive
-connections.  Every reply is checked against an outcome computed
-independently of the program (``bibgen.py``).  The last line of
-standard output is one JSON object: ``correct``, ``attempted``,
-``failed`` and ``metrics`` -- the end-to-end metrics with
-``--trace 0``, the per-layer metrics (``layers.py``) with
-``--trace 1``.  ``--workload all`` runs every workload in turn and
-prints each metric by name with its unit.
+``ServiceSession.handle_line``; ``gateway`` drives ``repro serve
+--http --workers 2`` over two keep-alive connections.  A run sends its
+timed sequence several times ("rounds"), each from a fresh set-up (a
+fresh interpreter, or a fresh server), and reports the fastest
+repetition of throughput and latency (see :func:`end_to_end`).  Every reply is checked against an outcome
+computed independently of the program (``bibgen.py``).  The last line
+of standard output is one JSON object: ``correct``, ``attempted``,
+``failed`` and ``metrics`` -- the end-to-end metrics with ``--trace
+0``, the per-layer metrics (``layers.py``) with ``--trace 1``.
+``--workload all`` runs every workload in turn and prints each metric
+by name with its unit.
 
 The program is loaded from ``src/`` next to this directory; without
 it the benchmark exits non-zero and prints no result.
@@ -42,10 +44,8 @@ import bibgen as B           # noqa: E402
 import workloads as W        # noqa: E402
 from layers import LAYERS, percentile, vm_hwm_mb  # noqa: E402
 
-#: Set-ups per run: the reported ``setup_s`` is their median.
-SETUPS = 3
-#: Share of the timed sequence replayed on the other backend.
-REPLAY_SHARE = 1 / 3
+#: In-process rounds a traced run times, untraced and traced.
+TRACED_ROUNDS = 3
 #: A run that has not finished by then gives up (exit code non-zero).
 RUN_DEADLINE_S = 175
 
@@ -69,21 +69,19 @@ def child_env() -> dict:
 
 
 # ----------------------------------------------------------------------
-# In-process workloads: one fresh interpreter per phase
+# In-process workloads: one fresh interpreter per round
 # ----------------------------------------------------------------------
-def run_phase(args) -> dict:
-    """Body of a child interpreter: set up, optionally run the timed
-    sequence, report raw measurements as JSON."""
+def run_round(args) -> dict:
+    """Body of a child interpreter: set up, run the timed sequence
+    once, report raw measurements as JSON."""
     sys.path.insert(0, SRC)
-    plan = W.BUILDERS[args.workload](args.seed, args.seconds,
-                                     timed=args.phase == "run")
+    plan = W.BUILDERS[args.workload](args.seed, args.seconds)
     timed = plan.timed
     if args.backend:
-        count = max(1, int(len(timed) * REPLAY_SHARE))
         timed = [W.Request(json.dumps(dict(json.loads(r.line),
                                            backend=args.backend),
                                       sort_keys=True), r.expected, r.label)
-                 for r in timed[:count]]
+                 for r in timed]
     from repro.obs import metrics
     from repro.service.dispatch import ServiceSession
     from repro.service.scheduler import BatchScheduler
@@ -122,10 +120,7 @@ def run_phase(args) -> dict:
     for index, request in enumerate(plan.warmup):
         serve(f"warm:{request.label}:{index}", request)
     setup_s = time.perf_counter() - started
-    out = {"setup_s": setup_s, "warmup_failed": len(failures)}
-    if args.phase == "setup":
-        scheduler.close()
-        return out
+    warmup_failed = len(failures)
     stats_before = session.handle_line('{"kind": "stats"}')
     gc.collect()
     unwatch = recorder.watch_gc() if recorder is not None else None
@@ -134,10 +129,12 @@ def run_phase(args) -> dict:
     if unwatch is not None:
         unwatch()
     stats_after = session.handle_line('{"kind": "stats"}')
-    out.update(latencies=latencies, failures=failures,
-               peak_rss_mb=vm_hwm_mb(),
-               stats_before=stats_before, stats_after=stats_after,
-               describe=plan.describe)
+    out = {"setup_s": setup_s, "warmup": len(plan.warmup),
+           "warmup_failed": warmup_failed,
+           "latencies": latencies, "wall": sum(latencies),
+           "failures": failures[warmup_failed:],
+           "peak_rss_mb": vm_hwm_mb(), "stats": [stats_before, stats_after],
+           "describe": plan.describe}
     if recorder is not None:
         pause, gen2 = layers.gc_totals(recorder.gc_events)
         out.update(spans=recorder.spans, gc_pause_s=pause, gc_gen2=gen2)
@@ -145,32 +142,37 @@ def run_phase(args) -> dict:
     return out
 
 
-def spawn_phase(args, phase: str, trace: int = 0,
+def spawn_round(args, number: int, trace: int = 0,
                 backend: str = "") -> dict:
     command = [sys.executable, os.path.abspath(__file__),
                "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", str(trace),
-               "--phase", phase]
+               "--round", str(number)]
     if backend:
         command += ["--backend", backend]
     done = subprocess.run(command, cwd=ROOT, env=child_env(),
                           stdout=subprocess.PIPE)
     if done.returncode != 0:
-        raise SystemExit(f"{phase} phase of {args.workload} exited with "
+        raise SystemExit(f"round {number} of {args.workload} exited with "
                          f"code {done.returncode}")
     return json.loads(done.stdout.decode().splitlines()[-1])
 
 
 def inprocess(args) -> dict:
-    setups = [spawn_phase(args, "setup")["setup_s"]
-              for _ in range(SETUPS - 1)]
-    run = spawn_phase(args, "run")
-    setups.append(run["setup_s"])
-    result = {"run": run, "setup_s": statistics.median(setups)}
+    """Every round in a fresh interpreter.  With ``--trace 1``, the
+    first ``TRACED_ROUNDS`` rounds, then the same rounds with the layer
+    wrappers, then round 0 replayed on the column backend."""
+    numbers = range(W.ROUNDS[args.workload])
     if args.trace:
-        result["traced"] = spawn_phase(args, "run", trace=1)
-        result["replay"] = spawn_phase(args, "run", trace=1,
-                                       backend="column")
+        numbers = range(min(TRACED_ROUNDS, len(numbers)))
+    rounds = [spawn_round(args, number) for number in numbers]
+    result = {"rounds": rounds, "describe": rounds[0]["describe"],
+              "setups": [run["setup_s"] for run in rounds],
+              "peaks": [run["peak_rss_mb"] for run in rounds]}
+    if args.trace:
+        result["traced"] = [spawn_round(args, number, trace=1)
+                            for number in numbers]
+        result["replay"] = spawn_round(args, 0, trace=1, backend="column")
     return result
 
 
@@ -178,93 +180,164 @@ def inprocess(args) -> dict:
 # The gateway workload: the benchmark process is the HTTP client
 # ----------------------------------------------------------------------
 def gateway(args) -> dict:
+    """Every round on a fresh server.  With ``--trace 1``, one round
+    untraced and one on a server launched with the layer wrappers."""
     import gateway as G
     import layers
     plan = W.gateway(args.seed, args.seconds)
-    setups = []
-    for _ in range(SETUPS - 1):
-        with G.Gateway(ROOT, child_env(), traced=False) as probe:
-            probe.warm_up(plan)
-            setups.append(probe.setup_s)
-    result = {}
-    for traced in ((False, True) if args.trace else (False,)):
+    result = {"describe": plan.describe, "rounds": []}
+    count = 1 if args.trace else W.ROUNDS["gateway"]
+    for number in range(count + args.trace):
+        traced = number == count
         with G.Gateway(ROOT, child_env(), traced=traced) as server:
             warm_failures = server.warm_up(plan)
-            if not traced:
-                setups.append(server.setup_s)
             stats_before = server.stats() if traced else None
             records, wall = server.drive(plan.timed)
             peak = server.peak_rss_mb()
             stats_after = server.stats() if traced else None
             server.stop()
             dump = server.spans() if traced else None
-            phase = server.phase
-        failures = list(warm_failures)
-        latencies = []
-        for index, (request, record) in enumerate(zip(plan.timed, records)):
-            latencies.append(record["latency"])
-            problems = G.check_record(record, request.expected)
-            if problems:
-                failures.append({"request": index, "label": request.label,
-                                 "problems": problems[:3]})
-        key = "traced" if traced else "run"
-        result[key] = {"latencies": latencies, "wall": wall,
-                       "failures": failures, "peak_rss_mb": peak,
-                       "records": records, "stats_before": stats_before,
-                       "stats_after": stats_after, "phase": phase,
-                       "describe": plan.describe}
-        if dump is not None:
-            pause, gen2 = layers.gc_totals(dump["gc_events"], *phase)
-            result[key].update(spans=dump["spans"], gc_pause_s=pause,
-                               gc_gen2=gen2)
-    result["setup_s"] = statistics.median(setups)
+        run = {"records": records, "wall": wall, "setup_s": server.setup_s,
+               "peak_rss_mb": peak, "warmup_failed": len(warm_failures),
+               "warmup": len(plan.warmup) + len(plan.spawn) + len(plan.fill),
+               "latencies": [record["latency"] for record in records],
+               "failures": [
+                   {"request": index, "label": request.label,
+                    "problems": problems[:3]}
+                   for index, (request, record)
+                   in enumerate(zip(plan.timed, records))
+                   for problems in [G.check_record(record, request.expected)]
+                   if problems]}
+        if not traced:
+            result["rounds"].append(run)
+            continue
+        pause, gen2 = layers.gc_totals(dump["gc_events"], *server.phase)
+        run.update(spans=dump["spans"], phase=server.phase,
+                   stats=[stats_before, stats_after], gc_pause_s=pause,
+                   gc_gen2=gen2)
+        result["traced"] = run
+    result["setups"] = [run["setup_s"] for run in result["rounds"]]
+    result["peaks"] = [run["peak_rss_mb"] for run in result["rounds"]]
     return result
 
 
 # ----------------------------------------------------------------------
 # Metrics
 # ----------------------------------------------------------------------
-def end_to_end(raw: dict) -> dict:
-    run = raw["run"]
+def round_metrics(run: dict) -> dict:
+    """Throughput, median and tail latency of one sequence of
+    latencies: a round's own (reported on standard error), or each
+    request's fastest."""
     latencies = run["latencies"]
-    wall = run.get("wall") or sum(latencies)
     q = tail_percentile(len(latencies))
-    return {
-        "throughput_jobs_s": len(latencies) / wall,
-        "latency_p50_ms": 1000 * statistics.median(latencies),
-        "latency_tail_ms": 1000 * percentile(latencies, q),
-        "peak_rss_mb": run["peak_rss_mb"],
-        "setup_s": raw["setup_s"],
-    }
+    return {"throughput_jobs_s": len(latencies) / run["wall"],
+            "latency_p50_ms": 1000 * statistics.median(latencies),
+            "latency_tail_ms": 1000 * percentile(latencies, q)}
 
 
-def _counter_delta(before: dict, after: dict, name: str) -> float:
-    def read(snapshot):
-        if not snapshot:
-            return 0
-        return snapshot.get("metrics", {}).get("counters", {}).get(name, 0)
-    return read(after) - read(before)
+def end_to_end(workload: str, raw: dict) -> dict:
+    """The fastest repetition of throughput and latency; the median
+    peak RSS and set-up time.
+
+    Other work on the machine only ever slows a measurement down, so
+    the fastest of several repetitions is the closest to the program's
+    own cost (Chen and Revels, Robust benchmarking in noisy
+    environments, 2016).  What is repeated is the smallest unit that
+    runs alone.  In process, one caller sends one request at a time,
+    so each request's fastest round is taken and the metrics are
+    computed over those latencies.  On the gateway two connections
+    share the server and a request's latency includes waiting for the
+    other's, so the best round of each metric is taken.
+    """
+    if workload == "gateway":
+        per_round = [round_metrics(run) for run in raw["rounds"]]
+        values = {name: best(metrics[name] for metrics in per_round)
+                  for name, best in (("throughput_jobs_s", max),
+                                     ("latency_p50_ms", min),
+                                     ("latency_tail_ms", min))}
+    else:
+        fastest = [min(values) for values
+                   in zip(*(run["latencies"] for run in raw["rounds"]))]
+        values = round_metrics({"latencies": fastest, "wall": sum(fastest)})
+    values["peak_rss_mb"] = statistics.median(raw["peaks"])
+    values["setup_s"] = statistics.median(raw["setups"])
+    return values
 
 
 def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 0.0
 
 
+def _stats_delta(pairs, read) -> float:
+    """Sum over ``(before, after)`` stats replies of ``read(after) -
+    read(before)``."""
+    return sum(read(after or {}) - read(before or {})
+               for before, after in pairs)
+
+
+def _counter(name: str):
+    return lambda reply: (reply.get("metrics", {}).get("counters", {})
+                          .get(name, 0))
+
+
+def _cache(field: str):
+    return lambda reply: (reply.get("cache", {}).get("results", {})
+                          .get(field, 0))
+
+
+def _analysis(spans) -> dict:
+    """Seconds in ``termination.analyze`` per warm-up mapping of one
+    in-process round, and in total."""
+    out = {mapping: 0.0 for mapping in B.MAPPINGS}
+    out["total"] = 0.0
+    for span in spans:
+        if span[0] != "termination.analyze":
+            continue
+        out["total"] += span[2] - span[1]
+        label = span[4].split(":")[1] if isinstance(span[4], str) else ""
+        if label in B.MAPPINGS:
+            out[label] += span[2] - span[1]
+    return out
+
+
+def _chase_self(summary: dict) -> float:
+    """Chase and storage self time over the timed requests."""
+    return sum(bucket.get("chase.run", 0.0)
+               + bucket.get("storage.substitute", 0.0)
+               for key, bucket in summary["per_request"].items()
+               if isinstance(key, int))
+
+
 def per_layer(workload: str, raw: dict) -> dict:
     import layers
-    traced = raw["traced"]
-    spans = traced["spans"]
-    summary = layers.summarize(spans)
-    requests = len(traced["latencies"])
     in_process = workload != "gateway"
     if in_process:
+        rounds = raw["traced"]
+        dumps, offset = [], 0
+        for run in rounds:
+            dumps.append((run["spans"], offset))
+            offset += len(run["latencies"])
+        spans = layers.merge(dumps)
+        stats = [run["stats"] for run in rounds]
+        gc_pause = sum(run["gc_pause_s"] for run in rounds)
+        gc_gen2 = sum(run["gc_gen2"] for run in rounds)
+        analysis = [_analysis(run["spans"]) for run in rounds]
         timed = layers.summarize(spans, lambda s: isinstance(s[4], int))
     else:
+        traced = raw["traced"]
+        rounds = [traced]
+        spans = traced["spans"]
+        stats = [traced["stats"]]
+        gc_pause, gc_gen2 = traced["gc_pause_s"], traced["gc_gen2"]
+        analysis = [{"total": sum(span[2] - span[1] for span in spans
+                                  if span[0] == "termination.analyze")}]
         # Gateway spans come from several processes and threads and
         # carry no request id: keep those inside the timed phase.
         start, end = traced["phase"]
         timed = layers.summarize(spans,
                                  lambda s: s[1] >= start and s[2] <= end)
+    latencies = [value for run in rounds for value in run["latencies"]]
+    requests = len(latencies)
 
     def p50_ms(name):
         """In process: the median over requests that reach the layer
@@ -280,38 +353,32 @@ def per_layer(workload: str, raw: dict) -> dict:
         return sum(sum(values) for name, values in timed["calls"].items()
                    if name.split(".")[0] == layer)
 
-    total_latency = sum(traced["latencies"])
+    total_latency = sum(latencies)
     counts = timed["counts"]
-    before, after = traced["stats_before"], traced["stats_after"]
-    cache_before = (before or {}).get("cache", {}).get("results", {})
-    cache_after = (after or {}).get("cache", {}).get("results", {})
-    hits = cache_after.get("hits", 0) - cache_before.get("hits", 0)
-    misses = cache_after.get("misses", 0) - cache_before.get("misses", 0)
-    order_hits = (_counter_delta(before, after, "plan.order_cache.hits")
-                  + _counter_delta(before, after,
-                                   "plan.order_cache.revalidated"))
+    hits = _stats_delta(stats, _cache("hits"))
+    misses = _stats_delta(stats, _cache("misses"))
+    order_hits = sum(_stats_delta(stats, _counter(f"plan.order_cache.{name}"))
+                     for name in ("hits", "revalidated"))
     order_all = order_hits + sum(
-        _counter_delta(before, after, f"plan.order_cache.{name}")
+        _stats_delta(stats, _counter(f"plan.order_cache.{name}"))
         for name in ("misses", "invalidations"))
     chase_s = timed["inclusive"].get("chase.run", 0.0)
-    setup_analysis = summary["per_request"]
     metrics = {
         "lang.parse_ms": p50_ms("lang.parse"),
         "jobs.fingerprint_ms": p50_ms("jobs.fingerprint"),
         "jobs.fingerprints_per_request": counts["fingerprints"] / requests,
-        "termination.analyze_s": (summary["inclusive"].get(
-            "termination.analyze", 0.0)),
+        "termination.analyze_s": statistics.median(
+            entry["total"] for entry in analysis),
         "scheduler.plan_ms": p50_ms("scheduler.plan"),
         "scheduler.plans_per_request": counts["plans"] / requests,
         "cache.result_hit_ratio": _ratio(hits, hits + misses),
-        "cache.result_evictions": (cache_after.get("evictions", 0)
-                                   - cache_before.get("evictions", 0)),
+        "cache.result_evictions": _stats_delta(stats, _cache("evictions")),
         "chase.run_s": chase_s,
         "chase.steps": counts["chase_steps"],
         "chase.steps_per_s": _ratio(counts["chase_steps"], chase_s),
         "triggers.fired_per_expanded": _ratio(
-            _counter_delta(before, after, "chase.triggers_fired"),
-            _counter_delta(before, after, "triggers.backlog_expanded")),
+            _stats_delta(stats, _counter("chase.triggers_fired")),
+            _stats_delta(stats, _counter("triggers.backlog_expanded"))),
         "storage.substitute_s": timed["inclusive"].get(
             "storage.substitute", 0.0),
         "storage.facts_rewritten": counts["facts_rewritten"],
@@ -326,48 +393,42 @@ def per_layer(workload: str, raw: dict) -> dict:
         "http.overhead_ms": 0.0,
         "http.overhead_tail_ms": 0.0,
         "http.fastpath_ratio": 0.0,
-        "runtime.gc_pause_s": traced.get("gc_pause_s", 0.0),
-        "runtime.gc_gen2": traced.get("gc_gen2", 0),
+        "runtime.gc_pause_s": gc_pause,
+        "runtime.gc_gen2": gc_gen2,
     }
     for mapping in B.MAPPINGS:
-        metrics[f"termination.analyze_s.{mapping}"] = sum(
-            bucket.get("termination.analyze", 0.0)
-            for key, bucket in setup_analysis.items()
-            if isinstance(key, str) and key.split(":")[1] == mapping)
+        metrics[f"termination.analyze_s.{mapping}"] = statistics.median(
+            entry.get(mapping, 0.0) for entry in analysis)
     covered = 0.0
     for layer in LAYERS:
         share = _ratio(layer_self(layer), total_latency)
         metrics[f"share.{layer}"] = share
         covered += share
     metrics["unattributed_share"] = max(0.0, 1.0 - covered)
-    untraced = raw["run"].get("wall") or sum(raw["run"]["latencies"])
-    traced_wall = traced.get("wall") or total_latency
+    untraced = statistics.fmean(run["wall"] for run in raw["rounds"])
+    traced_wall = statistics.fmean(run["wall"] for run in rounds)
     metrics["trace.overhead_ratio"] = traced_wall / untraced - 1.0
-    if "replay" in raw:
-        replay = layers.summarize(raw["replay"]["spans"])
-        count = len(raw["replay"]["latencies"])
-        default = sum(bucket.get("chase.run", 0.0) + bucket.get(
-            "storage.substitute", 0.0)
-            for key, bucket in summary["per_request"].items()
-            if isinstance(key, int) and key < count)
-        other = sum(bucket.get("chase.run", 0.0) + bucket.get(
-            "storage.substitute", 0.0)
-            for key, bucket in replay["per_request"].items()
-            if isinstance(key, int))
-        metrics["storage.alt_backend_ratio"] = _ratio(other, default)
-    if not in_process:
+    if in_process:
+        metrics["storage.alt_backend_ratio"] = _ratio(
+            _chase_self(layers.summarize(raw["replay"]["spans"])),
+            _chase_self(layers.summarize(rounds[0]["spans"])))
+    else:
         import gateway as G
-        metrics.update(G.layer_metrics(traced, tail_percentile(requests)))
+        metrics.update(G.layer_metrics(traced["records"], traced["stats"],
+                                       tail_percentile(requests)))
     return metrics
 
 
 def report(args, raw: dict) -> dict:
-    runs = [raw["run"]] + ([raw["traced"]] if "traced" in raw else [])
-    runs += [raw["replay"]] if "replay" in raw else []
+    runs = list(raw["rounds"])
+    if args.trace:
+        traced = raw["traced"]
+        runs += traced if isinstance(traced, list) else [traced]
+        runs += [raw["replay"]] if "replay" in raw else []
     failures = []
     attempted = 0
     for run in runs:
-        attempted += len(run["latencies"])
+        attempted += len(run["latencies"]) + run["warmup"]
         failures += run["failures"]
     failed = len(failures) + sum(run.get("warmup_failed", 0)
                                  for run in runs)
@@ -377,12 +438,16 @@ def report(args, raw: dict) -> dict:
         values = per_layer(args.workload, raw)
         units = LAYER_UNITS
     else:
-        values = end_to_end(raw)
+        values = end_to_end(args.workload, raw)
         units = END_TO_END
-    latencies = raw["run"]["latencies"]
-    print(f"{args.workload}: {len(latencies)} requests, tail percentile "
-          f"p{tail_percentile(len(latencies))}, "
-          f"{json.dumps(raw['run']['describe'])}", file=sys.stderr)
+    count = len(raw["rounds"][0]["latencies"])
+    print(f"{args.workload}: {len(raw['rounds'])} rounds of the same {count} "
+          f"requests, tail percentile p{tail_percentile(count)}, "
+          f"{json.dumps(raw['describe'])}", file=sys.stderr)
+    for number, run in enumerate(raw["rounds"]):
+        figures = ", ".join(f"{name} {value:.4g}" for name, value
+                            in round_metrics(run).items())
+        print(f"  round {number}: {figures}", file=sys.stderr)
     return {"correct": failed == 0, "attempted": attempted,
             "failed": failed,
             "metrics": {name: {"value": values[name], "unit": units[name]}
@@ -446,14 +511,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--phase", choices=("setup", "run"),
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--round", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--backend", default="", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.workload == "all":
         return run_all(args)
-    if args.phase:
-        print(json.dumps(run_phase(args)))
+    if args.round is not None:
+        print(json.dumps(run_round(args)))
         return 0
     if not os.path.isdir(os.path.join(SRC, "repro")):
         print(f"no program sources under {SRC}", file=sys.stderr)
