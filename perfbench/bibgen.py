@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -180,6 +181,18 @@ def zipf_picker(rng: random.Random, population: Sequence, skew: float):
         return population[bisect.bisect_left(cumulative,
                                              rng.random() * total)]
     return pick
+
+
+def zipf_quantiles(population: Sequence, skew: float, count: int) -> list:
+    """``count`` picks from ``population`` at evenly spaced quantiles of
+    the weights ``1/rank**skew``: like :func:`pareto_quantiles`, the same
+    multiset for every seed."""
+    cumulative = list(itertools.accumulate(
+        1.0 / (rank + 1) ** skew for rank in range(len(population))))
+    total = cumulative[-1]
+    return [population[bisect.bisect_left(cumulative,
+                                          (i + 0.5) / count * total)]
+            for i in range(count)]
 
 
 @dataclass

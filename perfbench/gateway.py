@@ -4,9 +4,12 @@ The gateway is launched with ``--port 0`` and ready once it prints its
 ``{"kind": "listening", ...}`` line (never by sleep-polling).  One
 client process -- the benchmark itself -- sends ``POST /jobs?wait=1``
 on two keep-alive connections in a closed loop: each connection sends
-its next request only after the previous reply arrived.  Request bytes
-are encoded before the clock starts; replies are checked after it
-stops.
+its next request only after the previous reply arrived.  The timed
+sequence goes out in short blocks with the compute unit of ``speed.py``
+timed between them, while the connections are idle; the server
+inherits the benchmark's pinning to one CPU, so unit and server run on
+the same one.  Request bytes are encoded before the clock
+starts; replies are checked after it stops.
 """
 
 from __future__ import annotations
@@ -27,12 +30,15 @@ from typing import List, Optional
 
 import bibgen as B
 import layers
+import speed
 
 CONNECTIONS = 2
 #: Connections of the burst that starts the pool workers (see
 #: ``workloads.gateway``).
 SPAWN_CONNECTIONS = 4
 WORKERS = 2
+#: Requests per block of the timed sequence (see :meth:`Gateway.drive`).
+BLOCK = 8
 READY_TIMEOUT = 60.0
 REQUEST_TIMEOUT = 120.0
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -41,7 +47,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 class Gateway:
     """One gateway process, from launch to a graceful stop.
 
-    ``setup_s`` runs from the launch to the end of :meth:`warm_up`.
+    ``setup`` holds the set-up's ``(wall, unit before, unit after)``
+    segments, from the launch to the end of :meth:`warm_up`.
     With ``traced``, the server runs under ``serve_traced.py``, which
     records layer spans in the gateway and its workers and writes them
     out when they exit; :meth:`spans` collects them.
@@ -57,12 +64,14 @@ class Gateway:
                        self.outdir] + serve + ["--metrics"]
         else:
             command = [sys.executable, "-m", "repro"] + serve
-        self.launched = time.perf_counter()
+        unit = speed.sample(speed.compute_unit)
+        launched = time.perf_counter()
         self.process = subprocess.Popen(command, cwd=root, env=env,
                                         stdout=subprocess.PIPE,
                                         stderr=subprocess.DEVNULL)
         self.port = self._await_listening()
-        self.setup_s = 0.0
+        wall = time.perf_counter() - launched
+        self.setup = [(wall, unit, speed.sample(speed.compute_unit))]
 
     def _await_listening(self) -> int:
         deadline = time.monotonic() + READY_TIMEOUT
@@ -93,58 +102,75 @@ class Gateway:
             shutil.rmtree(self.outdir, ignore_errors=True)
 
     # -- traffic ----------------------------------------------------------
-    def drive(self, requests, connections: int = CONNECTIONS) -> tuple:
+    def drive(self, requests, connections: int = CONNECTIONS,
+              block: int = 0) -> tuple:
         """Send ``requests`` in a closed loop on ``connections``
-        connections; returns per-request records and the wall time."""
+        keep-alive connections, ``block`` requests at a time (all at
+        once by default).  Between blocks every connection is idle while
+        the reference unit is timed (``speed.py``).  Returns the
+        per-request records, each with its block's index, and
+        ``(wall, unit before, unit after)`` per block."""
         bodies = [request.line.encode("utf-8") for request in requests]
         records: List[Optional[dict]] = [None] * len(bodies)
-        cursor = iter(range(len(bodies)))
         lock = threading.Lock()
+        conns = [http.client.HTTPConnection("127.0.0.1", self.port,
+                                            timeout=REQUEST_TIMEOUT)
+                 for _ in range(connections)]
 
-        def client() -> None:
-            conn = http.client.HTTPConnection("127.0.0.1", self.port,
-                                              timeout=REQUEST_TIMEOUT)
-            try:
-                while True:
-                    with lock:
-                        index = next(cursor, None)
-                    if index is None:
-                        return
-                    started = time.perf_counter()
-                    try:
-                        conn.request("POST", "/jobs?wait=1", bodies[index],
-                                     {"Content-Type": "application/json"})
-                        response = conn.getresponse()
-                        body = response.read()
-                        status = response.status
-                    except (OSError, http.client.HTTPException) as exc:
-                        conn.close()
-                        body, status = repr(exc).encode(), 0
-                    records[index] = {
-                        "latency": time.perf_counter() - started,
-                        "status": status, "body": body}
-            finally:
+        def client(conn, cursor, number) -> None:
+            while True:
+                with lock:
+                    index = next(cursor, None)
+                if index is None:
+                    return
+                started = time.perf_counter()
+                try:
+                    conn.request("POST", "/jobs?wait=1", bodies[index],
+                                 {"Content-Type": "application/json"})
+                    response = conn.getresponse()
+                    body = response.read()
+                    status = response.status
+                except (OSError, http.client.HTTPException) as exc:
+                    conn.close()
+                    body, status = repr(exc).encode(), 0
+                records[index] = {"latency": time.perf_counter() - started,
+                                  "status": status, "body": body,
+                                  "block": number}
+
+        block = block or max(1, len(bodies))
+        blocks = []
+        unit = speed.sample(speed.compute_unit)
+        first_started = time.perf_counter()
+        try:
+            for first in range(0, len(bodies), block):
+                cursor = iter(range(first, min(first + block, len(bodies))))
+                threads = [threading.Thread(target=client, daemon=True,
+                                            args=(conn, cursor, len(blocks)))
+                           for conn in conns]
+                started = time.perf_counter()
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                ended = time.perf_counter()
+                after = speed.sample(speed.compute_unit)
+                blocks.append((ended - started, unit, after))
+                unit = after
+        finally:
+            for conn in conns:
                 conn.close()
-
-        threads = [threading.Thread(target=client, daemon=True)
-                   for _ in range(connections)]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        ended = time.perf_counter()
-        self.phase = (started, ended)
-        return records, ended - started
+        self.phase = (first_started, time.perf_counter())
+        return records, blocks
 
     def warm_up(self, plan) -> list:
         """The plan's warm-up one request at a time, its worker
         start-up burst, then its cache fill on the timed phase's
-        connections; returns the failed replies."""
-        records, _ = self.drive(plan.warmup, 1)
-        spawned, _ = self.drive(plan.spawn, SPAWN_CONNECTIONS)
-        filled, _ = self.drive(plan.fill)
-        self.setup_s = time.perf_counter() - self.launched
+        connections; returns the failed replies.  ``setup`` holds the
+        set-up's segments, from the launch on."""
+        records, blocks = self.drive(plan.warmup, 1)
+        spawned, spawn_blocks = self.drive(plan.spawn, SPAWN_CONNECTIONS)
+        filled, fill_blocks = self.drive(plan.fill)
+        self.setup += blocks + spawn_blocks + fill_blocks
         requests = plan.warmup + plan.spawn + plan.fill
         return [{"request": f"warm:{index}", "label": request.label,
                  "problems": problems[:3]}

@@ -10,12 +10,14 @@ Workloads (``workloads.py``): ``exchange`` and ``answer`` drive
 ``ServiceSession.handle_line``; ``gateway`` drives ``repro serve
 --http --workers 2`` over two keep-alive connections.  A run sends its
 timed sequence several times ("rounds"), each from a fresh set-up (a
-fresh interpreter, or a fresh server), and reports the fastest
-repetition of throughput and latency (see :func:`end_to_end`).  Every reply is checked against an outcome
-computed independently of the program (``bibgen.py``).  The last line
-of standard output is one JSON object: ``correct``, ``attempted``,
-``failed`` and ``metrics`` -- the end-to-end metrics with ``--trace
-0``, the per-layer metrics (``layers.py``) with ``--trace 1``.
+fresh interpreter, or a fresh server).  Every timing is normalized to
+a reference CPU speed (``speed.py``) and the rounds are summarized by
+medians (see :func:`end_to_end`).  Every reply is checked against an
+outcome computed independently of the program (``bibgen.py``).  The
+last line of standard output is one JSON object: ``correct``,
+``attempted``, ``failed`` and ``metrics`` -- the end-to-end metrics
+with ``--trace 0``, the per-layer metrics (``layers.py``) with
+``--trace 1``.
 ``--workload all`` runs every workload in turn and prints each metric
 by name with its unit.
 
@@ -41,6 +43,7 @@ SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, HERE)
 
 import bibgen as B           # noqa: E402
+import speed                 # noqa: E402
 import workloads as W        # noqa: E402
 from layers import LAYERS, percentile, vm_hwm_mb  # noqa: E402
 
@@ -76,7 +79,13 @@ def run_round(args) -> dict:
     once, report raw measurements as JSON."""
     sys.path.insert(0, SRC)
     plan = W.BUILDERS[args.workload](args.seed, args.seconds)
-    timed = plan.timed
+    # Each round sends the sequence in its own order.  The collector's
+    # full collections (40-150 ms on exchange, about one per ten
+    # requests) land on requests fixed by the order, and with one order
+    # for every round they, not the program's own work, set each seed's
+    # p90.
+    timed = list(plan.timed)
+    B.rng_for("round", args.seed, args.round).shuffle(timed)
     if args.backend:
         timed = [W.Request(json.dumps(dict(json.loads(r.line),
                                            backend=args.backend),
@@ -113,25 +122,32 @@ def run_round(args) -> dict:
                              "problems": problems[:3]})
         return latency
 
+    speed.pin()
     gc.collect()
-    started = time.perf_counter()
+    setup = speed.Segments(speed.mixed_unit)
     scheduler = BatchScheduler(workers=1)
     session = ServiceSession(scheduler)
+    setup.mark()
     for index, request in enumerate(plan.warmup):
         serve(f"warm:{request.label}:{index}", request)
-    setup_s = time.perf_counter() - started
+        setup.mark()
     warmup_failed = len(failures)
     stats_before = session.handle_line('{"kind": "stats"}')
     gc.collect()
     unwatch = recorder.watch_gc() if recorder is not None else None
-    latencies = [serve(index, request) for index, request
-                 in enumerate(timed)]
+    # Each request is bracketed by reference-unit samples (speed.py).
+    measured = []
+    unit = speed.sample(speed.mixed_unit)
+    for index, request in enumerate(timed):
+        latency = serve(index, request)
+        after = speed.sample(speed.mixed_unit)
+        measured.append((latency, unit, after))
+        unit = after
     if unwatch is not None:
         unwatch()
     stats_after = session.handle_line('{"kind": "stats"}')
-    out = {"setup_s": setup_s, "warmup": len(plan.warmup),
-           "warmup_failed": warmup_failed,
-           "latencies": latencies, "wall": sum(latencies),
+    out = {"setup": setup.items, "warmup": len(plan.warmup),
+           "warmup_failed": warmup_failed, "requests": measured,
            "failures": failures[warmup_failed:],
            "peak_rss_mb": vm_hwm_mb(), "stats": [stats_before, stats_after],
            "describe": plan.describe}
@@ -155,7 +171,28 @@ def spawn_round(args, number: int, trace: int = 0,
     if done.returncode != 0:
         raise SystemExit(f"round {number} of {args.workload} exited with "
                          f"code {done.returncode}")
-    return json.loads(done.stdout.decode().splitlines()[-1])
+    run = json.loads(done.stdout.decode().splitlines()[-1])
+    return timing(run, [(latency, speed.scale(before, after))
+                        for latency, before, after in run["requests"]],
+                  run["requests"])
+
+
+def timing(run: dict, scaled, segments) -> dict:
+    """Add a round's timings to ``run``: ``latencies`` and ``wall`` as
+    measured, ``latencies_ref``, ``wall_ref`` and ``setup_s`` in
+    seconds at the reference speed (``speed.py``), ``unit_s`` the
+    median reference unit.  ``scaled`` pairs each latency with its
+    factor; ``segments`` are the timed phase's ``(wall, unit before,
+    unit after)``."""
+    wall = sum(segment[0] for segment in segments)
+    wall_ref = speed.normalized(segments)
+    run["unit_s"] = statistics.median(segment[1] for segment in segments)
+    run["latencies"] = [latency for latency, _ in scaled]
+    run["latencies_ref"] = [latency * factor for latency, factor in scaled]
+    run["wall"], run["wall_ref"] = wall, wall_ref
+    run["setup_s"] = speed.normalized(run["setup"])
+    run["setup_raw_s"] = sum(wall for wall, _, _ in run["setup"])
+    return run
 
 
 def inprocess(args) -> dict:
@@ -166,9 +203,7 @@ def inprocess(args) -> dict:
     if args.trace:
         numbers = range(min(TRACED_ROUNDS, len(numbers)))
     rounds = [spawn_round(args, number) for number in numbers]
-    result = {"rounds": rounds, "describe": rounds[0]["describe"],
-              "setups": [run["setup_s"] for run in rounds],
-              "peaks": [run["peak_rss_mb"] for run in rounds]}
+    result = {"rounds": rounds, "describe": rounds[0]["describe"]}
     if args.trace:
         result["traced"] = [spawn_round(args, number, trace=1)
                             for number in numbers]
@@ -181,9 +216,12 @@ def inprocess(args) -> dict:
 # ----------------------------------------------------------------------
 def gateway(args) -> dict:
     """Every round on a fresh server.  With ``--trace 1``, one round
-    untraced and one on a server launched with the layer wrappers."""
+    untraced and one on a server launched with the layer wrappers.
+    The benchmark pins itself to one CPU first; the server and its
+    workers inherit it."""
     import gateway as G
     import layers
+    speed.pin()
     plan = W.gateway(args.seed, args.seconds)
     result = {"describe": plan.describe, "rounds": []}
     count = 1 if args.trace else W.ROUNDS["gateway"]
@@ -192,15 +230,14 @@ def gateway(args) -> dict:
         with G.Gateway(ROOT, child_env(), traced=traced) as server:
             warm_failures = server.warm_up(plan)
             stats_before = server.stats() if traced else None
-            records, wall = server.drive(plan.timed)
+            records, blocks = server.drive(plan.timed, block=G.BLOCK)
             peak = server.peak_rss_mb()
             stats_after = server.stats() if traced else None
             server.stop()
             dump = server.spans() if traced else None
-        run = {"records": records, "wall": wall, "setup_s": server.setup_s,
+        run = {"records": records, "setup": server.setup,
                "peak_rss_mb": peak, "warmup_failed": len(warm_failures),
                "warmup": len(plan.warmup) + len(plan.spawn) + len(plan.fill),
-               "latencies": [record["latency"] for record in records],
                "failures": [
                    {"request": index, "label": request.label,
                     "problems": problems[:3]}
@@ -208,6 +245,9 @@ def gateway(args) -> dict:
                    in enumerate(zip(plan.timed, records))
                    for problems in [G.check_record(record, request.expected)]
                    if problems]}
+        factors = [speed.scale(before, after) for _, before, after in blocks]
+        timing(run, [(record["latency"], factors[record["block"]])
+                     for record in records], blocks)
         if not traced:
             result["rounds"].append(run)
             continue
@@ -216,52 +256,30 @@ def gateway(args) -> dict:
                    stats=[stats_before, stats_after], gc_pause_s=pause,
                    gc_gen2=gen2)
         result["traced"] = run
-    result["setups"] = [run["setup_s"] for run in result["rounds"]]
-    result["peaks"] = [run["peak_rss_mb"] for run in result["rounds"]]
     return result
 
 
 # ----------------------------------------------------------------------
 # Metrics
 # ----------------------------------------------------------------------
-def round_metrics(run: dict) -> dict:
-    """Throughput, median and tail latency of one sequence of
-    latencies: a round's own (reported on standard error), or each
-    request's fastest."""
-    latencies = run["latencies"]
+def round_metrics(run: dict, measured: bool = False) -> dict:
+    """Throughput, median and tail latency of one round, at the
+    reference speed (or as measured)."""
+    latencies = run["latencies" if measured else "latencies_ref"]
     q = tail_percentile(len(latencies))
-    return {"throughput_jobs_s": len(latencies) / run["wall"],
+    return {"throughput_jobs_s": len(latencies)
+            / run["wall" if measured else "wall_ref"],
             "latency_p50_ms": 1000 * statistics.median(latencies),
             "latency_tail_ms": 1000 * percentile(latencies, q)}
 
 
-def end_to_end(workload: str, raw: dict) -> dict:
-    """The fastest repetition of throughput and latency; the median
-    peak RSS and set-up time.
-
-    Other work on the machine only ever slows a measurement down, so
-    the fastest of several repetitions is the closest to the program's
-    own cost (Chen and Revels, Robust benchmarking in noisy
-    environments, 2016).  What is repeated is the smallest unit that
-    runs alone.  In process, one caller sends one request at a time,
-    so each request's fastest round is taken and the metrics are
-    computed over those latencies.  On the gateway two connections
-    share the server and a request's latency includes waiting for the
-    other's, so the best round of each metric is taken.
-    """
-    if workload == "gateway":
-        per_round = [round_metrics(run) for run in raw["rounds"]]
-        values = {name: best(metrics[name] for metrics in per_round)
-                  for name, best in (("throughput_jobs_s", max),
-                                     ("latency_p50_ms", min),
-                                     ("latency_tail_ms", min))}
-    else:
-        fastest = [min(values) for values
-                   in zip(*(run["latencies"] for run in raw["rounds"]))]
-        values = round_metrics({"latencies": fastest, "wall": sum(fastest)})
-    values["peak_rss_mb"] = statistics.median(raw["peaks"])
-    values["setup_s"] = statistics.median(raw["setups"])
-    return values
+def end_to_end(raw: dict) -> dict:
+    """The median over the rounds of every metric; throughput and
+    latency at the reference speed (``speed.py``)."""
+    per_round = [dict(round_metrics(run), peak_rss_mb=run["peak_rss_mb"],
+                      setup_s=run["setup_s"]) for run in raw["rounds"]]
+    return {name: statistics.median(figures[name] for figures in per_round)
+            for name in END_TO_END}
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -405,9 +423,11 @@ def per_layer(workload: str, raw: dict) -> dict:
         metrics[f"share.{layer}"] = share
         covered += share
     metrics["unattributed_share"] = max(0.0, 1.0 - covered)
-    untraced = statistics.fmean(run["wall"] for run in raw["rounds"])
-    traced_wall = statistics.fmean(run["wall"] for run in rounds)
+    untraced = statistics.fmean(run["wall_ref"] for run in raw["rounds"])
+    traced_wall = statistics.fmean(run["wall_ref"] for run in rounds)
     metrics["trace.overhead_ratio"] = traced_wall / untraced - 1.0
+    metrics["host.unit_ms"] = 1000 * statistics.median(
+        run["unit_s"] for run in rounds)
     if in_process:
         metrics["storage.alt_backend_ratio"] = _ratio(
             _chase_self(layers.summarize(raw["replay"]["spans"])),
@@ -438,16 +458,20 @@ def report(args, raw: dict) -> dict:
         values = per_layer(args.workload, raw)
         units = LAYER_UNITS
     else:
-        values = end_to_end(args.workload, raw)
+        values = end_to_end(raw)
         units = END_TO_END
     count = len(raw["rounds"][0]["latencies"])
     print(f"{args.workload}: {len(raw['rounds'])} rounds of the same {count} "
           f"requests, tail percentile p{tail_percentile(count)}, "
           f"{json.dumps(raw['describe'])}", file=sys.stderr)
     for number, run in enumerate(raw["rounds"]):
-        figures = ", ".join(f"{name} {value:.4g}" for name, value
-                            in round_metrics(run).items())
-        print(f"  round {number}: {figures}", file=sys.stderr)
+        measured = round_metrics(run, measured=True)
+        figures = ", ".join(
+            f"{name} {value:.4g} (measured {measured[name]:.4g})"
+            for name, value in round_metrics(run).items())
+        print(f"  round {number}: {figures}, setup_s {run['setup_s']:.4g} "
+              f"(measured {run['setup_raw_s']:.4g}), reference unit "
+              f"{1000 * run['unit_s']:.3f} ms", file=sys.stderr)
     return {"correct": failed == 0, "attempted": attempted,
             "failed": failed,
             "metrics": {name: {"value": values[name], "unit": units[name]}
@@ -472,6 +496,7 @@ LAYER_UNITS = {
     "runtime.gc_pause_s": "s", "runtime.gc_gen2": "count",
     **{f"share.{layer}": "ratio" for layer in LAYERS},
     "unattributed_share": "ratio", "trace.overhead_ratio": "ratio",
+    "host.unit_ms": "ms",
 }
 
 

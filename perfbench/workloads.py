@@ -5,11 +5,10 @@ set-up, before any timed clock starts) and the timed sequence, every
 request paired with its expected outcome.  ``run.py`` sends the timed
 sequence ``ROUNDS[workload]`` times, each round from a fresh set-up (a
 fresh interpreter in process, a fresh server for the gateway), and
-reports the fastest repetition of throughput and latency.  The
-sequence holds ``RATES[workload] * seconds / ROUNDS[workload]``
-requests (at least ``MIN_ROUND``), so a run lasts about ``seconds`` on
-a 2-CPU machine while the sequence itself stays fixed: a run never
-stops on a timer.
+reports medians over the rounds.  The sequence holds
+``RATES[workload] * seconds / ROUNDS[workload]`` requests (at least
+``MIN_ROUND``), so a run lasts about ``seconds`` on a 2-CPU machine
+while the sequence itself stays fixed: a run never stops on a timer.
 
 Sizes are quantiles, not draws (:func:`bibgen.pareto_quantiles`):
 every seed runs the same multiset of sizes in a different order with
@@ -115,17 +114,24 @@ def exchange(seed: int, seconds: int) -> Plan:
         share = size * weight // weight_sum
         slots += [(mapping, pubs) for pubs
                   in B.pareto_quantiles(share, *EXCHANGE_SIZES)]
-    B.rng_for("exchange-order", seed).shuffle(slots)
+    # A slot's instance comes from an RNG keyed on the slot, not the
+    # seed: the seed changes the order, the names and the keys, not the
+    # instances' shapes, so the amount of work -- and its tail -- is the
+    # same for every seed (with shapes drawn per seed, the p90 latency
+    # of ten seeds spread 0.2 around its median with unchanged code).
+    order = list(range(len(slots)))
+    B.rng_for("exchange-order", seed).shuffle(order)
     requests = []
-    for index, (mapping, pubs) in enumerate(slots):
-        source = B.source_instance(B.rng_for("exchange", seed, index),
+    for index, slot in enumerate(order):
+        mapping, pubs = slots[slot]
+        source = B.source_instance(B.rng_for("exchange", slot),
                                    pubs, f"s{seed}x{index}", authors)
         requests.append(_request(B.exchange_spec(source, mapping, f"x{index}"),
                                  B.expected_exchange(source, mapping),
                                  mapping))
     warmup = []
     for index, (mapping, _) in enumerate(EXCHANGE_MIX):
-        source = B.source_instance(B.rng_for("exchange-warm", seed, index),
+        source = B.source_instance(B.rng_for("exchange-warm", index),
                                    10, f"s{seed}w{index}", authors)
         warmup.append(_request(B.exchange_spec(source, mapping, f"w{index}"),
                                B.expected_exchange(source, mapping),
@@ -195,14 +201,11 @@ def _answer_queries(seed: int, size: int, kbs, texts) -> List[Request]:
         fresh_requests.append(_request(
             B.query_spec(kb, text, f"a{position}", texts[index]),
             B.expected_answer(kb, head, body), kb.name))
-    # Repeats re-send one of the first ANSWER_REPEAT_POOL specs, each
-    # placed after its original.
-    requests = list(fresh_requests)
-    for _ in range(repeats):
-        source = rng.randrange(min(ANSWER_REPEAT_POOL, fresh))
-        position = rng.randrange(source + 1, len(requests) + 1)
-        requests.insert(position, fresh_requests[source])
-    return requests
+    # Repeats re-send one of the first ANSWER_REPEAT_POOL specs (each
+    # round sends the sequence in its own order, see run.py).
+    return fresh_requests + [
+        fresh_requests[rng.randrange(min(ANSWER_REPEAT_POOL, fresh))]
+        for _ in range(repeats)]
 
 
 def answer(seed: int, seconds: int) -> Plan:
@@ -228,14 +231,16 @@ def answer(seed: int, seconds: int) -> Plan:
 
 def _gateway_population(seed: int, authors) -> List[Request]:
     """Small specs: batch families, small bibliographic exchanges and
-    small knowledge-base queries."""
-    rng = B.rng_for("gateway-population", seed)
-    kbs = [B.closed_egd_kb(B.rng_for("gkb", seed, 0), 12, f"s{seed}g0",
+    small knowledge-base queries.  As on ``exchange``, the RNGs are
+    keyed on no seed: ``seed`` changes the names (``authors``) and the
+    keys, not the specs' shapes."""
+    shape = B.rng_for("gateway-population")
+    kbs = [B.closed_egd_kb(B.rng_for("gkb", 0), 12, f"s{seed}g0",
                            authors),
-           B.closed_safe_kb(B.rng_for("gkb", seed, 1), 12, f"s{seed}g1",
+           B.closed_safe_kb(B.rng_for("gkb", 1), 12, f"s{seed}g1",
                             authors)]
     kb_texts = [B.render_facts(kb.facts) for kb in kbs]
-    kb_queries = [B.kb_queries(B.rng_for("gq", seed, i), kb, 200)
+    kb_queries = [B.kb_queries(B.rng_for("gq", i), kb, 200)
                   for i, kb in enumerate(kbs)]
     out: List[Request] = []
     for index in range(GATEWAY_POPULATION):
@@ -243,17 +248,17 @@ def _gateway_population(seed: int, authors) -> List[Request]:
         tag = f"s{seed}p{index}"
         if kind < 8:
             family = ("chain", "safe", "t3")[kind % 3]
-            spec, expected = B.family_spec(family, rng.randint(3, 14), tag)
+            spec, expected = B.family_spec(family, shape.randint(3, 14), tag)
             out.append(_request(spec, expected, family))
         elif kind < 11:
             family = ("chain", "safe")[kind % 2]
-            spec, expected = B.family_spec(family, rng.randint(3, 14), tag,
-                                           query=True)
+            spec, expected = B.family_spec(family, shape.randint(3, 14),
+                                           tag, query=True)
             out.append(_request(spec, expected, family + "_query"))
         elif kind < 17:
             mapping = list(B.MAPPINGS)[kind % 3]
-            source = B.source_instance(B.rng_for("gsrc", seed, index),
-                                       rng.randint(3, 10), tag, authors)
+            source = B.source_instance(B.rng_for("gsrc", index),
+                                       shape.randint(3, 10), tag, authors)
             out.append(_request(
                 B.exchange_spec(source, mapping, f"p{index}"),
                 B.expected_exchange(source, mapping), mapping))
@@ -274,28 +279,38 @@ def gateway(seed: int, seconds: int) -> Plan:
     size = sequence_size("gateway", seconds)
     authors = B.author_pool(seed, 2500)
     population = _gateway_population(seed, authors)
-    B.rng_for("gateway", seed).shuffle(population)
+    # Popularity ranks, like kinds and sizes, are the same for every
+    # seed, and so is the multiset of ranks the timed sequence draws.
+    B.rng_for("gateway-ranks").shuffle(population)
     large = []
     for index in range(GATEWAY_LARGE):
-        kb = B.closed_egd_kb(B.rng_for("glarge", seed, index), 300,
+        kb = B.closed_egd_kb(B.rng_for("glarge", index), 300,
                              f"s{seed}L{index}", authors)
-        text, head, body = B.kb_queries(B.rng_for("glq", seed, index),
+        text, head, body = B.kb_queries(B.rng_for("glq", index),
                                         kb, 1)[0]
         large.append(_request(
             B.query_spec(kb, text, f"large{index}", B.render_facts(kb.facts)),
             B.expected_answer(kb, head, body), "large"))
     n_large = round(size * GATEWAY_LARGE_SHARE)
     n_divergent = round(size * GATEWAY_DIVERGENT_SHARE)
-    rng = B.rng_for("gateway", seed)
-    pick = B.zipf_picker(rng, population, GATEWAY_SKEW)
-    timed = [pick() for _ in range(size - n_large - n_divergent)]
-    timed += [large[index % GATEWAY_LARGE] for index in range(n_large)]
-    for index in range(n_divergent):
-        spec, expected = B.family_spec("divergent", rng.randint(3, 8),
-                                       f"s{seed}d{index}",
-                                       query=bool(index % 2))
-        timed.append(_request(spec, expected, "divergent"))
-    rng.shuffle(timed)
+    timed = B.zipf_quantiles(population, GATEWAY_SKEW,
+                             size - n_large - n_divergent)
+    B.rng_for("gateway", seed).shuffle(timed)
+    # The slow requests, alternately large and divergent, go at evenly
+    # spaced places: the requests queued behind them land in the tail,
+    # and with random places their number moved the p90 from seed to
+    # seed.
+    slow = []
+    for index in range(max(n_large, n_divergent)):
+        if index < n_large:
+            slow.append(large[index % GATEWAY_LARGE])
+        if index < n_divergent:
+            spec, expected = B.family_spec("divergent", 3 + index % 6,
+                                           f"s{seed}d{index}",
+                                           query=bool(index % 2))
+            slow.append(_request(spec, expected, "divergent"))
+    for number, request in enumerate(slow):
+        timed.insert((2 * number + 1) * size // (2 * len(slow)), request)
     # Warm-up, one request at a time: every constraint set once, so
     # each is analyzed before any worker process exists.  Then a burst
     # of small divergent jobs on more connections: jobs queue behind
