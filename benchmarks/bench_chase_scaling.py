@@ -27,7 +27,7 @@ warm fingerprint cache (the warm pass must execute nothing).
 Since the query-subsystem PR it additionally measures **certain-answer
 query throughput**: compiled id-level CQ evaluation
 (:mod:`repro.cq.evaluate`) against the pre-plan reference loop on a
-join-heavy query family, and a mixed :class:`QueryJob` batch through
+join-heavy query family, and a mixed query-job batch through
 the scheduler cold vs. warm (the warm pass must execute nothing).
 
 Since the kernel-layer PR it additionally measures the
@@ -40,10 +40,8 @@ see ``docs/PAPER_MAP.md`` -- so end-to-end chase times must not
 move).
 
 Set ``REPRO_BENCH_SIZES`` (comma-separated, e.g. ``4,8``) to shrink
-the sweep -- used by the CI smoke job.  ``make bench-json`` writes the
-timings to ``BENCH_chase_scaling.json`` so the perf trajectory is
-tracked across PRs and ``tools/check_bench.py`` can flag regressions
-against the committed baseline.
+the sweep -- used by the CI smoke job.  End-to-end time is gated by
+``perfbench/``; these microbenchmarks locate the work.
 """
 
 import math
@@ -494,9 +492,7 @@ def test_observability_disabled_overhead(benchmark):
 
     Since the observability PR every layer carries ``if OBS.enabled:``
     guards; switched off (the default) they must cost nothing
-    measurable -- the committed-baseline gate (``tools/check_bench.py``
-    over the pre-obs chase-family timings) holds the line across PRs,
-    and this bench additionally measures the *enabled* cost in the
+    measurable, and this bench measures the *enabled* cost in the
     same process.  Both passes must chase identically, the disabled
     pass must leave the registry untouched, and metrics + sampled
     tracing together must stay within 1.5x of the disabled path

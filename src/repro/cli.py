@@ -168,9 +168,16 @@ def _make_scheduler(args, workers: int):
                           progress_every=args.progress_every)
 
 
-def cmd_batch(args) -> int:
+def _run_jobs(args, jobs, command: str) -> int:
+    """Run ``jobs`` through the scheduler and print their results --
+    the one runner behind ``repro batch`` and ``repro query``.
+
+    Text output is one line per job, plus the evaluated query and the
+    answer rows of query jobs; ``--json`` prints one result JSON per
+    line instead.  A summary goes to stderr.
+    """
     import json as _json
-    jobs = _load_jobs(Path(args.jobs))
+    from repro.service.serialize import decode_term
     with _Observability(args):
         scheduler = _make_scheduler(args, workers=args.workers)
         try:
@@ -180,15 +187,24 @@ def cmd_batch(args) -> int:
     for result in results:
         if args.json:
             print(_json.dumps(result.to_dict(), sort_keys=True))
-        else:
-            print(result.describe())
+            continue
+        print(result.describe())
+        if result.query:
+            print(f"  evaluated: {result.query}")
+        for row in result.answers or []:
+            rendered = ", ".join(str(decode_term(term)) for term in row)
+            print(f"  ({rendered})")
     completed = sum(1 for r in results if r.ok)
     cached = sum(1 for r in results if r.cached)
     terminated = sum(1 for r in results if r.terminated)
-    print(f"batch: {len(results)} jobs, {completed} completed "
+    print(f"{command}: {len(results)} jobs, {completed} completed "
           f"({terminated} terminated), {cached} from cache, "
           f"{len(results) - completed} killed/errored", file=sys.stderr)
     return 0 if completed == len(results) else 1
+
+
+def cmd_batch(args) -> int:
+    return _run_jobs(args, _load_jobs(Path(args.jobs)), "batch")
 
 
 def cmd_serve(args) -> int:
@@ -237,9 +253,7 @@ def cmd_query(args) -> int:
     the scheduler -- termination-aware planning, fingerprint cache,
     worker pool -- exactly like ``repro batch``.
     """
-    import json as _json
-    from repro.service import QueryJob
-    from repro.service.serialize import decode_term
+    from repro.service import ChaseJob
     path = Path(args.spec)
     if path.is_dir() or path.suffix == ".json":
         jobs = _load_jobs(path)
@@ -253,34 +267,13 @@ def cmd_query(args) -> int:
                              "the positional argument is a constraints "
                              "file (pass a .json spec otherwise)")
         instance = parse_instance(Path(args.instance).read_text())
-        jobs = [QueryJob(
+        jobs = [ChaseJob(
             name=path.stem, sigma=tuple(_load_constraints(args.spec)),
             instance=instance, query=parse_query(args.query),
             backend=args.backend, max_steps=args.max_steps,
             cycle_limit=args.cycle_limit,
             optimize=not args.no_optimize, depth_limit=args.depth_limit)]
-    with _Observability(args):
-        scheduler = _make_scheduler(args, workers=args.workers)
-        try:
-            results = scheduler.run_batch(jobs)
-        finally:
-            scheduler.close()
-    for result in results:
-        if args.json:
-            print(_json.dumps(result.to_dict(), sort_keys=True))
-            continue
-        print(result.describe())
-        if result.query:
-            print(f"  evaluated: {result.query}")
-        for row in result.answers or []:
-            rendered = ", ".join(str(decode_term(term)) for term in row)
-            print(f"  ({rendered})")
-    completed = sum(1 for r in results if r.ok)
-    cached = sum(1 for r in results if r.cached)
-    print(f"query: {len(results)} jobs, {completed} completed, "
-          f"{cached} from cache, {len(results) - completed} "
-          "killed/errored", file=sys.stderr)
-    return 0 if completed == len(results) else 1
+    return _run_jobs(args, jobs, "query")
 
 
 def cmd_fuzz(args) -> int:

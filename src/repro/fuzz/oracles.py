@@ -66,7 +66,6 @@ from repro.lang.instance import Instance
 from repro.lang.terms import NullFactory
 from repro.service.cache import ServiceCache
 from repro.service.jobs import ChaseJob, execute_any
-from repro.service.query import QueryJob
 from repro.service.scheduler import BatchScheduler
 from repro.termination import (check_hierarchy_implications, in_t_level,
                                is_c_stratified, is_inductively_restricted,
@@ -465,7 +464,7 @@ def oracle_service_parity(case: FuzzCase,
     jobs = [ChaseJob(name=case.label(), sigma=case.sigma,
                      instance=case.instance, strategy="round_robin",
                      max_steps=ctx.max_steps, max_k=2),
-            QueryJob(name=case.label() + "_q", sigma=case.sigma,
+            ChaseJob(name=case.label() + "_q", sigma=case.sigma,
                      instance=case.instance, query=case.query,
                      strategy="round_robin", max_steps=ctx.max_steps,
                      optimize=False, max_k=2)]

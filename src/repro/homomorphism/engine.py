@@ -16,7 +16,6 @@ paths, and terms are decoded only when a binding survives.
 
 from __future__ import annotations
 
-import os
 from typing import (Callable, Dict, Iterable, Iterator, Mapping, Optional,
                     Sequence)
 
@@ -44,10 +43,8 @@ _reference_mode = False
 
 #: When True, exhaustive searches on vectorized stores run through
 #: :meth:`JoinPlan.execute_batch` (the column-at-a-time kernels).
-#: Defaults on; ``REPRO_BATCH=0`` (or ``off``/``false``) disables it
-#: process-wide, :func:`batch_disabled` disables it per block.
-_batch_mode = os.environ.get("REPRO_BATCH", "").strip().lower() \
-    not in ("0", "off", "false", "no")
+#: :func:`batch_disabled` turns it off per block.
+_batch_mode = True
 
 
 @contextmanager

@@ -11,12 +11,12 @@ a fingerprint-keyed cache without re-executing anything.
   facts, instances and results (the only representation that crosses a
   process boundary);
 * :mod:`repro.service.jobs` -- the declarative :class:`ChaseJob` spec
+  (a chase request, or with a ``query`` a certain-answer request)
   with canonical content fingerprints over interned term/fact ids,
-  plus in-process execution and the job-kind dispatch;
-* :mod:`repro.service.query` -- certain-answer :class:`QueryJob`
-  requests (Section 5 as a served workload: compiled CQ evaluation,
-  Section 4 semantic optimization, depth-bounded fallback) sharing
-  the same result form, cache, pool and scheduler;
+  plus in-process execution;
+* :mod:`repro.service.query` -- the answering step of query jobs
+  (Section 5 as a served workload: compiled CQ evaluation, Section 4
+  semantic optimization, depth-bounded fallback);
 * :mod:`repro.service.cache` -- bounded LRU caches for job results and
   termination reports;
 * :mod:`repro.service.pool` -- a ``multiprocessing`` worker pool with
@@ -49,7 +49,7 @@ from repro.service.jobs import (ChaseJob, execute_any, execute_job,
                                 resolve_strategy, STATUS_ERROR,
                                 STATUS_KILLED)
 from repro.service.pool import WorkerPool
-from repro.service.query import execute_query_job, QueryJob
+from repro.service.query import QueryJob
 from repro.service.scheduler import BatchScheduler
 from repro.service.serialize import (decode_atom, decode_instance,
                                      decode_result, encode_atom,
@@ -57,7 +57,7 @@ from repro.service.serialize import (decode_atom, decode_instance,
 
 __all__ = [
     "BatchScheduler", "ChaseJob", "error_payload", "execute_any",
-    "execute_job", "execute_query_job", "instance_fingerprint",
+    "execute_job", "instance_fingerprint",
     "job_from_dict", "job_from_path", "JobResult", "LRUCache",
     "ProgressEvent", "QueryJob", "request_kind", "RequestError",
     "resolve_strategy", "ServiceCache", "ServiceSession", "STATUS_ERROR",

@@ -41,15 +41,13 @@ from typing import Callable, Optional
 
 from repro.lang.errors import ReproError
 from repro.obs import metrics as _metrics
-from repro.service.jobs import EventCallback, job_from_dict
+from repro.service.jobs import (EventCallback, JOB_KINDS, job_from_dict,
+                                spec_kind)
 from repro.service.scheduler import BatchScheduler
 from repro.service.serialize import WireError
 
 __all__ = ["RequestError", "ServiceSession", "error_payload",
            "request_kind"]
-
-#: Request kinds the dispatch table serves (job kinds + introspection).
-JOB_KINDS = ("chase", "query")
 
 
 class RequestError(ReproError):
@@ -83,19 +81,17 @@ def error_payload(reason: str, code: str = "bad_request",
 def request_kind(request) -> str:
     """The dispatch key of a request payload.
 
-    Mirrors :func:`repro.service.jobs.job_from_dict`'s discriminator
-    exactly (explicit ``kind``; a ``query`` field implies a query
-    job), so the table lookup and the job parser can never disagree
-    about what a payload *is*.  Raises :class:`RequestError` for
-    non-dict payloads and unknown kinds.
+    The job parser's own discriminator
+    (:func:`repro.service.jobs.spec_kind`: explicit ``kind``; a
+    ``query`` field implies a query job), so the table lookup and the
+    job parser can never disagree about what a payload *is*.  Raises
+    :class:`RequestError` for non-dict payloads and non-string kinds.
     """
     if not isinstance(request, dict):
         raise RequestError(
             f"request must be a JSON object, got {type(request).__name__}",
             code="invalid_request")
-    kind = request.get("kind")
-    if kind is None:
-        return "query" if "query" in request else "chase"
+    kind = spec_kind(request)
     if not isinstance(kind, str):
         raise RequestError(f"request kind must be a string, got {kind!r}",
                            code="invalid_request")

@@ -1,17 +1,18 @@
-"""Declarative chase jobs, content fingerprints and job execution.
+"""Declarative jobs, content fingerprints and job execution.
 
 A :class:`ChaseJob` is the unit of work of the batch service: a
 constraint set, an input instance, a strategy spec and explicit
-budgets.  Jobs are plain declarative data -- they can be written as
-JSON files (``repro batch``), streamed over stdin (``repro serve``) or
-built programmatically -- and every job has a canonical **content
-fingerprint**: a SHA-256 digest computed over the interned term/fact
-ids of its instance (via a fresh :class:`repro.storage.interning.TermTable`
-filled in canonical fact order) together with the rendered constraint
-list and every outcome-relevant knob.  Two jobs with equal
-fingerprints are guaranteed to produce identical results, which is
-what makes the fingerprint a sound cache key
-(:mod:`repro.service.cache`).
+budgets -- plus, for a certain-answer request (Section 5), a
+conjunctive query.  Jobs are plain declarative data -- they can be
+written as JSON files (``repro batch``), streamed over stdin
+(``repro serve``) or built programmatically -- and every job has a
+canonical **content fingerprint**: a SHA-256 digest computed over the
+interned term/fact ids of its instance (via a fresh
+:class:`repro.storage.interning.TermTable` filled in canonical fact
+order) together with the rendered constraint list, the rendered query
+and every outcome-relevant knob.  Two jobs with equal fingerprints are
+guaranteed to produce identical results, which is what makes the
+fingerprint a sound cache key (:mod:`repro.service.cache`).
 
 The **wall-clock budget is deliberately excluded** from the
 fingerprint: it can only change the outcome into the timing-dependent
@@ -31,7 +32,7 @@ import hashlib
 import json
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
@@ -39,13 +40,15 @@ from repro.chase.result import ChaseStatus
 from repro.chase.runner import chase, DEFAULT_MAX_STEPS
 from repro.chase.strategies import (OrderedStrategy, RandomStrategy,
                                     RoundRobinStrategy, Strategy)
+from repro.cq.query import ConjunctiveQuery
 from repro.datadep.monitored_chase import monitored_chase
 from repro.lang.constraints import Constraint
 from repro.lang.errors import ReproError
 from repro.lang.instance import Instance
 from repro.lang.schema import Schema
 from repro.lang.parser import (_render_constraint_body, parse_atoms,
-                               parse_constraints, render_constraints)
+                               parse_constraints, parse_query,
+                               render_constraints, render_query)
 from repro.lang.terms import NullFactory
 from repro.obs import trace as _trace
 from repro.service.serialize import (atom_sort_key, decode_atom,
@@ -63,6 +66,9 @@ _DETERMINISTIC_STATUSES = frozenset(
     s.value for s in ChaseStatus if s.is_deterministic)
 
 _STRATEGY_NAMES = ("auto", "ordered", "round_robin", "random", "stratified")
+
+#: The job kinds a spec may declare (see :func:`spec_kind`).
+JOB_KINDS = ("chase", "query")
 
 
 @dataclass(frozen=True)
@@ -172,8 +178,7 @@ def check_spec_schema(sigma, instance: Instance, *extra_atoms) -> None:
 
 def spec_value(payload: dict, key: str, default, convert):
     """A knob from a job spec dict: explicit JSON ``null`` (or an
-    absent key) means "use the default", anything else is converted.
-    Shared by every job kind's ``from_dict``."""
+    absent key) means "use the default", anything else is converted."""
     value = payload.get(key)
     return default if value is None else convert(value)
 
@@ -214,21 +219,48 @@ def spec_bool(key: str):
     return convert
 
 
-def load_spec_file(path) -> Tuple[dict, str]:
-    """Read a JSON job spec file; returns ``(payload, stem)`` with
-    JSON errors wrapped as :class:`WireError` (one loader for every
-    job kind's ``from_path`` and for :func:`job_from_path`)."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise WireError(f"{path}: invalid job JSON ({exc})") from exc
-    return payload, path.stem
+def spec_kind(payload: dict):
+    """The kind a spec dict declares: its ``kind`` field, else
+    ``query`` when it carries a ``query`` field (hand-written query
+    files need no boilerplate), else ``chase``.
+
+    The one discriminator behind :meth:`ChaseJob.from_dict` and
+    :func:`repro.service.dispatch.request_kind`, so the job parser and
+    the dispatch table can never disagree about what a payload is.
+    An explicit ``kind`` is returned unvalidated, for each caller to
+    judge.
+    """
+    kind = payload.get("kind")
+    if kind is None:
+        return "query" if "query" in payload else "chase"
+    return kind
+
+
+#: The scalar knobs of a job spec in wire order, as ``(field, spec
+#: converter, digested)``.  This one table drives
+#: :meth:`ChaseJob.from_dict`, :meth:`ChaseJob.to_dict` and
+#: :meth:`ChaseJob.fingerprint`, so every knob is parsed, shipped and
+#: digested alike; its default is the dataclass field's.  The
+#: wall-clock budget is not digested (see the module docs), and the
+#: last two knobs exist on query jobs only.
+_KNOBS = (
+    ("strategy", str, True),
+    ("backend", lambda backend: backend, True),
+    ("max_steps", spec_budget("max_steps"), True),
+    ("max_facts", spec_budget("max_facts"), True),
+    ("wall_clock", spec_budget("wall_clock", convert=float), False),
+    ("cycle_limit", spec_budget("cycle_limit"), True),
+    ("max_k", spec_budget("max_k"), True),
+    ("optimize", spec_bool("optimize"), True),
+    ("depth_limit", spec_budget("depth_limit"), True),
+)
+_CHASE_KNOBS = _KNOBS[:-2]
 
 
 @dataclass(frozen=True)
 class ChaseJob:
-    """A declarative chase request.
+    """A declarative chase request -- or, with ``query`` set, a
+    certain-answer request.
 
     ``strategy`` is a spec string (see :func:`resolve_strategy`);
     ``backend`` overrides the instance's fact-store backend;
@@ -236,10 +268,17 @@ class ChaseJob:
     forwarded to the runner; ``cycle_limit`` > 0 arms the Section 4.2
     monitor; ``max_k`` bounds the termination probe used by ``auto``
     strategy resolution and by the scheduler.
-    """
 
-    #: Wire discriminator (see :func:`job_from_dict`).
-    kind = "chase"
+    ``query`` asks for the certain answers of a conjunctive query over
+    the knowledge base ``(instance, sigma)`` (Theorem 9): the chase
+    runs exactly as for a chase job, then
+    :func:`repro.service.query.answer_query` evaluates the query on
+    its result.  ``optimize`` switches that step's Section 4
+    rewriting; ``depth_limit`` overrides the query-sized default of
+    its depth-bounded fallback (and of the optimizer's frozen-query
+    chase).  Both are ignored -- neither shipped nor digested -- on
+    chase jobs.
+    """
 
     name: str
     sigma: Tuple[Constraint, ...]
@@ -251,6 +290,17 @@ class ChaseJob:
     wall_clock: Optional[float] = None
     cycle_limit: int = 0
     max_k: int = 3
+    query: Optional[ConjunctiveQuery] = None
+    optimize: bool = True
+    depth_limit: Optional[int] = None
+
+    @property
+    def kind(self) -> str:
+        """Wire discriminator (see :func:`spec_kind`)."""
+        return "chase" if self.query is None else "query"
+
+    def _knobs(self) -> tuple:
+        return _CHASE_KNOBS if self.query is None else _KNOBS
 
     # -- canonical content fingerprint ---------------------------------
     def fingerprint(self) -> str:
@@ -258,10 +308,10 @@ class ChaseJob:
 
         Constraints are digested in *listed order* (strategies iterate
         them in order, so order changes the executed sequence), the
-        instance through :func:`instance_fingerprint`, plus strategy,
-        effective backend and the deterministic budgets.  The job name
-        and the wall-clock budget (timing-only, see module docs) are
-        excluded.
+        instance through :func:`instance_fingerprint`, the rendered
+        query, strategy, effective backend and the deterministic
+        budgets.  The job name and the wall-clock budget (timing-only,
+        see module docs) are excluded.
 
         The digest is memoized on the (frozen) job -- the scheduler,
         cache and pool all key on it, and the canonical sort +
@@ -273,36 +323,35 @@ class ChaseJob:
         # Labels are rendered for humans but never affect execution
         # (constraint equality ignores them too), so the fingerprint
         # digests the label-free canonical bodies in listed order.
-        payload = json.dumps({
+        payload = {
             "v": 1,
             "sigma": [_render_constraint_body(c) for c in self.sigma],
             "instance": instance_fingerprint(self.instance),
-            "strategy": self.strategy,
-            "backend": self.backend or self.instance.backend,
-            "max_steps": self.max_steps,
-            "max_facts": self.max_facts,
-            "cycle_limit": self.cycle_limit,
-            "max_k": self.max_k,
-        }, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        }
+        if self.query is not None:
+            payload.update(kind="query", query=render_query(self.query))
+        for key, _, digested in self._knobs():
+            if digested:
+                payload[key] = getattr(self, key)
+        # Digest the backend that runs, however it was chosen.
+        payload["backend"] = self.backend or self.instance.backend
+        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
         object.__setattr__(self, "_fingerprint", digest)
         return digest
 
     # -- wire form ------------------------------------------------------
     def to_dict(self) -> dict:
         """A lossless JSON-able encoding (the pool's wire format)."""
-        return {
-            "name": self.name,
-            "constraints": render_constraints(self.sigma),
-            "instance": encode_instance(self.instance),
-            "strategy": self.strategy,
-            "backend": self.backend,
-            "max_steps": self.max_steps,
-            "max_facts": self.max_facts,
-            "wall_clock": self.wall_clock,
-            "cycle_limit": self.cycle_limit,
-            "max_k": self.max_k,
-        }
+        wire = {} if self.query is None else {"kind": "query"}
+        wire.update(name=self.name,
+                    constraints=render_constraints(self.sigma),
+                    instance=encode_instance(self.instance))
+        if self.query is not None:
+            wire["query"] = render_query(self.query)
+        for key, _, _ in self._knobs():
+            wire[key] = getattr(self, key)
+        return wire
 
     @classmethod
     def from_dict(cls, payload: dict, name: Optional[str] = None
@@ -311,47 +360,62 @@ class ChaseJob:
 
         ``constraints`` is constraint text; ``instance`` is either
         instance text (bare identifiers are constants, ``?n7`` nulls)
-        or the wire dict of :func:`repro.service.serialize.encode_instance`.
+        or the wire dict of :func:`repro.service.serialize.encode_instance`;
+        a query job's ``query`` is query text (``ans(x) <- body``).
+        The kind comes from :func:`spec_kind`.
         """
         if not isinstance(payload, dict):
             raise WireError(f"job spec must be an object, got {payload!r}")
+        kind = spec_kind(payload)
+        if kind not in JOB_KINDS:
+            raise WireError(f"unknown job kind {kind!r} "
+                            "(expected 'chase' or 'query')")
+        is_query = kind == "query"
         try:
             constraints = payload["constraints"]
             raw_instance = payload["instance"]
+            query_text = payload["query"] if is_query else None
         except KeyError as missing:
-            raise WireError(f"job spec misses key {missing}") from None
+            raise WireError(f"{'query job' if is_query else 'job'} spec "
+                            f"misses key {missing}") from None
         if isinstance(constraints, (list, tuple)):
             constraints = "\n".join(constraints)
+        if is_query and not isinstance(query_text, str):
+            raise WireError(f"query must be query text, got {query_text!r}")
         sigma = tuple(parse_constraints(constraints))
-        backend = payload.get("backend")
-        instance = decode_spec_instance(raw_instance, backend)
-        check_spec_schema(sigma, instance)
-        return cls(
-            name=payload.get("name") or name or "job",
-            sigma=sigma,
-            instance=instance,
-            strategy=spec_value(payload, "strategy", "auto", str),
-            backend=backend,
-            max_steps=spec_value(payload, "max_steps", DEFAULT_MAX_STEPS,
-                                 spec_budget("max_steps")),
-            max_facts=spec_value(payload, "max_facts", None,
-                                 spec_budget("max_facts")),
-            wall_clock=spec_value(payload, "wall_clock", None,
-                                  spec_budget("wall_clock", convert=float)),
-            cycle_limit=spec_value(payload, "cycle_limit", 0,
-                                   spec_budget("cycle_limit")),
-            max_k=spec_value(payload, "max_k", 3, spec_budget("max_k")),
-        )
+        instance = decode_spec_instance(raw_instance, payload.get("backend"))
+        query = parse_query(query_text) if is_query else None
+        check_spec_schema(sigma, instance, *(query.body if is_query else ()))
+        knobs = {key: spec_value(payload, key, _DEFAULTS[key], convert)
+                 for key, convert, _ in (_KNOBS if is_query
+                                         else _CHASE_KNOBS)}
+        return cls(name=payload.get("name") or name or
+                   ("query" if is_query else "job"),
+                   sigma=sigma, instance=instance, query=query, **knobs)
 
     @classmethod
     def from_path(cls, path) -> "ChaseJob":
-        """Load a job from a JSON file (name defaults to the stem)."""
-        payload, stem = load_spec_file(path)
-        return cls.from_dict(payload, name=stem)
+        """Load a job from a JSON spec file (the name defaults to the
+        file stem); invalid JSON raises :class:`WireError`."""
+        path = Path(path)
+        try:
+            payload = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise WireError(f"{path}: invalid job JSON ({exc})") from exc
+        return cls.from_dict(payload, name=path.stem)
 
     def with_updates(self, **changes) -> "ChaseJob":
         """A copy with the given fields replaced (scheduler rewrites)."""
         return replace(self, **changes)
+
+
+#: Knob defaults, read from the dataclass so they are declared once.
+_DEFAULTS = {f.name: f.default for f in fields(ChaseJob)}
+
+#: The spec parsers under the names the pool, the dispatcher and the
+#: CLI call them by.
+job_from_dict = ChaseJob.from_dict
+job_from_path = ChaseJob.from_path
 
 
 @dataclass
@@ -363,7 +427,7 @@ class JobResult:
     raised).  ``facts`` is the canonical encoding of the final
     instance (None for killed/error jobs).
 
-    Query jobs (:class:`repro.service.query.QueryJob`) share this
+    Query jobs (a :class:`ChaseJob` with a ``query``) share this
     result type: they carry their certain answers in ``answers``
     (sorted encoded term rows; None on chase jobs and on killed/error
     query jobs), the evaluated -- possibly semantically optimized --
@@ -447,7 +511,8 @@ class JobResult:
 EventCallback = Callable[[ProgressEvent], None]
 
 
-def run_declared_chase(job, on_event: Optional[EventCallback] = None,
+def run_declared_chase(job: ChaseJob,
+                       on_event: Optional[EventCallback] = None,
                        progress_every: int = 0):
     """Run the chase a job spec declares; returns
     ``(result, instance, sigma)``.
@@ -455,9 +520,8 @@ def run_declared_chase(job, on_event: Optional[EventCallback] = None,
     The one place the spec knobs become a chase run -- backend
     rebuild, strategy resolution, progress-observer wiring, private
     :class:`NullFactory`, Section 4.2 monitor arming, budget
-    passthrough -- shared by :func:`execute_job` and
-    :func:`repro.service.query.execute_query_job` so both job kinds
-    get identical runner semantics for identical knobs.
+    passthrough -- so both job kinds get identical runner semantics
+    for identical knobs.
     """
     sigma = list(job.sigma)
     instance = job.instance
@@ -494,6 +558,11 @@ def execute_job(job: ChaseJob,
                 worker: str = "inproc") -> JobResult:
     """Run ``job`` in this process and return its wire-safe result.
 
+    A chase job reports its encoded final instance; a query job passes
+    the chase result through Section 5's answering step
+    (:func:`repro.service.query.answer_query`) and reports its answers
+    instead.
+
     Deterministic by construction: a private null factory (labels
     restart at 1 per job) plus seeded strategies mean the encoded
     result depends only on the job content *within one process tree*
@@ -511,15 +580,21 @@ def execute_job(job: ChaseJob,
     started = time.perf_counter()
     fingerprint = job.fingerprint()
     try:
-        result, _, _ = run_declared_chase(job, on_event=on_event,
-                                          progress_every=progress_every)
+        result, instance, sigma = run_declared_chase(
+            job, on_event=on_event, progress_every=progress_every)
+        if job.query is None:
+            outcome = {"new_nulls": result.new_null_count(),
+                       "facts": encode_facts(result.instance),
+                       "failure_reason": result.failure_reason}
+        else:
+            # Imported here: repro.service.query imports this module.
+            from repro.service.query import answer_query
+            outcome = answer_query(job, result, instance, sigma)
         return JobResult(
             job=job.name, fingerprint=fingerprint,
             status=result.status.value, steps=result.length,
-            new_nulls=result.new_null_count(),
-            facts=encode_facts(result.instance),
-            failure_reason=result.failure_reason,
-            elapsed=time.perf_counter() - started, worker=worker)
+            elapsed=time.perf_counter() - started, worker=worker,
+            **outcome)
     except ReproError as exc:
         reason = str(exc)
     except Exception:                                 # noqa: BLE001
@@ -529,64 +604,24 @@ def execute_job(job: ChaseJob,
                      elapsed=time.perf_counter() - started, worker=worker)
 
 
-# ----------------------------------------------------------------------
-# Job-kind dispatch
-# ----------------------------------------------------------------------
-def job_from_dict(payload: dict, name: Optional[str] = None):
-    """Build the right job kind from a spec dict.
-
-    Specs carry an optional ``kind`` discriminator (``chase`` /
-    ``query``); for convenience a spec with a ``query`` field and no
-    ``kind`` is treated as a query job, so hand-written query files
-    need no boilerplate.  Everything downstream of this point -- the
-    scheduler's planning, the fingerprint cache, the worker pool's
-    wire protocol -- is shared between the kinds.
-    """
-    if not isinstance(payload, dict):
-        raise WireError(f"job spec must be an object, got {payload!r}")
-    kind = payload.get("kind")
-    if kind == "query" or (kind is None and "query" in payload):
-        from repro.service.query import QueryJob
-        return QueryJob.from_dict(payload, name=name)
-    if kind not in (None, "chase"):
-        raise WireError(f"unknown job kind {kind!r} "
-                        "(expected 'chase' or 'query')")
-    return ChaseJob.from_dict(payload, name=name)
-
-
-def job_from_path(path):
-    """Load a chase or query job from a JSON spec file (the name
-    defaults to the file stem)."""
-    payload, stem = load_spec_file(path)
-    return job_from_dict(payload, name=stem)
-
-
-def execute_any(job, on_event: Optional[EventCallback] = None,
+def execute_any(job: ChaseJob, on_event: Optional[EventCallback] = None,
                 progress_every: int = 0, worker: str = "inproc"
                 ) -> JobResult:
-    """Execute a job of any kind in this process.
+    """:func:`execute_job` inside the job's trace.
 
-    Query jobs bring their own executor
-    (:meth:`~repro.service.query.QueryJob.run_in_process`); plain
-    chase jobs run through :func:`execute_job`.  The pool's worker
-    loop and its in-process degradation path both funnel through
-    here, so every job kind gets the same isolation guarantees.
+    The pool's worker loop and its in-process path both run jobs
+    through here.  With a tracer active, the job fingerprint is the
+    trace id: every span of this execution -- chase, steps, searches
+    -- groups under it, so a multi-worker batch's interleaved records
+    attribute per job.
     """
-    runner = getattr(job, "run_in_process", None)
-    if runner is None:
-        def runner(**kwargs):
-            return execute_job(job, **kwargs)
     tracer = _trace.active()
     if tracer is None:
-        return runner(on_event=on_event, progress_every=progress_every,
-                      worker=worker)
-    # The job fingerprint is the trace id: every span of this
-    # execution -- chase, steps, searches -- groups under it, so a
-    # multi-worker batch's interleaved records attribute per job.
+        return execute_job(job, on_event=on_event,
+                           progress_every=progress_every, worker=worker)
     with tracer.trace_context(job.fingerprint()):
-        span = tracer.start("job", job=job.name,
-                            kind=getattr(job, "kind", "chase"))
-        result = runner(on_event=on_event, progress_every=progress_every,
-                        worker=worker)
+        span = tracer.start("job", job=job.name, kind=job.kind)
+        result = execute_job(job, on_event=on_event,
+                             progress_every=progress_every, worker=worker)
         tracer.finish(span, status=result.status, steps=result.steps)
     return result

@@ -2,7 +2,7 @@
 
 The pool keeps up to ``workers`` **persistent worker processes**, each
 running a small job loop: receive a job spec over its pipe, execute
-it (any job kind -- the loop dispatches through
+it (chase or query job alike, through
 :func:`repro.service.jobs.job_from_dict` / ``execute_any``), send the
 wire-form result back, wait for the next.  Spawning is
 paid once per worker (not once per job), so batch throughput scales
@@ -311,25 +311,12 @@ class WorkerPool:
                     self.degraded = True
                     emit(ProgressEvent("degraded", pending[0][1].name,
                                        {"reason": "no worker process"}))
-                    while pending:
-                        index, job, _ = pending.popleft()
-                        if (should_cancel is not None
-                                and should_cancel()):
-                            results[index] = self._cancelled_result(job)
-                            emit(ProgressEvent(
-                                "killed", job.name,
-                                {"reason": "cancelled"},
-                                fingerprint=job.fingerprint()))
-                            continue
-                        results[index] = execute_any(
-                            job, on_event=emit,
-                            progress_every=self.progress_every)
-                        self.executed += 1
-                        emit(ProgressEvent(
-                            "finished", job.name,
-                            {"status": results[index].status,
-                             "elapsed": round(results[index].elapsed, 3)},
-                            fingerprint=job.fingerprint()))
+                    drained = list(pending)
+                    pending.clear()
+                    done = self._run_inprocess([job for _, job, _ in drained],
+                                               emit, should_cancel)
+                    for (index, _, _), result in zip(drained, done):
+                        results[index] = result
                     return
                 pool.append(worker)
             index, job, enqueued = pending.popleft()

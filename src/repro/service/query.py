@@ -1,33 +1,26 @@
-"""Certain-answer query jobs: Section 5 served as a batch workload.
+"""Certain answers for query jobs: Section 5's answering step.
 
-A :class:`QueryJob` asks for the certain answers of a conjunctive
-query over the knowledge base ``(I, Sigma)`` -- Theorem 9 /
-Corollary 1 as a service request.  Query jobs are full citizens of the
-batch layer: they share the :class:`~repro.service.jobs.JobResult`
-wire form, the fingerprint-keyed :class:`~repro.service.cache
-.ServiceCache`, the :class:`~repro.service.pool.WorkerPool` and the
-:class:`~repro.service.scheduler.BatchScheduler`'s termination-aware
-planning (``strategy="auto"`` pins Theorem 2's stratum order for
-stratified-only sets; unknown sets get step-capped).  ``repro query``
-is the CLI entry point, and ``repro batch`` / ``repro serve`` accept
-query specs alongside chase specs (discriminated by the ``kind`` field
-or simply the presence of ``query``).
+A query job -- a :class:`~repro.service.jobs.ChaseJob` with a
+``query`` -- asks for the certain answers of a conjunctive query over
+the knowledge base ``(I, Sigma)``: Theorem 9 / Corollary 1 as a
+service request.  It is parsed, planned, fingerprinted, cached, pooled
+and chased exactly like a chase job (:func:`repro.service.jobs
+.execute_job`); ``repro query`` is the CLI entry point, and
+``repro batch`` / ``repro serve`` accept query specs alongside chase
+specs.  After the chase, :func:`answer_query` turns its result into
+answers:
 
-Execution (:func:`execute_query_job`):
-
-1. chase the instance exactly under the job's budgets (private
-   :class:`~repro.lang.terms.NullFactory`, pinned strategy);
-2. on termination, optionally rewrite the query through Section 4's
+1. on termination, optionally rewrite the query through Section 4's
    semantic optimization (:func:`repro.kb.answering.optimize_query` --
    chase the frozen query, minimize via the core) and evaluate the
    rewriting: ``I^Sigma`` satisfies ``Sigma``, so equivalent queries
    agree there;
-3. on a budget abort, fall back to the **depth-bounded chase** of
+2. on a budget abort, fall back to the **depth-bounded chase** of
    :mod:`repro.kb.answering` and evaluate the *original* query on the
    finite prefix (sound for constants-only answers; the prefix need
    not satisfy ``Sigma``, so rewritings are not used) -- the result is
    flagged ``truncated``;
-4. evaluate through the compiled id-level path of
+3. evaluate through the compiled id-level path of
    :mod:`repro.cq.evaluate` and return the answers as canonically
    sorted encoded rows.
 
@@ -39,246 +32,68 @@ status safely cacheable under the job fingerprint.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import time
-import traceback
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import List
 
-from repro.chase.result import ChaseStatus
-from repro.chase.runner import DEFAULT_MAX_STEPS
-from repro.cq.query import ConjunctiveQuery
+from repro.chase.result import ChaseResult, ChaseStatus
 from repro.kb.answering import (default_depth, depth_bounded_chase,
                                 optimize_query)
 from repro.lang.constraints import Constraint
-from repro.lang.errors import ReproError
 from repro.lang.instance import Instance
-from repro.lang.parser import (_render_constraint_body, parse_constraints,
-                               parse_query, render_constraints, render_query)
-from repro.service.jobs import (check_spec_schema,
-                                decode_spec_instance, EventCallback,
-                                instance_fingerprint, JobResult,
-                                load_spec_file, run_declared_chase,
-                                spec_bool, spec_budget, spec_value,
-                                STATUS_ERROR)
-from repro.service.serialize import encode_instance, encode_term, WireError
+from repro.lang.parser import render_query
+from repro.service.jobs import ChaseJob
+from repro.service.serialize import encode_term
 
-__all__ = ["QueryJob", "execute_query_job"]
+__all__ = ["answer_query", "QueryJob"]
 
-
-@dataclass(frozen=True)
-class QueryJob:
-    """A declarative certain-answer request.
-
-    The chase-facing knobs (``strategy``, ``backend``, budgets,
-    ``cycle_limit``, ``max_k``) mean exactly what they mean on
-    :class:`~repro.service.jobs.ChaseJob`.  ``optimize`` switches the
-    Section 4 rewriting step; ``depth_limit`` overrides the
-    query-sized default of the depth-bounded fallback (and of the
-    optimizer's own frozen-query chase).
-    """
-
-    #: Wire discriminator (see :func:`repro.service.jobs.job_from_dict`).
-    kind = "query"
-
-    name: str
-    sigma: Tuple[Constraint, ...]
-    instance: Instance
-    query: ConjunctiveQuery
-    strategy: str = "auto"
-    backend: Optional[str] = None
-    max_steps: int = DEFAULT_MAX_STEPS
-    max_facts: Optional[int] = None
-    wall_clock: Optional[float] = None
-    cycle_limit: int = 0
-    max_k: int = 3
-    optimize: bool = True
-    depth_limit: Optional[int] = None
-
-    # -- canonical content fingerprint ---------------------------------
-    def fingerprint(self) -> str:
-        """SHA-256 digest of every outcome-relevant field.
-
-        Same contract as :meth:`ChaseJob.fingerprint`: constraints in
-        listed order (label-free), the instance via
-        :func:`~repro.service.jobs.instance_fingerprint`, the rendered
-        query, and every deterministic knob; the job name and the
-        wall-clock budget are excluded.  Memoized on the frozen job.
-        """
-        memo = self.__dict__.get("_fingerprint")
-        if memo is not None:
-            return memo
-        payload = json.dumps({
-            "v": 1,
-            "kind": "query",
-            "sigma": [_render_constraint_body(c) for c in self.sigma],
-            "instance": instance_fingerprint(self.instance),
-            "query": render_query(self.query),
-            "strategy": self.strategy,
-            "backend": self.backend or self.instance.backend,
-            "max_steps": self.max_steps,
-            "max_facts": self.max_facts,
-            "cycle_limit": self.cycle_limit,
-            "max_k": self.max_k,
-            "optimize": self.optimize,
-            "depth_limit": self.depth_limit,
-        }, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        object.__setattr__(self, "_fingerprint", digest)
-        return digest
-
-    # -- wire form ------------------------------------------------------
-    def to_dict(self) -> dict:
-        """A lossless JSON-able encoding (the pool's wire format)."""
-        return {
-            "kind": "query",
-            "name": self.name,
-            "constraints": render_constraints(self.sigma),
-            "instance": encode_instance(self.instance),
-            "query": render_query(self.query),
-            "strategy": self.strategy,
-            "backend": self.backend,
-            "max_steps": self.max_steps,
-            "max_facts": self.max_facts,
-            "wall_clock": self.wall_clock,
-            "cycle_limit": self.cycle_limit,
-            "max_k": self.max_k,
-            "optimize": self.optimize,
-            "depth_limit": self.depth_limit,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict, name: Optional[str] = None
-                  ) -> "QueryJob":
-        """Build a query job from a spec dict (file, stdin line, wire).
-
-        ``query`` is query text (``ans(x) <- body``); ``constraints``
-        and ``instance`` follow the :meth:`ChaseJob.from_dict`
-        conventions.
-        """
-        if not isinstance(payload, dict):
-            raise WireError(f"job spec must be an object, got {payload!r}")
-        try:
-            constraints = payload["constraints"]
-            raw_instance = payload["instance"]
-            query_text = payload["query"]
-        except KeyError as missing:
-            raise WireError(f"query job spec misses key {missing}") from None
-        if isinstance(constraints, (list, tuple)):
-            constraints = "\n".join(constraints)
-        if not isinstance(query_text, str):
-            raise WireError(f"query must be query text, got {query_text!r}")
-        backend = payload.get("backend")
-        sigma = tuple(parse_constraints(constraints))
-        instance = decode_spec_instance(raw_instance, backend)
-        query = parse_query(query_text)
-        check_spec_schema(sigma, instance, *query.body)
-        return cls(
-            name=payload.get("name") or name or "query",
-            sigma=sigma,
-            instance=instance,
-            query=query,
-            strategy=spec_value(payload, "strategy", "auto", str),
-            backend=backend,
-            max_steps=spec_value(payload, "max_steps", DEFAULT_MAX_STEPS,
-                                 spec_budget("max_steps")),
-            max_facts=spec_value(payload, "max_facts", None,
-                                 spec_budget("max_facts")),
-            wall_clock=spec_value(payload, "wall_clock", None,
-                                  spec_budget("wall_clock", convert=float)),
-            cycle_limit=spec_value(payload, "cycle_limit", 0,
-                                   spec_budget("cycle_limit")),
-            max_k=spec_value(payload, "max_k", 3, spec_budget("max_k")),
-            optimize=spec_value(payload, "optimize", True,
-                                spec_bool("optimize")),
-            depth_limit=spec_value(payload, "depth_limit", None,
-                                   spec_budget("depth_limit")),
-        )
-
-    @classmethod
-    def from_path(cls, path) -> "QueryJob":
-        """Load a query job from a JSON file (name defaults to stem)."""
-        payload, stem = load_spec_file(path)
-        return cls.from_dict(payload, name=stem)
-
-    def with_updates(self, **changes) -> "QueryJob":
-        """A copy with the given fields replaced (scheduler rewrites)."""
-        return replace(self, **changes)
-
-    def run_in_process(self, on_event: Optional[EventCallback] = None,
-                       progress_every: int = 0,
-                       worker: str = "inproc") -> JobResult:
-        """The executor hook :func:`repro.service.jobs.execute_any`
-        dispatches on."""
-        return execute_query_job(self, on_event=on_event,
-                                 progress_every=progress_every,
-                                 worker=worker)
+#: A query job is a ``ChaseJob(..., query=...)``.  This alias has two
+#: reasons to exist and no others: ``from repro import QueryJob``
+#: keeps working, and perfbench's traced run (``perfbench/layers.py``)
+#: looks ``QueryJob.fingerprint`` up by module path in this module.
+QueryJob = ChaseJob
 
 
 def _answer_sort_key(row: list) -> str:
     return json.dumps(row, sort_keys=True)
 
 
-def execute_query_job(job: QueryJob,
-                      on_event: Optional[EventCallback] = None,
-                      progress_every: int = 0,
-                      worker: str = "inproc") -> JobResult:
-    """Run ``job`` in this process and return its wire-safe result.
+def answer_query(job: ChaseJob, result: ChaseResult, instance: Instance,
+                 sigma: List[Constraint]) -> dict:
+    """Section 5's answering step for a query job whose chase gave
+    ``result`` (``instance`` and ``sigma`` are what it chased).
 
-    Exceptions never propagate (``status="error"`` results instead),
-    and the encoded answers are canonically sorted -- deterministic
-    regardless of worker, process tree or hash seed, since certain
-    answers contain no nulls.
+    Returns the :class:`~repro.service.jobs.JobResult` fields a query
+    job reports in place of a chase job's facts: ``answers`` (sorted,
+    constants only), the evaluated ``query`` text, ``truncated`` and
+    ``new_nulls`` -- or, for an inconsistent knowledge base, the
+    failure and no answers.
     """
-    started = time.perf_counter()
-    fingerprint = job.fingerprint()
-    try:
-        result, instance, sigma = run_declared_chase(
-            job, on_event=on_event, progress_every=progress_every)
-        if result.status is ChaseStatus.FAILED:
-            # Inconsistent knowledge base: the chase result is
-            # undefined (Section 2), so there is no instance to answer
-            # over; surface the failure instead of fabricating answers.
-            return JobResult(
-                job=job.name, fingerprint=fingerprint,
-                status=result.status.value, steps=result.length,
-                failure_reason=result.failure_reason,
-                query=render_query(job.query),
-                elapsed=time.perf_counter() - started, worker=worker)
-        target = job.query
-        truncated = False
-        if result.status is ChaseStatus.TERMINATED:
-            evaluation_instance = result.instance
-            if job.optimize:
-                target = optimize_query(job.query, sigma,
-                                        depth_limit=job.depth_limit)
-        else:
-            truncated = True
-            depth = (job.depth_limit if job.depth_limit is not None
-                     else default_depth(job.query, sigma))
-            # The fallback honours the job's budgets too: total chase
-            # work stays within ~2x the declared budget, so a
-            # divergent request's blast radius remains bounded even
-            # without the pool's hard-timeout backstop.
-            evaluation_instance = depth_bounded_chase(
-                instance, sigma, depth, max_steps=job.max_steps,
-                max_facts=job.max_facts,
-                wall_clock=job.wall_clock).instance
-        answers = target.evaluate(evaluation_instance, constants_only=True)
-        encoded = sorted(([encode_term(term) for term in row]
-                          for row in answers), key=_answer_sort_key)
-        return JobResult(
-            job=job.name, fingerprint=fingerprint,
-            status=result.status.value, steps=result.length,
-            new_nulls=result.new_null_count(),
-            answers=encoded, query=render_query(target),
-            truncated=truncated,
-            elapsed=time.perf_counter() - started, worker=worker)
-    except ReproError as exc:
-        reason = str(exc)
-    except Exception:                                 # noqa: BLE001
-        reason = traceback.format_exc(limit=8)
-    return JobResult(job=job.name, fingerprint=fingerprint,
-                     status=STATUS_ERROR, failure_reason=reason,
-                     elapsed=time.perf_counter() - started, worker=worker)
+    if result.status is ChaseStatus.FAILED:
+        # Inconsistent knowledge base: the chase result is undefined
+        # (Section 2), so there is no instance to answer over; surface
+        # the failure instead of fabricating answers.
+        return {"failure_reason": result.failure_reason,
+                "query": render_query(job.query)}
+    target = job.query
+    truncated = False
+    if result.status is ChaseStatus.TERMINATED:
+        evaluation_instance = result.instance
+        if job.optimize:
+            target = optimize_query(job.query, sigma,
+                                    depth_limit=job.depth_limit)
+    else:
+        truncated = True
+        depth = (job.depth_limit if job.depth_limit is not None
+                 else default_depth(job.query, sigma))
+        # The fallback honours the job's budgets too: total chase work
+        # stays within ~2x the declared budget, so a divergent
+        # request's blast radius remains bounded even without the
+        # pool's hard-timeout backstop.
+        evaluation_instance = depth_bounded_chase(
+            instance, sigma, depth, max_steps=job.max_steps,
+            max_facts=job.max_facts, wall_clock=job.wall_clock).instance
+    answers = target.evaluate(evaluation_instance, constants_only=True)
+    encoded = sorted(([encode_term(term) for term in row]
+                      for row in answers), key=_answer_sort_key)
+    return {"new_nulls": result.new_null_count(), "answers": encoded,
+            "query": render_query(target), "truncated": truncated}

@@ -42,6 +42,7 @@ docs/PAPER_MAP.md ("Deviations and interpretation points"):
 from __future__ import annotations
 
 import warnings
+from contextlib import closing
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lang.atoms import Atom, Position
@@ -469,50 +470,58 @@ def _search(chain: Sequence[Constraint], positions: Optional[frozenset],
             yield True
             return
         constraint = step_constraints[index]
-        for binding in _open_hom(list(constraint.body), {}, ctx):
-            if index == 0:
-                first_binding_box[0] = dict(binding)
-            if isinstance(constraint, TGD):
-                record = _apply_oblivious_tgd(ctx, constraint, binding)
-                # Sound prune: a step that adds nothing leaves J_skip
-                # equal to J_{k-1}, where the final constraint must be
-                # violated -- its skip condition can never hold.
-                added_something = bool(set(record.head_atoms)
-                                       - (record.saved_j or set()))
-                try:
-                    if added_something:
-                        yield from run_steps(index + 1)
-                finally:
-                    _undo_step(ctx, record)
-            else:
-                assert isinstance(constraint, EGD)
-                left = binding[constraint.lhs]
-                right = binding[constraint.rhs]
-                if left == right:
-                    continue
-                if isinstance(right, Null):
-                    old, new = right, left
-                elif isinstance(left, Null):
-                    old, new = left, right
+        # Every generator here is closed explicitly: one that is left
+        # to the collector runs its ``finally`` blocks during
+        # deallocation, where CPython prints and drops any exception
+        # -- an oracle deadline's included.
+        with closing(_open_hom(list(constraint.body), {}, ctx)) as found:
+            for binding in found:
+                if index == 0:
+                    first_binding_box[0] = dict(binding)
+                if isinstance(constraint, TGD):
+                    record = _apply_oblivious_tgd(ctx, constraint, binding)
+                    # Sound prune: a step that adds nothing leaves
+                    # J_skip equal to J_{k-1}, where the final
+                    # constraint must be violated -- its skip condition
+                    # can never hold.
+                    added_something = bool(set(record.head_atoms)
+                                           - (record.saved_j or set()))
+                    try:
+                        if added_something:
+                            yield from run_steps(index + 1)
+                    finally:
+                        _undo_step(ctx, record)
                 else:
-                    continue  # failing step: not a usable witness
-                saved_i = set(ctx.i_facts)
-                saved_j = set(ctx.j_facts)
-                newly_removed = old not in ctx.removed_terms
-                record = _StepRecord(constraint, dict(binding),
-                                     _ground(constraint.body, binding), (), ())
-                # EGD steps substitute in J only; I0 stays as built.
-                ctx.j_facts = {a.substitute({old: new}) for a in ctx.j_facts}
-                ctx.steps.append(record)
-                ctx.removed_terms.add(old)
-                try:
-                    yield from run_steps(index + 1)
-                finally:
-                    ctx.steps.pop()
-                    if newly_removed:
-                        ctx.removed_terms.discard(old)
-                    ctx.i_facts = saved_i
-                    ctx.j_facts = saved_j
+                    assert isinstance(constraint, EGD)
+                    left = binding[constraint.lhs]
+                    right = binding[constraint.rhs]
+                    if left == right:
+                        continue
+                    if isinstance(right, Null):
+                        old, new = right, left
+                    elif isinstance(left, Null):
+                        old, new = left, right
+                    else:
+                        continue  # failing step: not a usable witness
+                    saved_i = set(ctx.i_facts)
+                    saved_j = set(ctx.j_facts)
+                    newly_removed = old not in ctx.removed_terms
+                    record = _StepRecord(constraint, dict(binding),
+                                         _ground(constraint.body, binding),
+                                         (), ())
+                    # EGD steps substitute in J only; I0 stays as built.
+                    ctx.j_facts = {a.substitute({old: new})
+                                   for a in ctx.j_facts}
+                    ctx.steps.append(record)
+                    ctx.removed_terms.add(old)
+                    try:
+                        yield from run_steps(index + 1)
+                    finally:
+                        ctx.steps.pop()
+                        if newly_removed:
+                            ctx.removed_terms.discard(old)
+                        ctx.i_facts = saved_i
+                        ctx.j_facts = saved_j
 
     def final_bindings():
         """Enumerate final-body homomorphisms.
@@ -538,12 +547,14 @@ def _search(chain: Sequence[Constraint], positions: Optional[frozenset],
                 yield from _open_hom(rest, seeded, ctx)
 
     try:
-        for _ in run_steps(0):
-            for binding in final_bindings():
-                if _final_conditions(ctx, final, binding, positions,
-                                     renamed[0], first_binding_box[0],
-                                     require_standard_step):
-                    return True
+        with closing(run_steps(0)) as worlds:
+            for _ in worlds:
+                with closing(final_bindings()) as finals:
+                    for binding in finals:
+                        if _final_conditions(ctx, final, binding, positions,
+                                             renamed[0], first_binding_box[0],
+                                             require_standard_step):
+                            return True
     except _BudgetExhausted:
         warnings.warn(
             "precedence search budget exhausted for "

@@ -129,7 +129,7 @@ def mixed_batch_specs(n_jobs: int, seed: int = 0,
 
 # ----------------------------------------------------------------------
 # Certain-answer query specs (the input format of ``repro query`` and
-# :meth:`repro.service.query.QueryJob.from_dict`)
+# :meth:`repro.service.jobs.ChaseJob.from_dict`)
 # ----------------------------------------------------------------------
 #: The cycling order of query families in a mixed query batch:
 #: ``chain_join``  -- join of two copied relations over a chain

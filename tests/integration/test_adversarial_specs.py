@@ -15,7 +15,6 @@ import pytest
 
 from repro.cli import main
 from repro.service.jobs import ChaseJob, job_from_dict
-from repro.service.query import QueryJob
 from repro.service.serialize import WireError
 
 GOOD = {"constraints": "S(x) -> E(x, y)", "instance": "S(a)."}
@@ -67,7 +66,7 @@ def test_bad_budgets_raise_wire_error_on_chase_jobs(knob, bad):
 ])
 def test_bad_budgets_raise_wire_error_on_query_jobs(knob, bad):
     with pytest.raises(WireError, match=knob):
-        QueryJob.from_dict({**GOOD, "query": "q(x) <- S(x)", knob: bad})
+        job_from_dict({**GOOD, "query": "q(x) <- S(x)", knob: bad})
 
 
 def test_valid_budgets_still_parse():

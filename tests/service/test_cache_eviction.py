@@ -12,7 +12,6 @@ import pytest
 
 from repro.service.cache import LRUCache, ServiceCache
 from repro.service.jobs import ChaseJob
-from repro.service.query import QueryJob
 from repro.service.scheduler import BatchScheduler
 
 TERMINATING = "a1: S(x) -> E(x, y)"
@@ -26,8 +25,8 @@ def chase_job(letter: str, **overrides) -> ChaseJob:
         "max_steps": 100, **overrides})
 
 
-def query_job(letter: str, **overrides) -> QueryJob:
-    return QueryJob.from_dict({
+def query_job(letter: str, **overrides) -> ChaseJob:
+    return ChaseJob.from_dict({
         "name": f"query_{letter}", "constraints": TERMINATING,
         "instance": f"S({letter}).", "query": "q(x) <- S(x)",
         "strategy": "round_robin", "max_steps": 100, **overrides})

@@ -1,6 +1,7 @@
 """ChaseJob specs, content fingerprints and in-process execution."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,8 @@ from repro.lang.instance import Instance
 from repro.lang.parser import parse_constraints
 from repro.lang.terms import Constant
 from repro.service.jobs import (ChaseJob, execute_job, instance_fingerprint,
-                                resolve_strategy, STATUS_ERROR)
+                                job_from_dict, resolve_strategy,
+                                STATUS_ERROR)
 from repro.workloads.paper import example4, intro_alpha2
 
 TERMINATING = "a1: S(x) -> E(x, y)"
@@ -111,6 +113,39 @@ def test_wire_roundtrip_preserves_fingerprint():
     job = make_job(backend="column", max_facts=50, cycle_limit=2)
     clone = ChaseJob.from_dict(job.to_dict())
     assert clone.fingerprint() == job.fingerprint()
+
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+#: Fingerprints of the shipped chase and query specs, backend pinned
+#: to ``set``.  Fingerprints key every warm cache, so a change to any
+#: of these digests must come with a bump of the digested ``"v"``.
+PINNED_FINGERPRINTS = {
+    "jobs/divergent_guarded":
+        "d8b370cd440d273ab0a1d87cc4b5378b44effdf30e29568c3d7a954977ed65bb",
+    "jobs/safe_nulls":
+        "cdf5d8c6a485e7fc4390cda69ef0554cfff8f7d76b46678a946e6d5ae7490793",
+    "jobs/terminating_chain":
+        "204caf09b440ec1adf3529865aa066573bbd432b918f8aa59491c19fe0e6d4ef",
+    "queries/depth_bounded_guarded":
+        "125dd92fddb60f9e3ceec4371aace3d514ff0eea18e875810725da50a4bae797",
+    "queries/stratified_only":
+        "095047b06b789f0708eb37dcb4baac8a6c9924b2cebe4e66a15fb87d1d4b3420",
+    "queries/terminating_join":
+        "cb8898dab60c599431f899c2abaf0a7396ebe956d683c52b954eb620c2411d18",
+}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(EXAMPLES.glob("jobs/*.json"))
+    + sorted(EXAMPLES.glob("queries/*.json")),
+    ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_shipped_spec_fingerprints_are_pinned(path):
+    payload = json.loads(path.read_text())
+    payload["backend"] = "set"
+    job = job_from_dict(payload, name=path.stem)
+    assert job.fingerprint() \
+        == PINNED_FINGERPRINTS[f"{path.parent.name}/{path.stem}"]
 
 
 # ----------------------------------------------------------------------

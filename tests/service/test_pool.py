@@ -168,6 +168,21 @@ def test_degraded_drain_honours_cancellation(monkeypatch):
     assert all(r.failure_reason == "cancelled" for r in killed)
 
 
+def test_degraded_run_emits_the_inprocess_events(monkeypatch):
+    """A pool that cannot spawn workers drains its queue through the
+    in-process loop: after the ``degraded`` notice, the same events as
+    a ``force_inprocess`` run, ``started`` included."""
+    jobs = [make_job(f"j{i}") for i in range(3)]
+    forced = []
+    WorkerPool(workers=2, force_inprocess=True).run(
+        jobs, on_event=forced.append)
+    monkeypatch.setattr(WorkerPool, "_spawn", lambda self: None)
+    degraded = []
+    WorkerPool(workers=2).run(jobs, on_event=degraded.append)
+    assert [(e.kind, e.job) for e in degraded] \
+        == [("degraded", "j0")] + [(e.kind, e.job) for e in forced]
+
+
 def test_worker_replacement_mid_batch():
     """A worker SIGKILLed while chasing: its job surfaces as a
     structured error, its siblings are untouched, and the pool spawns

@@ -1,4 +1,4 @@
-"""QueryJob: fingerprints, execution semantics, service integration."""
+"""Query jobs: fingerprints, execution semantics, service integration."""
 
 import json
 
@@ -6,8 +6,9 @@ import pytest
 
 from repro.kb.answering import certain_answers
 from repro.lang.parser import parse_constraints, parse_instance, parse_query
-from repro.service import (BatchScheduler, execute_query_job, job_from_dict,
-                           QueryJob, ServiceCache, STATUS_ERROR)
+from repro.service import (BatchScheduler, ChaseJob, execute_job,
+                           job_from_dict, job_from_path, ServiceCache,
+                           STATUS_ERROR)
 from repro.service.serialize import decode_term, WireError
 from repro.workloads.batch import query_batch_specs
 
@@ -18,7 +19,7 @@ DIVERGENT = "a2: S(x) -> E(x, y), S(y)"
 def make_job(name="q1", constraints=TERMINATING,
              instance="E(a, b). E(b, c).",
              query="q(x, z) <- E(x, y), E(y, z)", **kw):
-    return QueryJob(name=name,
+    return ChaseJob(name=name,
                     sigma=tuple(parse_constraints(constraints)),
                     instance=parse_instance(instance),
                     query=parse_query(query), **kw)
@@ -57,11 +58,10 @@ class TestFingerprint:
     def test_wire_round_trip_preserves_fingerprint(self):
         job = make_job(backend="column", depth_limit=5, optimize=False)
         round_tripped = job_from_dict(job.to_dict())
-        assert isinstance(round_tripped, QueryJob)
+        assert round_tripped.kind == "query"
         assert round_tripped.fingerprint() == job.fingerprint()
 
     def test_chase_and_query_jobs_never_collide(self):
-        from repro.service import ChaseJob
         chase_job = ChaseJob(name="c", sigma=make_job().sigma,
                              instance=parse_instance("E(a, b). E(b, c)."))
         assert chase_job.fingerprint() != make_job().fingerprint()
@@ -74,20 +74,20 @@ class TestFromDict:
     def test_kind_dispatch(self):
         spec = {"constraints": TERMINATING, "instance": "E(a, b).",
                 "query": "q(x) <- E(x, y)"}
-        assert isinstance(job_from_dict(spec), QueryJob)
-        assert isinstance(job_from_dict(dict(spec, kind="query")), QueryJob)
+        assert job_from_dict(spec).kind == "query"
+        assert job_from_dict(dict(spec, kind="query")).kind == "query"
         with pytest.raises(WireError):
             job_from_dict(dict(spec, kind="bogus"))
 
     def test_missing_query_key(self):
         with pytest.raises(WireError):
-            QueryJob.from_dict({"constraints": TERMINATING,
-                                "instance": "E(a, b)."})
+            job_from_dict({"kind": "query", "constraints": TERMINATING,
+                           "instance": "E(a, b)."})
 
     def test_non_string_query_rejected(self):
         with pytest.raises(WireError):
-            QueryJob.from_dict({"constraints": TERMINATING,
-                                "instance": "E(a, b).", "query": 5})
+            job_from_dict({"constraints": TERMINATING,
+                           "instance": "E(a, b).", "query": 5})
 
     def test_optimize_must_be_json_boolean(self):
         """bool("false") is True, so string values must be rejected
@@ -95,7 +95,7 @@ class TestFromDict:
         spec = {"constraints": TERMINATING, "instance": "E(a, b).",
                 "query": "q(x) <- E(x, y)", "optimize": "false"}
         with pytest.raises(WireError):
-            QueryJob.from_dict(spec)
+            job_from_dict(spec)
 
     def test_explicit_null_knobs_mean_default(self):
         """JSON null for any knob -- optimize included -- means 'use
@@ -105,9 +105,9 @@ class TestFromDict:
                 "query": "q(x) <- E(x, y)"}
         nulled = dict(spec, optimize=None, max_steps=None,
                       depth_limit=None)
-        assert QueryJob.from_dict(nulled).optimize is True
-        assert (QueryJob.from_dict(nulled).fingerprint()
-                == QueryJob.from_dict(spec).fingerprint())
+        assert job_from_dict(nulled).optimize is True
+        assert (job_from_dict(nulled).fingerprint()
+                == job_from_dict(spec).fingerprint())
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +116,7 @@ class TestFromDict:
 class TestExecution:
     def test_exact_path_matches_certain_answers(self):
         job = make_job()
-        result = execute_query_job(job)
+        result = execute_job(job)
         assert result.terminated and not result.truncated
         assert result.facts is None
         reference = certain_answers(parse_instance("E(a, b). E(b, c)."),
@@ -130,12 +130,11 @@ class TestExecution:
         sigma = "key: R(x, y), R(x, z) -> y = z"
         instance = "R(a, b). R(c, d). E(b, e)."
         query = "q(x) <- R(x, y), R(x, z), E(y, w)"
-        plain = execute_query_job(make_job(constraints=sigma,
-                                           instance=instance, query=query,
-                                           optimize=False))
-        optimized = execute_query_job(make_job(constraints=sigma,
-                                               instance=instance,
-                                               query=query))
+        plain = execute_job(make_job(constraints=sigma,
+                                     instance=instance, query=query,
+                                     optimize=False))
+        optimized = execute_job(make_job(constraints=sigma,
+                                         instance=instance, query=query))
         assert plain.answers == optimized.answers
         # ... and the rewriting really was smaller for this query
         assert len(parse_query(optimized.query).body) \
@@ -147,14 +146,14 @@ class TestExecution:
         blast radius within the declared budget."""
         job = make_job(constraints=DIVERGENT, instance="S(a).",
                        query="q(u) <- S(u)", max_steps=100, max_facts=8)
-        result = execute_query_job(job)
+        result = execute_job(job)
         assert result.status == "exceeded_budget"
         assert result.truncated and result.ok
 
     def test_divergent_set_truncates(self):
         job = make_job(constraints=DIVERGENT, instance="S(a). E(a, b). S(b).",
                        query="q(u) <- S(u), E(u, v)", max_steps=200)
-        result = execute_query_job(job)
+        result = execute_job(job)
         assert result.status == "exceeded_budget"
         assert result.truncated
         assert decoded(result) == certain_answers(
@@ -166,12 +165,12 @@ class TestExecution:
         job = make_job(constraints="E(x, y), E(x, z) -> y = z",
                        instance="E(a, b). E(a, c).",
                        query="q(x) <- E(x, y)")
-        result = execute_query_job(job)
+        result = execute_job(job)
         assert result.status == "failed"
         assert result.answers is None and result.ok
 
     def test_errors_never_propagate(self):
-        result = execute_query_job(make_job(strategy="bogus"))
+        result = execute_job(make_job(strategy="bogus"))
         assert result.status == STATUS_ERROR
         assert "bogus" in result.failure_reason
 
@@ -181,9 +180,9 @@ class TestExecution:
         renaming it into a variable (regression: KeyError)."""
         job = make_job(instance="E(a, b). E(a, ?n7). E(?n7, c).",
                        query="q(x) <- E(x, ?n7)")
-        result = execute_query_job(job)
+        result = execute_job(job)
         assert result.terminated, result.failure_reason
-        plain = execute_query_job(job.with_updates(optimize=False))
+        plain = execute_job(job.with_updates(optimize=False))
         # symm closes E(?n7, c) into E(c, ?n7), so x binds a and c
         assert result.answers == plain.answers == [[["c", "a"]],
                                                    [["c", "c"]]]
@@ -191,14 +190,14 @@ class TestExecution:
     def test_answers_identical_across_backends(self):
         specs = query_batch_specs(6, seed=11)
         for spec in specs:
-            per_backend = [execute_query_job(
+            per_backend = [execute_job(
                 job_from_dict(dict(spec, backend=backend)))
                 for backend in ("set", "column")]
             assert per_backend[0].answers == per_backend[1].answers
             assert per_backend[0].status == per_backend[1].status
 
     def test_answers_sorted_canonically(self):
-        result = execute_query_job(make_job())
+        result = execute_job(make_job())
         keys = [json.dumps(row, sort_keys=True) for row in result.answers]
         assert keys == sorted(keys)
 
@@ -212,7 +211,7 @@ class TestServiceIntegration:
         events = []
         scheduler = BatchScheduler(workers=1, force_inprocess=True,
                                    on_event=events.append)
-        job = QueryJob.from_path(
+        job = job_from_path(
             Path(__file__).resolve().parents[2] / "examples" / "queries"
             / "stratified_only.json")
         planned, report, guaranteed = scheduler.plan_job(job)

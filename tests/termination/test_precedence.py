@@ -147,3 +147,40 @@ class TestOracleCaching:
         (alpha,) = sigma_family(3)
         with pytest.warns(RuntimeWarning):
             assert oracle.precedes_k((alpha, alpha, alpha), []) is True
+
+
+class TestSearchCleanup:
+    def test_exception_during_backtracking_reaches_the_caller(
+            self, monkeypatch):
+        """An exception raised while the search unwinds its generators
+        after a witness (an oracle deadline firing in an undo, say)
+        must reach the caller.  A generator left to the collector would
+        run that undo during deallocation, where CPython prints and
+        drops the exception, and the search would answer True."""
+        from repro.termination import precedence
+
+        class Interrupt(BaseException):
+            pass
+
+        witnessed = []
+        real_final_conditions = precedence._final_conditions
+        real_undo = precedence._Ctx.undo_i_fact
+
+        def final_conditions(*args):
+            verdict = real_final_conditions(*args)
+            witnessed.append(verdict)
+            return verdict
+
+        def undo_i_fact(ctx, token):
+            if any(witnessed):
+                raise Interrupt
+            real_undo(ctx, token)
+
+        monkeypatch.setattr(precedence, "_final_conditions",
+                            final_conditions)
+        monkeypatch.setattr(precedence._Ctx, "undo_i_fact", undo_i_fact)
+        a, b = parse_constraints("S(x) -> T(x); T(x) -> U(x)")
+        with pytest.raises(Interrupt):
+            precedence._search((a, b), None, True,
+                               precedence.DEFAULT_NODE_BUDGET)
+        assert any(witnessed)
