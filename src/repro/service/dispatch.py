@@ -43,7 +43,7 @@ from repro.lang.errors import ReproError
 from repro.obs import metrics as _metrics
 from repro.service.jobs import (EventCallback, JOB_KINDS, job_from_dict,
                                 spec_kind)
-from repro.service.scheduler import BatchScheduler
+from repro.service.scheduler import BatchScheduler, Plan
 from repro.service.serialize import WireError
 
 __all__ = ["RequestError", "ServiceSession", "error_payload",
@@ -162,12 +162,14 @@ class ServiceSession:
         return self.handle(request, on_event=on_event)
 
     # -- job plumbing (shared with the HTTP gateway) -------------------
-    def parse_job(self, request, kind: Optional[str] = None):
+    def parse_job(self, request, kind: Optional[str] = None) -> Plan:
         """Parse, budget-clamp and plan a job spec payload.
 
-        Returns the *planned* job (strategy pinned, unknown-set step
-        cap applied), so its fingerprint is the one the cache and the
-        results endpoint key on.  All parse/plan failures surface as
+        Returns the scheduler's :class:`~repro.service.scheduler.Plan`:
+        its *planned* job (strategy pinned, unknown-set step cap
+        applied) has the fingerprint the cache and the results
+        endpoint key on, and the scheduler runs the plan as is, so a
+        request is planned once.  All parse/plan failures surface as
         :class:`RequestError`.
         """
         if kind is None:
@@ -182,11 +184,10 @@ class ServiceSession:
                                code="invalid_spec", kind=kind) from exc
         job = self.budgeted(job)
         try:
-            job, _, _ = self.scheduler.plan_job(job)
+            return self.scheduler.plan_job(job)
         except Exception as exc:                      # noqa: BLE001
             raise RequestError(f"planning failed: {exc}",
                                code="invalid_spec", kind=kind) from exc
-        return job
 
     def budgeted(self, job):
         """Clamp the job's soft wall-clock budget to the session's
@@ -216,8 +217,8 @@ class ServiceSession:
     # -- dispatch-table handlers ---------------------------------------
     def _handle_job(self, request, kind: str,
                     on_event: Optional[EventCallback]) -> dict:
-        job = self.parse_job(request, kind)
-        result = self.scheduler.run_one(job, on_event=on_event)
+        plan = self.parse_job(request, kind)
+        result = self.scheduler.run_one(plan, on_event=on_event)
         return result.to_dict()
 
     def _handle_stats(self, request, kind: str,

@@ -90,6 +90,7 @@ from repro.obs.metrics import OBS
 from repro.service.dispatch import (error_payload, JOB_KINDS, RequestError,
                                     request_kind, ServiceSession)
 from repro.service.jobs import JobResult, STATUS_ERROR
+from repro.service.scheduler import Plan
 
 __all__ = ["HttpGateway", "HttpError", "serve_http"]
 
@@ -150,7 +151,7 @@ class _JobRecord:
     name: str
     kind: str
     fingerprint: str
-    job: object
+    plan: Plan                       # made at submit time, run as is
     state: str = "queued"            # queued | running | done
     result: Optional[dict] = None
     events: List[dict] = field(default_factory=list)
@@ -310,7 +311,7 @@ class HttpGateway:
             try:
                 results = await self._loop.run_in_executor(
                     self._executor, self._execute,
-                    [record.job for record in batch])
+                    [record.plan for record in batch])
             except Exception as exc:              # noqa: BLE001
                 # The scheduler contract is "never raises"; this is
                 # the transport's last-resort backstop so a submitted
@@ -323,9 +324,9 @@ class HttpGateway:
             for record, result in zip(batch, results):
                 self._finish(record, result.to_dict())
 
-    def _execute(self, jobs):
-        """Executor-thread entry: one scheduler batch, events routed
-        back into the loop thread."""
+    def _execute(self, plans):
+        """Executor-thread entry: one scheduler batch of the plans made
+        at submit time, events routed back into the loop thread."""
         loop = self._loop
 
         def on_event(event) -> None:
@@ -334,7 +335,7 @@ class HttpGateway:
                        "fingerprint": event.fingerprint}
             loop.call_soon_threadsafe(self._apply_event, payload)
 
-        return self.session.scheduler.run_batch(jobs, on_event=on_event)
+        return self.session.scheduler.run_batch(plans, on_event=on_event)
 
     def _apply_event(self, payload: dict) -> None:
         for record_id in self._by_fp.get(payload["fingerprint"], ()):
@@ -671,9 +672,10 @@ class HttpGateway:
                     f"POST /jobs takes a chase or query job spec, "
                     f"got kind {kind!r}", code="invalid_request",
                     kind=kind)
-            job = self.session.parse_job(payload, kind)
+            plan = self.session.parse_job(payload, kind)
         except RequestError as exc:
             raise HttpError(400, str(exc), code=exc.code) from None
+        job = plan.job
         fingerprint = job.fingerprint()
         cache = self.session.scheduler.cache
         if fingerprint in cache.results:
@@ -681,7 +683,7 @@ class HttpGateway:
             if hit is not None:
                 record = _JobRecord(id=self._new_id(), name=job.name,
                                     kind=kind, fingerprint=fingerprint,
-                                    job=job, state="done",
+                                    plan=plan, state="done",
                                     result=hit.to_dict())
                 record.wakeup.set()
                 record.finished.set()
@@ -698,7 +700,7 @@ class HttpGateway:
                             f"({self.queue_bound} jobs); retry shortly",
                             code="backpressure", retry_after=1.0)
         record = _JobRecord(id=self._new_id(), name=job.name, kind=kind,
-                            fingerprint=fingerprint, job=job)
+                            fingerprint=fingerprint, plan=plan)
         self._enqueue(record)
         if OBS.enabled:
             OBS.inc("http.jobs_submitted")

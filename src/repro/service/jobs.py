@@ -558,10 +558,11 @@ def execute_job(job: ChaseJob,
                 worker: str = "inproc") -> JobResult:
     """Run ``job`` in this process and return its wire-safe result.
 
-    A chase job reports its encoded final instance; a query job passes
-    the chase result through Section 5's answering step
-    (:func:`repro.service.query.answer_query`) and reports its answers
-    instead.
+    Both kinds report the chase's ``new_nulls`` and
+    ``failure_reason``.  A chase job adds its encoded final instance; a
+    query job passes the chase result through Section 5's answering
+    step (:func:`repro.service.query.answer_query`) and adds its
+    answers instead.
 
     Deterministic by construction: a private null factory (labels
     restart at 1 per job) plus seeded strategies mean the encoded
@@ -582,14 +583,14 @@ def execute_job(job: ChaseJob,
     try:
         result, instance, sigma = run_declared_chase(
             job, on_event=on_event, progress_every=progress_every)
+        outcome = {"new_nulls": result.new_null_count(),
+                   "failure_reason": result.failure_reason}
         if job.query is None:
-            outcome = {"new_nulls": result.new_null_count(),
-                       "facts": encode_facts(result.instance),
-                       "failure_reason": result.failure_reason}
+            outcome["facts"] = encode_facts(result.instance)
         else:
             # Imported here: repro.service.query imports this module.
             from repro.service.query import answer_query
-            outcome = answer_query(job, result, instance, sigma)
+            outcome.update(answer_query(job, result, instance, sigma))
         return JobResult(
             job=job.name, fingerprint=fingerprint,
             status=result.status.value, steps=result.length,

@@ -64,16 +64,16 @@ def answer_query(job: ChaseJob, result: ChaseResult, instance: Instance,
 
     Returns the :class:`~repro.service.jobs.JobResult` fields a query
     job reports in place of a chase job's facts: ``answers`` (sorted,
-    constants only), the evaluated ``query`` text, ``truncated`` and
-    ``new_nulls`` -- or, for an inconsistent knowledge base, the
-    failure and no answers.
+    constants only), the evaluated ``query`` text and ``truncated`` --
+    or, for an inconsistent knowledge base, only the query text and no
+    answers.  The chase's own fields (``new_nulls``,
+    ``failure_reason``) are set by the caller for both job kinds.
     """
     if result.status is ChaseStatus.FAILED:
         # Inconsistent knowledge base: the chase result is undefined
-        # (Section 2), so there is no instance to answer over; surface
-        # the failure instead of fabricating answers.
-        return {"failure_reason": result.failure_reason,
-                "query": render_query(job.query)}
+        # (Section 2), so there is no instance to answer over; the
+        # chase's failure reason says why, and no answers are made up.
+        return {"query": render_query(job.query)}
     target = job.query
     truncated = False
     if result.status is ChaseStatus.TERMINATED:
@@ -95,5 +95,5 @@ def answer_query(job: ChaseJob, result: ChaseResult, instance: Instance,
     answers = target.evaluate(evaluation_instance, constants_only=True)
     encoded = sorted(([encode_term(term) for term in row]
                       for row in answers), key=_answer_sort_key)
-    return {"new_nulls": result.new_null_count(), "answers": encoded,
-            "query": render_query(target), "truncated": truncated}
+    return {"answers": encoded, "query": render_query(target),
+            "truncated": truncated}

@@ -18,6 +18,11 @@ constraint set and derives:
   a single divergent request has bounded blast radius even before the
   pool's hard timeout.
 
+Each job is planned once.  :meth:`BatchScheduler.run_batch` plans
+the jobs it is given; the serve transports plan each request as it
+arrives (the planned fingerprint is their cache key) and hand the
+resulting :class:`Plan` to the scheduler, which then uses it as is.
+
 Before dispatch, every job is looked up in the fingerprint cache --
 warm hits are answered without executing anything.  Results with
 deterministic outcomes are stored back, so re-running a batch is O(1)
@@ -32,7 +37,8 @@ runner's observer hooks), ``killed`` and ``degraded``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import (Callable, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.chase.strategies import StratifiedStrategy
 from repro.obs.metrics import OBS
@@ -44,6 +50,20 @@ from repro.termination.report import TerminationReport
 
 #: Step cap imposed on jobs whose termination is unknown.
 DEFAULT_UNKNOWN_STEP_CAP = 10_000
+
+
+class Plan(NamedTuple):
+    """A job resolved against its termination report
+    (:meth:`BatchScheduler.plan_job`).
+
+    ``job`` is the rewritten job (strategy pinned, unknown-set step
+    cap applied); ``guaranteed`` means some checked condition promises
+    a terminating sequence for the strategy the job will run.
+    """
+
+    job: ChaseJob
+    report: TerminationReport
+    guaranteed: bool
 
 
 class BatchScheduler:
@@ -77,26 +97,14 @@ class BatchScheduler:
         if self.on_event is not None:
             self.on_event(event)
 
-    def peek_cached(self, job: ChaseJob) -> Optional[JobResult]:
-        """A cached result for ``job`` (after planning), without
-        executing anything or emitting events; None on a miss or when
-        planning itself fails (the failure will resurface, structured,
-        when the job actually runs).  The HTTP gateway's submit fast
-        path: a warm fingerprint is answered inline instead of
-        occupying a queue slot."""
-        try:
-            planned, _, _ = self.plan_job(job)
-        except Exception:                             # noqa: BLE001
-            return None
-        return self.cache.lookup_result(planned)
+    def plan_job(self, job: ChaseJob) -> Plan:
+        """Resolve one job against its termination report (see
+        :class:`Plan`).
 
-    def plan_job(self, job: ChaseJob) -> Tuple[ChaseJob, TerminationReport,
-                                               bool]:
-        """Resolve one job against its termination report.
-
-        Returns ``(rewritten job, report, guaranteed)`` where
-        ``guaranteed`` means some checked condition promises a
-        terminating sequence for the strategy the job will run.
+        Reads only the verdicts :func:`~repro.termination.report
+        .analyze` decides up front -- whether some Figure 1 condition
+        bounds every sequence, and else whether the set is stratified
+        -- unless the job itself asks for the stratified strategy.
         """
         report = self.cache.report_for(job.sigma, max_k=job.max_k)
         if job.strategy == "auto":
@@ -120,35 +128,41 @@ class BatchScheduler:
         if not guaranteed and self.unknown_step_cap is not None \
                 and job.max_steps > self.unknown_step_cap:
             job = job.with_updates(max_steps=self.unknown_step_cap)
-        return job, report, guaranteed
+        return Plan(job, report, guaranteed)
 
     # ------------------------------------------------------------------
-    def run_batch(self, jobs: Sequence[ChaseJob],
+    def run_batch(self, jobs: Sequence[Union[ChaseJob, Plan]],
                   should_cancel: Optional[Callable[[], bool]] = None,
                   on_event: Optional[EventCallback] = None
                   ) -> List[JobResult]:
         """Plan, cache-check, execute and collect a batch.
 
-        Results come back in the *input* order regardless of the
-        execution order (guaranteed-first) and of which results were
-        answered from the cache.  ``on_event`` overrides the
-        constructor's event sink for this call only -- the transport
-        split: one scheduler can serve the NDJSON loop and the HTTP
-        gateway's per-batch event routing at different call sites.
+        Each item is a job, planned here, or the :class:`Plan` of a
+        job the caller already planned, used as given.  Results come
+        back in the *input* order regardless of the execution order
+        (guaranteed-first) and of which results were answered from the
+        cache.  ``on_event`` overrides the constructor's event sink
+        for this call only -- the transport split: one scheduler can
+        serve the NDJSON loop and the HTTP gateway's per-batch event
+        routing at different call sites.
         """
         emit = on_event if on_event is not None else self._emit
         planned: List[Tuple[int, ChaseJob, bool]] = []
         results: List[Optional[JobResult]] = [None] * len(jobs)
-        for index, job in enumerate(jobs):
-            try:
-                job, report, guaranteed = self.plan_job(job)
-            except Exception as exc:                  # noqa: BLE001
-                results[index] = JobResult(
-                    job=job.name, fingerprint="", status=STATUS_ERROR,
-                    failure_reason=f"planning failed: {exc}")
-                emit(ProgressEvent("finished", job.name,
-                                   {"status": STATUS_ERROR}))
-                continue
+        for index, item in enumerate(jobs):
+            if isinstance(item, Plan):
+                job, report, guaranteed = item
+            else:
+                try:
+                    job, report, guaranteed = self.plan_job(item)
+                except Exception as exc:              # noqa: BLE001
+                    results[index] = JobResult(
+                        job=item.name, fingerprint="",
+                        status=STATUS_ERROR,
+                        failure_reason=f"planning failed: {exc}")
+                    emit(ProgressEvent("finished", item.name,
+                                       {"status": STATUS_ERROR}))
+                    continue
             emit(ProgressEvent("queued", job.name, {
                 "guaranteed": guaranteed,
                 "strategy": job.strategy,
@@ -228,12 +242,12 @@ class BatchScheduler:
             OBS.merge_snapshot(result.metrics)
 
     # ------------------------------------------------------------------
-    def run_one(self, job: ChaseJob,
+    def run_one(self, job: Union[ChaseJob, Plan],
                 should_cancel: Optional[Callable[[], bool]] = None,
                 on_event: Optional[EventCallback] = None) -> JobResult:
-        """Serve a single job through the same plan/cache/execute path
-        (the ``repro serve`` loop).  Worker processes persist across
-        calls; :meth:`close` releases them."""
+        """Serve a single job (or its :class:`Plan`) through the same
+        plan/cache/execute path (the ``repro serve`` loop).  Worker
+        processes persist across calls; :meth:`close` releases them."""
         return self.run_batch([job], should_cancel=should_cancel,
                               on_event=on_event)[0]
 

@@ -55,6 +55,11 @@ from repro.lang.terms import (Constant, GroundTerm, Null, NullFactory,
 #: wrongly strengthen, a termination guarantee).
 DEFAULT_NODE_BUDGET = 20_000_000
 
+#: A fact set kept in insertion order (a dict with ``None`` values).
+#: The search visits facts in the order it made them, so the nodes it
+#: spends do not depend on the interpreter's string-hash seed.
+Facts = Dict[Atom, None]
+
 
 class _BudgetExhausted(Exception):
     """Internal: the per-query search budget ran out."""
@@ -71,7 +76,7 @@ class _StepRecord:
                  body_atoms: Tuple[Atom, ...],
                  head_atoms: Tuple[Atom, ...],
                  fresh_nulls: Tuple[Null, ...],
-                 saved_j: Optional[Set[Atom]] = None) -> None:
+                 saved_j: Optional[Facts] = None) -> None:
         self.constraint = constraint
         self.binding = binding
         self.body_atoms = body_atoms
@@ -84,8 +89,8 @@ class _Ctx:
     """Mutable search state: the candidate ``I0`` and the step stack."""
 
     def __init__(self, constants: Sequence[Constant], budget: int) -> None:
-        self.i_facts: Set[Atom] = set()
-        self.j_facts: Set[Atom] = set()
+        self.i_facts: Facts = {}
+        self.j_facts: Facts = {}
         self.pool: List[GroundTerm] = []
         self.pool_set: Set[GroundTerm] = set()
         self.step_nulls: Set[Null] = set()
@@ -108,9 +113,9 @@ class _Ctx:
         new_i = fact not in self.i_facts
         new_j = fact not in self.j_facts
         if new_i:
-            self.i_facts.add(fact)
+            self.i_facts[fact] = None
         if new_j:
-            self.j_facts.add(fact)
+            self.j_facts[fact] = None
         added_terms = []
         for term in fact.args:
             if term not in self.pool_set:
@@ -123,9 +128,9 @@ class _Ctx:
         """Roll back a speculative :meth:`add_i_fact` (backtracking)."""
         fact, new_i, new_j, added_terms = token
         if new_i:
-            self.i_facts.discard(fact)
+            self.i_facts.pop(fact, None)
         if new_j:
-            self.j_facts.discard(fact)
+            self.j_facts.pop(fact, None)
         for term in added_terms:
             self.pool.remove(term)
             self.pool_set.discard(term)
@@ -247,8 +252,8 @@ def _apply_oblivious_tgd(ctx: _Ctx, tgd: TGD,
         ctx.step_nulls.add(null)
     head_atoms = _ground(tgd.head, extension)
     record = _StepRecord(tgd, dict(binding), _ground(tgd.body, binding),
-                         head_atoms, tuple(fresh), saved_j=set(ctx.j_facts))
-    ctx.j_facts |= set(head_atoms)
+                         head_atoms, tuple(fresh), saved_j=dict(ctx.j_facts))
+    ctx.j_facts |= dict.fromkeys(head_atoms)
     ctx.steps.append(record)
     return record
 
@@ -263,19 +268,19 @@ def _undo_step(ctx: _Ctx, record: _StepRecord) -> None:
     ctx.j_facts = record.saved_j | ctx.i_facts
 
 
-def _replay_without(ctx: _Ctx, skip_index: int) -> Optional[Set[Atom]]:
+def _replay_without(ctx: _Ctx, skip_index: int) -> Optional[Facts]:
     """The skip-replay semantics of docs/PAPER_MAP.md (Def. 14
     interpretation point): replay all steps except
     ``skip_index`` in order with original parameters and nulls; TGD
     steps whose body is absent are no-ops.  Returns the resulting fact
     set, or None if the replay is undefined."""
-    world: Set[Atom] = set(ctx.i_facts)
+    world: Facts = dict(ctx.i_facts)
     for index, step in enumerate(ctx.steps):
         if index == skip_index:
             continue
         if isinstance(step.constraint, TGD):
             if all(atom in world for atom in step.body_atoms):
-                world |= set(step.head_atoms)
+                world |= dict.fromkeys(step.head_atoms)
         else:
             egd = step.constraint
             assert isinstance(egd, EGD)
@@ -291,13 +296,14 @@ def _replay_without(ctx: _Ctx, skip_index: int) -> Optional[Set[Atom]]:
                 old, new = left, right
             else:
                 return None  # chase failure: replay undefined
-            world = {atom.substitute({old: new}) for atom in world}
+            world = dict.fromkeys(atom.substitute({old: new})
+                                  for atom in world)
     return world
 
 
 def _extension_exists(ctx: _Ctx, tgd: TGD,
                       binding: Dict[Variable, GroundTerm],
-                      facts: Set[Atom]) -> bool:
+                      facts: Facts) -> bool:
     """Does the frontier part of ``binding`` extend to a homomorphism
     of the head into ``facts``?  (Set-based, no Instance indexing.)"""
     frontier = {var: binding[var] for var in tgd.frontier_variables()}
@@ -322,7 +328,7 @@ def _extension_exists(ctx: _Ctx, tgd: TGD,
 
 def _satisfied_in_world(ctx: _Ctx, constraint: Constraint,
                         binding: Dict[Variable, GroundTerm],
-                        facts: Set[Atom]) -> bool:
+                        facts: Facts) -> bool:
     """``facts |= constraint(binding)`` over a plain fact set."""
     grounded_body = _ground(constraint.body, binding)
     if not all(atom in facts for atom in grounded_body):
@@ -380,7 +386,7 @@ def _final_conditions(ctx: _Ctx, final: Constraint,
     # body must therefore use one of its additions (TGD steps only).
     if ctx.steps and isinstance(ctx.steps[-1].constraint, TGD):
         last = ctx.steps[-1]
-        last_added = set(last.head_atoms) - (last.saved_j or set())
+        last_added = set(last.head_atoms).difference(last.saved_j or ())
         if not any(atom in last_added for atom in grounded_body):
             return False
     # (iv) J |/= beta(b): the body is in J by construction of the
@@ -447,15 +453,17 @@ def _relation_feasible(chain: Sequence[Constraint]) -> bool:
 
 
 def _search(chain: Sequence[Constraint], positions: Optional[frozenset],
-            require_standard_step: bool, node_budget: int) -> bool:
+            require_standard_step: bool, node_budget: int
+            ) -> Tuple[bool, int]:
     """Core witness search shared by all four relations.
 
     ``chain`` is ``(alpha_1, ..., alpha_k)``: the first ``k-1``
     constraints execute one (oblivious or standard) step each and
-    ``alpha_k`` must end up newly violated.
+    ``alpha_k`` must end up newly violated.  Returns the verdict and
+    the search nodes spent on it.
     """
     if not _relation_feasible(chain):
-        return False
+        return False, 0
     renamed = [rename_apart(c, f"__c{i}") for i, c in enumerate(chain)]
     *step_constraints, final = renamed
     constants: List[Constant] = []
@@ -485,7 +493,7 @@ def _search(chain: Sequence[Constraint], positions: Optional[frozenset],
                     # constraint must be violated -- its skip condition
                     # can never hold.
                     added_something = bool(set(record.head_atoms)
-                                           - (record.saved_j or set()))
+                                           .difference(record.saved_j or ()))
                     try:
                         if added_something:
                             yield from run_steps(index + 1)
@@ -503,15 +511,15 @@ def _search(chain: Sequence[Constraint], positions: Optional[frozenset],
                         old, new = left, right
                     else:
                         continue  # failing step: not a usable witness
-                    saved_i = set(ctx.i_facts)
-                    saved_j = set(ctx.j_facts)
+                    saved_i = dict(ctx.i_facts)
+                    saved_j = dict(ctx.j_facts)
                     newly_removed = old not in ctx.removed_terms
                     record = _StepRecord(constraint, dict(binding),
                                          _ground(constraint.body, binding),
                                          (), ())
                     # EGD steps substitute in J only; I0 stays as built.
-                    ctx.j_facts = {a.substitute({old: new})
-                                   for a in ctx.j_facts}
+                    ctx.j_facts = dict.fromkeys(a.substitute({old: new})
+                                                for a in ctx.j_facts)
                     ctx.steps.append(record)
                     ctx.removed_terms.add(old)
                     try:
@@ -554,14 +562,14 @@ def _search(chain: Sequence[Constraint], positions: Optional[frozenset],
                         if _final_conditions(ctx, final, binding, positions,
                                              renamed[0], first_binding_box[0],
                                              require_standard_step):
-                            return True
+                            return True, node_budget - ctx.budget
     except _BudgetExhausted:
         warnings.warn(
             "precedence search budget exhausted for "
             f"{[c.display_name() for c in chain]}; returning the "
-            "conservative answer True", RuntimeWarning, stacklevel=2)
-        return True
-    return False
+            "conservative answer True", RuntimeWarning, stacklevel=3)
+        return True, node_budget
+    return False, node_budget - ctx.budget
 
 
 class PrecedenceOracle:
@@ -575,8 +583,23 @@ class PrecedenceOracle:
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET) -> None:
         self.node_budget = node_budget
+        #: Searches run and search nodes spent on them (cache hits cost
+        #: neither).  Unlike a clock, the count for one sequence of
+        #: queries is the same in every process and under every
+        #: string-hash seed.
+        self.searches = 0
+        self.nodes = 0
         self._plain: Dict[tuple, bool] = {}
         self._positional: Dict[tuple, List[Tuple[frozenset, bool]]] = {}
+
+    def _search(self, chain: Sequence[Constraint],
+                positions: Optional[frozenset],
+                require_standard_step: bool) -> bool:
+        found, spent = _search(chain, positions, require_standard_step,
+                               self.node_budget)
+        self.searches += 1
+        self.nodes += spent
+        return found
 
     # -- Definition 2 ---------------------------------------------------
     def precedes(self, alpha: Constraint, beta: Constraint) -> bool:
@@ -584,8 +607,7 @@ class PrecedenceOracle:
         beta (Definition 2)."""
         key = ("std", alpha, beta)
         if key not in self._plain:
-            self._plain[key] = _search((alpha, beta), None, True,
-                                       self.node_budget)
+            self._plain[key] = self._search((alpha, beta), None, True)
         return self._plain[key]
 
     # -- Definition 4 (corrected) ----------------------------------------
@@ -597,8 +619,8 @@ class PrecedenceOracle:
         which Example 7 does not check out; see docs/PAPER_MAP.md)."""
         key = ("c", alpha, beta, printed_variant)
         if key not in self._plain:
-            self._plain[key] = _search((alpha, beta), None, printed_variant,
-                                       self.node_budget)
+            self._plain[key] = self._search((alpha, beta), None,
+                                            printed_variant)
         return self._plain[key]
 
     # -- Definition 10 ----------------------------------------------------
@@ -621,7 +643,7 @@ class PrecedenceOracle:
                 return True
             if not result and cached_p >= pset:
                 return False
-        result = _search(chain, pset, False, self.node_budget)
+        result = self._search(chain, pset, False)
         entries.append((pset, result))
         return result
 

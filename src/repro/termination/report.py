@@ -1,14 +1,26 @@
 """One-stop classification of a constraint set across every
 termination condition of Figure 1, plus a recommended chase policy.
 
+Reports are lazy.  :func:`analyze` answers the planner's one question
+-- does some Figure 1 condition guarantee a terminating sequence? --
+by checking the conditions cheapest first, in the order Figure 1's
+inclusions allow (weak acyclicity, safety, c-stratification, inductive
+restriction, the T[k] probe), and stops at the first that holds;
+stratification is checked only when none does.  This is Section 3.7's
+argument for Figure 8's safety fast path applied to the whole
+hierarchy: a weakly acyclic set is settled in milliseconds, without a
+single precedence search.  Every other verdict is computed on its
+first read and kept, so :meth:`~TerminationReport.render` and
+:meth:`~TerminationReport.as_row` still report all of them.
+
 Reports are value objects: two reports over equal constraint sets
 (same constraints, same probe depth) compare and hash equal, and every
 report carries a stable content :meth:`~TerminationReport.fingerprint`
 derived from the canonical rendering of its constraint set.  On top of
-that, :func:`analyze` memoizes its classification per (constraint set,
-``max_k``, oracle) -- the Figure 1 sweep is pure, so repeated analyses
-of the same set (the common case in the batch service, where many jobs
-share one schema's constraints) cost one dictionary lookup.
+that, :func:`analyze` memoizes its reports per (constraint set,
+``max_k``, oracle) -- the Figure 1 checks are pure, so repeated
+analyses of the same set (the common case in the batch service, where
+many jobs share one schema's constraints) cost one dictionary lookup.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.lang.constraints import Constraint
 from repro.termination.cstratification import is_c_stratified
@@ -25,7 +37,7 @@ from repro.termination.precedence import ORACLE, PrecedenceOracle
 from repro.termination.restriction import (is_inductively_restricted,
                                            is_safely_restricted)
 from repro.termination.safety import is_safe
-from repro.termination.stratification import (chase_strata, is_stratified)
+from repro.termination.stratification import is_stratified
 from repro.termination.weak_acyclicity import is_weakly_acyclic
 
 #: column order used by renderers and the Figure 1 benchmark
@@ -49,24 +61,86 @@ def constraint_set_fingerprint(sigma: Iterable[Constraint]) -> str:
     return digest.hexdigest()
 
 
+class _Verdict:
+    """One Figure 1 verdict of a :class:`TerminationReport`, decided
+    by the decorated check on first read and kept on the report.
+
+    A plain descriptor, not ``functools.cached_property``: on Python
+    3.10 and 3.11 each cached property holds one lock shared by every
+    instance, so two threads analyzing different sets would wait on
+    each other.  Two threads reading the same undecided verdict may
+    both decide it; the checks are pure, so both keep the same value.
+    """
+
+    def __init__(self, check: Callable[["TerminationReport"], object]
+                 ) -> None:
+        self.check = check
+        self.name = check.__name__
+        self.__doc__ = check.__doc__
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        verdicts = report._verdicts
+        if self.name not in verdicts:
+            verdicts[self.name] = self.check(report)
+        return verdicts[self.name]
+
+
 @dataclass(frozen=True)
 class TerminationReport:
     """Membership of one constraint set in each Figure 1 class.
 
-    Frozen value object: equality and hashing range over the
-    constraint set and every verdict, so reports can key caches
-    directly (the batch service memoizes analyses this way).
+    Each verdict is decided on its first read and kept (see the module
+    docstring for what :func:`analyze` decides up front).  Frozen value
+    object: equality and hashing range over the inputs that fix the
+    verdicts -- the constraint tuple and the probe depth -- so reports
+    can key caches directly (the batch service memoizes analyses this
+    way).
     """
 
     sigma: Tuple[Constraint, ...]
-    weakly_acyclic: bool
-    safe: bool
-    stratified: bool
-    c_stratified: bool
-    safely_restricted: bool
-    inductively_restricted: bool
-    t_hierarchy_level: Optional[int]
     max_k_probed: int
+    oracle: PrecedenceOracle = field(default=ORACLE, compare=False,
+                                     repr=False)
+    _verdicts: dict = field(default_factory=dict, init=False,
+                            compare=False, repr=False)
+
+    @_Verdict
+    def weakly_acyclic(self) -> bool:
+        """Weak acyclicity (Theorem 5's base class)."""
+        return is_weakly_acyclic(self.sigma)
+
+    @_Verdict
+    def safe(self) -> bool:
+        """Safety (Section 3.4)."""
+        return is_safe(self.sigma)
+
+    @_Verdict
+    def stratified(self) -> bool:
+        """Stratification (Definition 3; Theorems 1 and 2)."""
+        return is_stratified(self.sigma, self.oracle)
+
+    @_Verdict
+    def c_stratified(self) -> bool:
+        """C-stratification (Definition 5, Theorem 3)."""
+        return is_c_stratified(self.sigma, self.oracle)
+
+    @_Verdict
+    def safely_restricted(self) -> bool:
+        """Safe restriction (the intermediate class of [18])."""
+        return is_safely_restricted(self.sigma, self.oracle)
+
+    @_Verdict
+    def inductively_restricted(self) -> bool:
+        """Inductive restriction (Definition 13, Theorem 6)."""
+        return is_inductively_restricted(self.sigma, self.oracle)
+
+    @_Verdict
+    def t_hierarchy_level(self) -> Optional[int]:
+        """The least ``k <= max_k_probed`` with ``sigma`` in T[k], or
+        None (Definition 16, Theorem 7)."""
+        return t_level(self.sigma, self.max_k_probed, self.oracle)
 
     def fingerprint(self) -> str:
         """Content fingerprint of the analyzed constraint set plus the
@@ -132,17 +206,21 @@ class TerminationReport:
 
 def analyze(sigma: Iterable[Constraint], max_k: int = 3,
             oracle: PrecedenceOracle = ORACLE) -> TerminationReport:
-    """Classify ``sigma`` against every condition of Figure 1.
+    """Classify ``sigma`` against the conditions of Figure 1.
 
-    ``max_k`` bounds the T-hierarchy probe (each level costs an
-    |Sigma|^k sweep of chain queries).
+    Decides :attr:`~TerminationReport.guarantees_some_sequence` before
+    returning, cheapest condition first, and with it what planning
+    reads: whether every sequence is bounded and, if not, whether the
+    set is stratified.  Every verdict it did not need waits for its
+    first read.  ``max_k`` bounds the T-hierarchy probe (each level
+    costs an |Sigma|^k sweep of chain queries).
 
-    The classification is pure, so results are memoized per
-    (constraint tuple, ``max_k``, oracle): re-analyzing a constraint
-    set already seen is O(1).  Use :func:`clear_analyze_cache` to drop
-    the memo (tests; long-lived processes analyzing unbounded numbers
-    of distinct sets should size their own cache, see
-    :mod:`repro.service.cache`).
+    Reports are memoized per (constraint tuple, ``max_k``, oracle):
+    re-analyzing a constraint set already seen is O(1), and verdicts
+    decided on one read stay decided for every later caller.  Use
+    :func:`clear_analyze_cache` to drop the memo (tests; long-lived
+    processes analyzing unbounded numbers of distinct sets should size
+    their own cache, see :mod:`repro.service.cache`).
     """
     return _analyze_cached(tuple(sigma), max_k, oracle)
 
@@ -150,17 +228,11 @@ def analyze(sigma: Iterable[Constraint], max_k: int = 3,
 @lru_cache(maxsize=256)
 def _analyze_cached(sigma: Tuple[Constraint, ...], max_k: int,
                     oracle: PrecedenceOracle) -> TerminationReport:
-    return TerminationReport(
-        sigma=sigma,
-        weakly_acyclic=is_weakly_acyclic(sigma),
-        safe=is_safe(sigma),
-        stratified=is_stratified(sigma, oracle),
-        c_stratified=is_c_stratified(sigma, oracle),
-        safely_restricted=is_safely_restricted(sigma, oracle),
-        inductively_restricted=is_inductively_restricted(sigma, oracle),
-        t_hierarchy_level=t_level(sigma, max_k, oracle),
-        max_k_probed=max_k,
-    )
+    report = TerminationReport(sigma, max_k, oracle)
+    # Decided here, so the work lands where the report is made (the
+    # service's set-up), not in whichever caller reads it first.
+    report.guarantees_some_sequence
+    return report
 
 
 # ----------------------------------------------------------------------

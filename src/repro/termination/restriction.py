@@ -93,7 +93,10 @@ def minimal_restriction_system(sigma: Iterable[Constraint], k: int = 2,
     """Least-fixpoint computation of the minimal k-restriction system."""
     if k < 2:
         raise ValueError("restriction systems need k >= 2")
-    constraints = list(sigma)
+    # Callers pass frozensets (``part`` recurses on components): a
+    # fixed order makes the oracle queries, and so the search work and
+    # the component order, the same under every string-hash seed.
+    constraints = sorted(sigma, key=str)
     body_positions = constraint_set_positions(constraints)
     graph = nx.DiGraph()
     graph.add_nodes_from(constraints)

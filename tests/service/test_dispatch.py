@@ -114,35 +114,47 @@ def test_handle_line_serves_jobs_and_stats(session):
 # parse_job / budgets / cached_result (the HTTP gateway surface)
 # ----------------------------------------------------------------------
 def test_parse_job_returns_the_planned_job(session):
-    job = session.parse_job(spec("p1"))          # strategy="auto" spec
+    plan = session.parse_job(spec("p1"))         # strategy="auto" spec
+    job = plan.job
     assert job.strategy in ("round_robin", "stratified")
-    # The planned fingerprint is the cache key: running the job and
+    assert plan.guaranteed
+    # The planned fingerprint is the cache key: running the plan and
     # looking its fingerprint up must agree.
-    result = session.scheduler.run_one(job)
+    result = session.scheduler.run_one(plan)
     assert session.cached_result(job.fingerprint()) is not None
     assert result.fingerprint == job.fingerprint()
 
 
+def test_a_served_request_is_planned_once(session):
+    calls = []
+    plan_job = session.scheduler.plan_job
+    session.scheduler.plan_job = lambda job: calls.append(job) \
+        or plan_job(job)
+    assert session.handle(spec("once"))["status"] == "terminated"
+    assert session.handle(spec("once"))["cached"]
+    assert len(calls) == 2                       # one per request
+
+
 def test_parse_job_applies_unknown_step_cap(session):
     job = session.parse_job(spec("p2", constraints=DIVERGENT,
-                                 max_steps=10_000_000))
+                                 max_steps=10_000_000)).job
     assert job.max_steps == session.scheduler.unknown_step_cap
 
 
 def test_request_wall_clock_clamps_only_looser_budgets(session):
     session.request_wall_clock = 2.0
     assert session.budgeted(
-        session.parse_job(spec("b1"))).wall_clock == 2.0
-    tight = session.parse_job(spec("b2", wall_clock=0.5))
+        session.parse_job(spec("b1")).job).wall_clock == 2.0
+    tight = session.parse_job(spec("b2", wall_clock=0.5)).job
     assert session.budgeted(tight).wall_clock == 0.5
 
 
 def test_wall_clock_clamp_is_cache_sound(session):
     """wall_clock is excluded from fingerprints, so the clamp cannot
     fork the cache key space."""
-    loose = session.parse_job(spec("b3"))
+    loose = session.parse_job(spec("b3")).job
     session.request_wall_clock = 1.0
-    clamped = session.parse_job(spec("b3"))
+    clamped = session.parse_job(spec("b3")).job
     assert clamped.wall_clock == 1.0
     assert clamped.fingerprint() == loose.fingerprint()
 

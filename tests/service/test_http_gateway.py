@@ -69,6 +69,27 @@ def test_submit_poll_events_results_roundtrip():
     asyncio.run(main())
 
 
+def test_a_submitted_job_is_planned_once():
+    """The plan made at submit time is what the executor thread runs:
+    one plan_job call per request, on the cold path and the warm one."""
+    async def main():
+        async with gateway() as gw:
+            scheduler = gw.session.scheduler
+            calls = []
+            plan_job = scheduler.plan_job
+            scheduler.plan_job = lambda job: calls.append(job) \
+                or plan_job(job)
+            status, _, cold = await request(
+                gw.port, "POST", "/jobs?wait=1", body=spec("p1"))
+            assert status == 200 and cold["result"]["status"] == "terminated"
+            assert len(calls) == 1
+            status, _, warm = await request(
+                gw.port, "POST", "/jobs", body=spec("p1"))
+            assert status == 200 and warm["result"]["cached"]
+            assert len(calls) == 2
+    asyncio.run(main())
+
+
 def test_warm_fingerprint_is_answered_from_the_cache_fast_path():
     async def main():
         async with gateway() as gw:

@@ -15,6 +15,7 @@ from repro.lang.terms import Constant
 from repro.service.jobs import (ChaseJob, execute_job, instance_fingerprint,
                                 job_from_dict, resolve_strategy,
                                 STATUS_ERROR)
+from repro.service.scheduler import BatchScheduler
 from repro.workloads.paper import example4, intro_alpha2
 
 TERMINATING = "a1: S(x) -> E(x, y)"
@@ -146,6 +147,40 @@ def test_shipped_spec_fingerprints_are_pinned(path):
     job = job_from_dict(payload, name=path.stem)
     assert job.fingerprint() \
         == PINNED_FINGERPRINTS[f"{path.parent.name}/{path.stem}"]
+
+
+#: Fingerprints of the same specs after planning (strategy pinned,
+#: unknown-set step cap applied): the keys the service caches under.
+#: The planner reads only the verdicts ``analyze`` decides up front,
+#: so these pin that lazy reports plan exactly as full ones did.
+PINNED_PLANNED_FINGERPRINTS = {
+    "jobs/divergent_guarded":
+        "94996dad8e025aef11854b88d95dd65df903afa3417b822b1ab9061f60b14c54",
+    "jobs/safe_nulls":
+        "2dd83c72e99f5b7468a8100c3ba89f8e7cd2097b7b3eb3efb3f8973b731d9512",
+    "jobs/terminating_chain":
+        "36d9cd831d2f5caf0ce6b7f7aa23c2042825a84725f02e8d9e89b0059c6482e6",
+    "queries/depth_bounded_guarded":
+        "05c20878ab15166f64db88d7a1eb07e96124d8569116778466c313b815d0d530",
+    "queries/stratified_only":
+        "b8a7de6cf43b7fd92e142cfd4756cf12098d19dcb0686e77f6f353a19d0cfadc",
+    "queries/terminating_join":
+        "b3839b4901c19b5353a7047dd8e3f3b677bf1ba8e3937bde2d4d5b0a371b662c",
+}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(EXAMPLES.glob("jobs/*.json"))
+    + sorted(EXAMPLES.glob("queries/*.json")),
+    ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_shipped_spec_planned_fingerprints_are_pinned(path):
+    payload = json.loads(path.read_text())
+    payload["backend"] = "set"
+    job = job_from_dict(payload, name=path.stem)
+    with BatchScheduler(workers=1, force_inprocess=True) as scheduler:
+        planned = scheduler.plan_job(job).job
+    assert planned.fingerprint() \
+        == PINNED_PLANNED_FINGERPRINTS[f"{path.parent.name}/{path.stem}"]
 
 
 # ----------------------------------------------------------------------

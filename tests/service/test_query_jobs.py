@@ -169,6 +169,36 @@ class TestExecution:
         assert result.status == "failed"
         assert result.answers is None and result.ok
 
+    def test_budget_abort_reports_the_chase_failure_reason(self):
+        """A query job aborted by a budget says why, exactly as the
+        chase job of the same spec does."""
+        spec = {"constraints": DIVERGENT, "instance": "S(a).",
+                "max_facts": 8}
+        chase = execute_job(job_from_dict(dict(spec, kind="chase")))
+        query = execute_job(job_from_dict(dict(spec, query="q(x) <- S(x)")))
+        assert chase.failure_reason \
+            == "fact budget of 8 exceeded (9 facts after 4 steps)"
+        assert (query.status, query.steps, query.failure_reason) \
+            == (chase.status, chase.steps, chase.failure_reason)
+        assert query.new_nulls == chase.new_nulls
+
+    def test_failed_chase_reports_its_new_nulls(self):
+        """An inconsistent knowledge base still reports the nulls its
+        chase made before it failed, as the chase job does."""
+        spec = {"constraints": "a1: S(x) -> T(x, y); "
+                               "a2: T(x, y) -> U(y, w); "
+                               "e: R(x, u), R(x, v) -> u = v",
+                "instance": "S(a). S(b). R(k, c). R(k, d).",
+                "strategy": "ordered"}
+        chase = execute_job(job_from_dict(dict(spec, kind="chase")))
+        query = execute_job(job_from_dict(dict(spec, query="q(x) <- S(x)")))
+        assert (chase.status, chase.steps, chase.new_nulls) \
+            == ("failed", 4, 4)
+        assert (query.status, query.steps, query.new_nulls) \
+            == (chase.status, chase.steps, chase.new_nulls)
+        assert query.failure_reason == chase.failure_reason
+        assert query.answers is None
+
     def test_errors_never_propagate(self):
         result = execute_job(make_job(strategy="bogus"))
         assert result.status == STATUS_ERROR

@@ -10,6 +10,7 @@ siblings.
 
 import pytest
 
+from repro.lang.instance import Instance
 from repro.service.cache import ServiceCache
 from repro.service.jobs import ChaseJob, execute_job, STATUS_ERROR
 from repro.service.scheduler import BatchScheduler
@@ -264,3 +265,48 @@ def test_cached_events_are_emitted_on_warm_hits():
     scheduler.run_batch(load(mixed_batch_specs(4, seed=7)))
     assert [e.kind for e in events if e.kind in ("cached", "started")] \
         == ["cached"] * 4
+
+
+def test_figure2_is_planned_by_the_t3_probe_alone():
+    """Figure 2 is in T[3] but in no cheaper class: the planner's
+    guarantee comes from the last probe before stratification, and the
+    default order is kept.  (Example 4, only stratified, is pinned by
+    ``test_auto_strategy_is_pinned_from_the_cached_report``.)"""
+    from repro.workloads.paper import figure2
+    job = ChaseJob(name="fig2", sigma=tuple(figure2()), instance=Instance(),
+                   strategy="auto")
+    scheduler = BatchScheduler(workers=1, force_inprocess=True)
+    planned, report, guaranteed = scheduler.plan_job(job)
+    assert (planned.strategy, planned.max_steps, guaranteed) \
+        == ("round_robin", job.max_steps, True)
+    assert report.t_hierarchy_level == 3
+    assert not (report.weakly_acyclic or report.safe or report.c_stratified
+                or report.inductively_restricted)
+
+
+def test_a_plan_runs_as_given_with_the_same_events():
+    """A job planned by the caller runs without a second plan_job call
+    and emits exactly the events of the same job planned inside
+    run_batch."""
+    jobs = load(mixed_batch_specs(6, seed=3))
+
+    def run(hand_over_plans):
+        events = []
+        scheduler = BatchScheduler(workers=1, force_inprocess=True,
+                                   on_event=events.append)
+        batch = ([scheduler.plan_job(job) for job in jobs]
+                 if hand_over_plans else jobs)
+        calls = []
+        plan_job = scheduler.plan_job
+        scheduler.plan_job = lambda job: calls.append(job) or plan_job(job)
+        results = scheduler.run_batch(batch)
+        return ([comparable(r) for r in results],
+                [(e.kind, e.job, e.fingerprint,
+                  {k: v for k, v in e.detail.items() if k != "elapsed"})
+                 for e in events], len(calls))
+
+    planned_inside, events_inside, calls_inside = run(False)
+    planned_before, events_before, calls_before = run(True)
+    assert (calls_inside, calls_before) == (len(jobs), 0)
+    assert planned_before == planned_inside
+    assert events_before == events_inside

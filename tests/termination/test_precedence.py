@@ -1,6 +1,11 @@
 """Tests for the firing relations < (Def. 2), <_c (Def. 4),
 <_P (Def. 10) and <_k,P (Def. 14)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.lang.atoms import Position
@@ -184,3 +189,42 @@ class TestSearchCleanup:
             precedence._search((a, b), None, True,
                                precedence.DEFAULT_NODE_BUDGET)
         assert any(witnessed)
+
+
+class TestSearchWork:
+    """The oracle counts the search nodes it spends, and the count is
+    a function of the constraint set alone."""
+
+    def test_cache_hits_cost_nothing(self):
+        oracle = PrecedenceOracle()
+        a1, a2, a3, a4 = example4()
+        oracle.precedes(a1, a2)
+        spent = (oracle.searches, oracle.nodes)
+        assert spent[0] == 1 and spent[1] > 0
+        oracle.precedes(a1, a2)
+        assert (oracle.searches, oracle.nodes) == spent
+
+    def test_example4_costs_the_same_under_every_hash_seed(self):
+        """Every Figure 1 probe of Example 4 at ``max_k=3`` spends the
+        same number of search nodes under ``PYTHONHASHSEED`` 0, 1 and
+        2: the searches visit facts in the order they made them, and
+        restriction systems walk their constraints in a fixed order."""
+        program = (
+            "from repro.termination.precedence import PrecedenceOracle\n"
+            "from repro.termination.report import analyze\n"
+            "from repro.workloads.paper import example4\n"
+            "oracle = PrecedenceOracle()\n"
+            "analyze(example4(), max_k=3, oracle=oracle).as_row()\n"
+            "print(oracle.searches, oracle.nodes)\n")
+        src = Path(__file__).resolve().parents[2] / "src"
+        counts = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, (str(src),
+                                         os.environ.get("PYTHONPATH")))))
+            done = subprocess.run([sys.executable, "-c", program],
+                                  capture_output=True, text=True, env=env,
+                                  check=True)
+            counts.add(done.stdout.strip())
+        assert len(counts) == 1, counts

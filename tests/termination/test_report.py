@@ -1,10 +1,16 @@
 """The analyze() front-end and Figure 1's separations."""
 
+import pytest
+
 from repro.chase import chase
+from repro.chase.strategies import StratifiedStrategy
+from repro.termination import (is_c_stratified, is_inductively_restricted,
+                               is_safe, is_safely_restricted, is_stratified,
+                               is_weakly_acyclic, PrecedenceOracle, t_level)
 from repro.termination.report import analyze, CONDITIONS
 from repro.workloads.paper import (example2_gamma, example4, example8_beta,
                                    example13, figure2, intro_alpha1,
-                                   intro_alpha2)
+                                   intro_alpha2, NAMED_SETS)
 
 
 class TestAnalyze:
@@ -92,3 +98,63 @@ class TestReportIdentity:
         # A different probe depth is a different memo entry.
         assert analyze(sigma, max_k=3) is not first
         clear_analyze_cache()
+
+
+class TestLazyReport:
+    """analyze() decides only what planning reads, cheapest condition
+    first; every other verdict waits for its first read."""
+
+    def test_weakly_acyclic_set_runs_no_precedence_search(self):
+        oracle = PrecedenceOracle()
+        report = analyze(intro_alpha1(), max_k=3, oracle=oracle)
+        assert report.guarantees_some_sequence
+        assert oracle.searches == 0
+        text = report.render()
+        assert oracle.searches > 0
+        for name in CONDITIONS:
+            assert f"  {name:<24}: True" in text
+        assert "T[2]" in text
+
+    def test_only_stratified_set_skips_safe_restriction(self):
+        oracle = PrecedenceOracle()
+        report = analyze(example4(), max_k=3, oracle=oracle)
+        assert report.guarantees_some_sequence
+        assert "stratified" in report._verdicts
+        assert "safely_restricted" not in report._verdicts
+
+    def test_equality_ranges_over_constraints_and_probe_depth(self):
+        lazy = analyze(example13(), max_k=2, oracle=PrecedenceOracle())
+        decided = analyze(example13(), max_k=2, oracle=PrecedenceOracle())
+        decided.as_row()
+        assert lazy == decided and hash(lazy) == hash(decided)
+        assert lazy != analyze(example13(), max_k=3)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_SETS))
+    def test_verdicts_equal_the_condition_functions(self, name):
+        sigma = NAMED_SETS[name][0]()
+        report = analyze(sigma, max_k=3, oracle=PrecedenceOracle())
+        oracle = PrecedenceOracle()
+        direct = {
+            "weakly_acyclic": is_weakly_acyclic(sigma),
+            "safe": is_safe(sigma),
+            "c_stratified": is_c_stratified(sigma, oracle),
+            "stratified": is_stratified(sigma, oracle),
+            "safely_restricted": is_safely_restricted(sigma, oracle),
+            "inductively_restricted": is_inductively_restricted(sigma,
+                                                                oracle),
+        }
+        level = t_level(sigma, 3, oracle)
+        every = (direct["weakly_acyclic"] or direct["safe"]
+                 or direct["c_stratified"]
+                 or direct["inductively_restricted"] or level is not None)
+        assert report.guarantees_all_sequences == every
+        assert report.guarantees_some_sequence \
+            == (every or direct["stratified"])
+        strategy = report.recommended_strategy()
+        if every or not direct["stratified"]:
+            assert strategy is None
+        else:
+            assert isinstance(strategy, StratifiedStrategy)
+        assert {condition: getattr(report, condition)
+                for condition in CONDITIONS} == direct
+        assert report.t_hierarchy_level == level
