@@ -12,9 +12,10 @@ test-fast:
 
 # Seeded metamorphic smoke corpus: 200 generated constraint sets
 # through every oracle (hierarchy, termination, backend/engine parity,
-# core isomorphism, certain answers, service parity).  Deterministic
-# for a fixed seed; minimized repro specs for any violation land in
-# examples/repros/.  Budgeted to finish well under a minute.
+# core isomorphism, certain answers, service parity).  The report is a
+# function of the seed: step and search-node counts bound the work,
+# never a clock.  Minimized repro specs for any violation land in
+# examples/repros/.  Finishes well under a minute.
 fuzz-smoke:
 	$(PYTHON) -m repro fuzz --seed 0 --cases 200 --repro-dir examples/repros
 

@@ -55,11 +55,12 @@ def test_chain_relation_negative(benchmark, m):
 @pytest.mark.paper_artifact("Example 15 / Proposition 5c")
 def test_sigma3_frontier(benchmark):
     """Sigma_3 in T[4] \\ T[3] -- the strictness witness one level up.
-    Single exhaustive run (several seconds of chain search)."""
+    Single exhaustive run (several seconds and 311,953 nodes of chain
+    search, past the default node budget)."""
     sigma = sigma_family(3)
 
     def run():
-        oracle = PrecedenceOracle()
+        oracle = PrecedenceOracle(node_budget=1_000_000)
         return (in_t_level(sigma, 3, oracle), in_t_level(sigma, 4, oracle))
 
     in_t3, in_t4 = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -280,11 +280,12 @@ def cmd_fuzz(args) -> int:
     """Run the adversarial metamorphic fuzzer (see :mod:`repro.fuzz`).
 
     Fully deterministic per ``(--seed, --cases)``: the corpus, every
-    oracle verdict and every minimized repro spec replay identically
-    (timing effects -- wall clocks, oracle deadlines -- only ever move
-    outcomes into the *skip* column).  Violations are shrunk and
-    written to ``--repro-dir`` as job specs replayable with
-    ``repro batch``.
+    verdict, every skip and every minimized repro spec replay
+    identically under any hash seed and at any machine speed.  Counts
+    bound the work, never clocks: ``--max-steps`` bounds each chase
+    and the precedence oracle's node budget each termination analysis.
+    Violations are shrunk and written to ``--repro-dir`` as job specs
+    replayable with ``repro batch``.
     """
     import json as _json
     from repro.fuzz import run_corpus
@@ -295,8 +296,6 @@ def cmd_fuzz(args) -> int:
     report = run_corpus(
         args.seed, args.cases,
         max_steps=args.max_steps,
-        wall_clock=args.wall_clock if args.wall_clock > 0 else None,
-        oracle_deadline_s=args.deadline if args.deadline > 0 else None,
         deep_hierarchy_every=args.deep_every,
         pool_every=args.pool_every,
         repro_dir=args.repro_dir,
@@ -436,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz",
                        help="adversarial metamorphic fuzzing of the "
-                            "whole stack (deterministic per seed)")
+                            "whole stack (the report is a function of "
+                            "the seed; counts, not clocks, bound the "
+                            "work)")
     p.add_argument("--seed", type=int, default=0,
                    help="corpus seed (same seed => same corpus, same "
                         "verdicts)")
@@ -447,12 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "replayable job specs (default examples/repros)")
     p.add_argument("--max-steps", type=int, default=250,
                    help="step budget per chase inside the oracles")
-    p.add_argument("--wall-clock", type=float, default=0.5,
-                   help="wall-clock budget in seconds per chase "
-                        "(0 = unbounded)")
-    p.add_argument("--deadline", type=float, default=0.8,
-                   help="hard per-oracle-call deadline in seconds; a "
-                        "hit skips the case (0 = unbounded)")
     p.add_argument("--deep-every", type=int, default=4, metavar="N",
                    help="probe the expensive hierarchy classes "
                         "(safely/inductively restricted, T[k]) every "

@@ -32,10 +32,19 @@ an implementation-level parity that follows from one) on a concrete
   run, and (sampled) a real worker pool agrees with both.
 
 Oracles return a list of :class:`Violation` (empty = pass) and may
-record *skips*: a run that blew its wall-clock budget, or a
-comparison that is not meaningful for the case (e.g. core isomorphism
-on a set with no termination guarantee), is skipped rather than
-failed, so corpus verdicts stay deterministic across machine speeds.
+record *skips*: a comparison that is not meaningful for the case (a
+run cut off by its step budget, core isomorphism on a set with no
+termination guarantee) is skipped rather than failed.  Every budget is
+a count, so verdicts and skips alike are deterministic.
+
+Class-membership probes are bounded by the precedence oracle's node
+budget; a search that exhausts it answers conservatively (an extra
+precedence edge), which can only turn a membership verdict false.
+Every oracle but ``hierarchy`` takes such verdicts as ordinary program
+behaviour: they only withhold guarantees.  The hierarchy oracle
+compares the verdicts of different conditions, where a conservative
+answer can look like a broken inclusion, so it skips every case whose
+probes read one.
 
 The hierarchy oracle consults the module-level :data:`PROBES` table
 rather than calling the termination predicates directly -- that
@@ -49,7 +58,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.chase.core import core
 from repro.chase.result import ChaseResult, ChaseStatus
@@ -67,9 +76,10 @@ from repro.lang.terms import NullFactory
 from repro.service.cache import ServiceCache
 from repro.service.jobs import ChaseJob, execute_any
 from repro.service.scheduler import BatchScheduler
-from repro.termination import (check_hierarchy_implications, in_t_level,
-                               is_c_stratified, is_inductively_restricted,
-                               is_safe, is_safely_restricted, is_stratified,
+from repro.termination import (ORACLE, check_hierarchy_implications,
+                               in_t_level, is_c_stratified,
+                               is_inductively_restricted, is_safe,
+                               is_safely_restricted, is_stratified,
                                is_weakly_acyclic, stratified_strategy)
 
 _FINITE = (ChaseStatus.TERMINATED, ChaseStatus.FAILED)
@@ -117,10 +127,9 @@ class Violation:
 class OracleContext:
     """Budgets, sampling knobs and shared service state for a corpus.
 
-    ``max_steps`` / ``wall_clock`` bound every chase the oracles run
-    (the per-case budget reusing ``EXCEEDED_WALL_CLOCK``: a divergent
-    or explosively slow case is *skipped*, never allowed to hang the
-    fuzzer).  ``deep_hierarchy_every`` / ``pool_every`` sample the
+    ``max_steps`` bounds every chase the oracles run (a divergent case
+    is *skipped*, never allowed to hang the fuzzer).
+    ``deep_hierarchy_every`` / ``pool_every`` sample the
     expensive probes (k-restriction sweeps, a real fork()ed worker
     pool) every Nth case; 0 disables them.  Schedulers are created
     lazily and shared across the whole corpus -- the pool forks once,
@@ -128,7 +137,6 @@ class OracleContext:
     """
 
     max_steps: int = 300
-    wall_clock: Optional[float] = 2.0
     deep_hierarchy_every: int = 4
     pool_every: int = 25
     skips: List[str] = field(default_factory=list)
@@ -182,7 +190,7 @@ class OracleContext:
         else:
             strategy = RandomStrategy(seed=int(strategy_key))
         kwargs = dict(strategy=strategy, max_steps=self.max_steps,
-                      wall_clock=self.wall_clock, nulls=NullFactory())
+                      nulls=NullFactory())
         if reference:
             with reference_engine():
                 result = chase(instance, list(case.sigma), **kwargs)
@@ -197,18 +205,24 @@ class OracleContext:
     def probes(self, case: FuzzCase, deep: bool = False) -> Dict[str, bool]:
         """Membership verdicts via :data:`PROBES` (re-read per call:
         the mutation seam), cheap ones always, deep ones on request."""
+        return self.probe_run(case, deep)[0]
+
+    def probe_run(self, case: FuzzCase, deep: bool = False
+                  ) -> Tuple[Dict[str, bool], int]:
+        """:meth:`probes`, and how many precedence answers they read
+        that the node budget had cut short."""
         if ("probes", True) in self._memo:
             return self._memo[("probes", True)]
         key = ("probes", deep)
-        if key in self._memo:
-            return self._memo[key]
-        verdicts = {name: bool(probe(case.sigma))
-                    for name, probe in PROBES.items()}
-        if deep:
-            verdicts.update({name: bool(probe(case.sigma))
-                             for name, probe in DEEP_PROBES.items()})
-        self._memo[key] = verdicts
-        return verdicts
+        if key not in self._memo:
+            exhausted = ORACLE.exhausted
+            verdicts = {name: bool(probe(case.sigma))
+                        for name, probe in PROBES.items()}
+            if deep:
+                verdicts.update({name: bool(probe(case.sigma))
+                                 for name, probe in DEEP_PROBES.items()})
+            self._memo[key] = (verdicts, ORACLE.exhausted - exhausted)
+        return self._memo[key]
 
     def deep_case(self, case: FuzzCase) -> bool:
         return (self.deep_hierarchy_every > 0
@@ -268,7 +282,11 @@ def both_finite(left: ChaseResult, right: ChaseResult) -> bool:
 def oracle_hierarchy(case: FuzzCase, ctx: OracleContext) -> List[Violation]:
     """Figure 1's inclusions hold among the membership probes."""
     deep = ctx.deep_case(case)
-    verdicts = ctx.probes(case, deep=deep)
+    verdicts, exhausted = ctx.probe_run(case, deep=deep)
+    if exhausted:
+        ctx.skip(case, "hierarchy", "precedence answers cut short by "
+                                    f"the node budget: {exhausted}")
+        return []
     return [Violation("hierarchy", case.label(), detail)
             for detail in check_hierarchy_implications(verdicts)]
 
@@ -280,9 +298,7 @@ def oracle_termination(case: FuzzCase, ctx: OracleContext) -> List[Violation]:
                   if verdicts.get(name)]
     if guaranteed:
         result = ctx.run_chase(case)
-        if result.status is ChaseStatus.EXCEEDED_WALL_CLOCK:
-            ctx.skip(case, "termination", "wall clock exhausted")
-        elif result.status not in _FINITE:
+        if result.status not in _FINITE:
             return [Violation(
                 "termination", case.label(),
                 f"set is in {'/'.join(guaranteed)} but the chase hit "
@@ -290,9 +306,7 @@ def oracle_termination(case: FuzzCase, ctx: OracleContext) -> List[Violation]:
         return []
     if verdicts["stratified"]:
         result = ctx.run_chase(case, strategy_key="stratified")
-        if result.status is ChaseStatus.EXCEEDED_WALL_CLOCK:
-            ctx.skip(case, "termination", "wall clock exhausted")
-        elif result.status not in _FINITE:
+        if result.status not in _FINITE:
             return [Violation(
                 "termination", case.label(),
                 "stratified set did not terminate under Theorem 2's "
@@ -472,9 +486,6 @@ def oracle_service_parity(case: FuzzCase,
     scheduler = ctx.inproc_scheduler()
     for job in jobs:
         direct = execute_any(job)
-        if direct.status == ChaseStatus.EXCEEDED_WALL_CLOCK.value:
-            ctx.skip(case, "service_parity", "wall clock exhausted")
-            continue
         cold = scheduler.run_one(job)
         warm = scheduler.run_one(job)
         if (cold.status, cold.facts, cold.answers) \

@@ -1,16 +1,12 @@
 """The fuzz corpus runner: generate, check, shrink, persist.
 
 :func:`run_corpus` drives a seeded corpus through every metamorphic
-oracle under hard budgets:
-
-* each chase inside an oracle is bounded by ``max_steps`` and
-  ``wall_clock`` (abort = *skip*, reusing the runner's
-  ``EXCEEDED_WALL_CLOCK`` semantics);
-* each *oracle call* is additionally bounded by ``oracle_deadline``
-  seconds of alarm-clock time -- adversarial constraint sets can make
-  even the class-membership probes or query optimization blow up
-  combinatorially, and a fuzzer must survive its own corpus.  A
-  deadline hit is recorded as a skip, never a verdict.
+oracle.  Counts, never clocks, bound the work: each chase inside an
+oracle stops after ``max_steps`` steps, and each precedence search
+behind a class-membership probe after the precedence oracle's node
+budget (:data:`~repro.termination.precedence.DEFAULT_NODE_BUDGET`),
+answering conservatively when it runs out.  Every oracle runs on every
+case.
 
 Every violation is shrunk (:mod:`repro.fuzz.shrink`) by re-running the
 *same single oracle* on reduced cases in a fresh
@@ -19,19 +15,15 @@ Every violation is shrunk (:mod:`repro.fuzz.shrink`) by re-running the
 ``repro batch`` (the spec is a regular chase/query job plus a ``fuzz``
 metadata key, which job parsing ignores).
 
-Verdicts are deterministic per ``(seed, n_cases, config)``: the corpus
-is a pure function of the seed, oracle comparisons only ever fail on
-completed runs, and timing effects (wall clock, deadlines) can only
-move outcomes into the skip column.
+The report -- violations, skips and oracle calls -- is a pure function
+of ``(seed, n_cases, config)``: the same in every process, under every
+string-hash seed and at every machine speed.  Only ``elapsed`` varies.
 """
 
 from __future__ import annotations
 
 import json
-import signal
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
@@ -40,42 +32,6 @@ from repro.fuzz.generate import (FuzzCase, FuzzConfig, GENERATOR_VERSION,
                                  generate_case)
 from repro.fuzz.oracles import ORACLES, OracleContext, Violation
 from repro.fuzz.shrink import ShrinkResult, shrink_case
-
-
-class OracleTimeout(BaseException):
-    """An oracle call exhausted its alarm-clock deadline.
-
-    Deliberately a ``BaseException``: the engine and service layers
-    contain job failures with broad ``except Exception`` handlers (one
-    bad job must not kill a batch), and the deadline must cut through
-    those -- otherwise an alarm firing inside ``execute_job`` would
-    surface as a ``status="error"`` result and read as a fake parity
-    violation instead of a skip.
-    """
-
-
-@contextmanager
-def oracle_deadline(seconds: Optional[float]):
-    """Bound the enclosed block by ``seconds`` of real time.
-
-    Uses ``SIGALRM``, so it only arms on the main thread (elsewhere,
-    and with ``seconds`` falsy, the block runs unguarded); the chase's
-    own wall-clock budget still applies either way.
-    """
-    if not seconds or threading.current_thread() is not threading.main_thread():
-        yield
-        return
-
-    def _fire(signum, frame):
-        raise OracleTimeout()
-
-    previous = signal.signal(signal.SIGALRM, _fire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @dataclass
@@ -164,9 +120,8 @@ def write_repro_spec(case: FuzzCase, violation: Violation,
     return path
 
 
-def _shrink_predicate(oracle_name: str, oracle: Callable,
-                      max_steps: int, wall_clock: Optional[float],
-                      deadline: Optional[float]) -> Callable[[FuzzCase], bool]:
+def _shrink_predicate(oracle: Callable,
+                      max_steps: int) -> Callable[[FuzzCase], bool]:
     """Does the *same* oracle still flag the candidate case?
 
     Each probe runs in a fresh single-case context with deep probes
@@ -174,22 +129,16 @@ def _shrink_predicate(oracle_name: str, oracle: Callable,
     not shrink -- the original case is then kept as the repro).
     """
     def still_fails(candidate: FuzzCase) -> bool:
-        with OracleContext(max_steps=max_steps, wall_clock=wall_clock,
-                           deep_hierarchy_every=1, pool_every=0) as local:
+        with OracleContext(max_steps=max_steps, deep_hierarchy_every=1,
+                           pool_every=0) as local:
             local.start_case(candidate)
-            try:
-                with oracle_deadline(deadline):
-                    return bool(oracle(candidate, local))
-            except OracleTimeout:
-                return False
+            return bool(oracle(candidate, local))
     return still_fails
 
 
 def run_corpus(seed: int, n_cases: int,
                config: Optional[FuzzConfig] = None,
                max_steps: int = 250,
-               wall_clock: Optional[float] = 0.5,
-               oracle_deadline_s: Optional[float] = 0.8,
                deep_hierarchy_every: int = 4,
                pool_every: int = 25,
                repro_dir=None,
@@ -204,11 +153,10 @@ def run_corpus(seed: int, n_cases: int,
     oracles or deliberately broken ones); ``on_case`` observes each
     generated case before checking (progress reporting).
     """
-    oracle_items = list((oracles if oracles is not None
-                         else ORACLES).items())
+    checks = list((oracles if oracles is not None else ORACLES).values())
     report = FuzzReport(seed=seed, n_cases=n_cases)
     started = time.perf_counter()
-    with OracleContext(max_steps=max_steps, wall_clock=wall_clock,
+    with OracleContext(max_steps=max_steps,
                        deep_hierarchy_every=deep_hierarchy_every,
                        pool_every=pool_every) as ctx:
         for index in range(n_cases):
@@ -216,35 +164,13 @@ def run_corpus(seed: int, n_cases: int,
             if on_case is not None:
                 on_case(case)
             ctx.start_case(case)
-            for name, oracle in oracle_items:
+            for oracle in checks:
                 report.oracle_calls += 1
-                try:
-                    with oracle_deadline(oracle_deadline_s):
-                        found = oracle(case, ctx)
-                except OracleTimeout:
-                    ctx.skip(case, name,
-                             f"oracle deadline of {oracle_deadline_s:g}s "
-                             "exhausted")
-                    if name == "service_parity":
-                        # The alarm may have cut a pool exchange mid-
-                        # message; drop the schedulers (rebuilt lazily).
-                        ctx.close()
-                    # A deadline hit means the *case* is adversarial to
-                    # analysis itself (precedence search or containment
-                    # blowup); its remaining oracles would burn the same
-                    # deadline for little coverage, so bail on the case.
-                    ctx.skip(case, "case",
-                             f"remaining oracles skipped after {name} "
-                             "deadline")
-                    break
-                for violation in found:
+                for violation in oracle(case, ctx):
                     failure = FuzzFailure(violation=violation, shrunk=case)
                     if shrink:
-                        predicate = _shrink_predicate(
-                            name, oracle, max_steps, wall_clock,
-                            oracle_deadline_s)
                         result = shrink_case(
-                            case, predicate,
+                            case, _shrink_predicate(oracle, max_steps),
                             max_evaluations=shrink_evaluations)
                         failure.shrink = result
                         failure.shrunk = result.case

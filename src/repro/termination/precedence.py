@@ -50,10 +50,13 @@ from repro.lang.constraints import Constraint, EGD, TGD, rename_apart
 from repro.lang.terms import (Constant, GroundTerm, Null, NullFactory,
                               Variable)
 
-#: default search-node budget per relation query; exhausting it returns
+#: Default search-node budget per relation query; exhausting it returns
 #: the *conservative* answer True (more edges can only weaken, never
-#: wrongly strengthen, a termination guarantee).
-DEFAULT_NODE_BUDGET = 20_000_000
+#: wrongly strengthen, a termination guarantee).  The largest single
+#: search of any shipped constraint set spends 4,087 nodes (Example 4,
+#: and the benchmark's stratified mapping); deciding Sigma_3 in T[4]
+#: (Proposition 5c) needs 311,953 and must ask for them explicitly.
+DEFAULT_NODE_BUDGET = 10_000
 
 #: A fact set kept in insertion order (a dict with ``None`` values).
 #: The search visits facts in the order it made them, so the nodes it
@@ -454,13 +457,14 @@ def _relation_feasible(chain: Sequence[Constraint]) -> bool:
 
 def _search(chain: Sequence[Constraint], positions: Optional[frozenset],
             require_standard_step: bool, node_budget: int
-            ) -> Tuple[bool, int]:
+            ) -> Tuple[Optional[bool], int]:
     """Core witness search shared by all four relations.
 
     ``chain`` is ``(alpha_1, ..., alpha_k)``: the first ``k-1``
     constraints execute one (oblivious or standard) step each and
-    ``alpha_k`` must end up newly violated.  Returns the verdict and
-    the search nodes spent on it.
+    ``alpha_k`` must end up newly violated.  Returns the verdict --
+    None when ``node_budget`` ran out first -- and the search nodes
+    spent on it.
     """
     if not _relation_feasible(chain):
         return False, 0
@@ -481,7 +485,7 @@ def _search(chain: Sequence[Constraint], positions: Optional[frozenset],
         # Every generator here is closed explicitly: one that is left
         # to the collector runs its ``finally`` blocks during
         # deallocation, where CPython prints and drops any exception
-        # -- an oracle deadline's included.
+        # raised there, and the search would go on as if none had been.
         with closing(_open_hom(list(constraint.body), {}, ctx)) as found:
             for binding in found:
                 if index == 0:
@@ -564,11 +568,12 @@ def _search(chain: Sequence[Constraint], positions: Optional[frozenset],
                                              require_standard_step):
                             return True, node_budget - ctx.budget
     except _BudgetExhausted:
+        # One fixed message, so the default filter shows it once per
+        # call site; PrecedenceOracle.exhausted keeps the full count.
         warnings.warn(
-            "precedence search budget exhausted for "
-            f"{[c.display_name() for c in chain]}; returning the "
+            "precedence search budget exhausted; returning the "
             "conservative answer True", RuntimeWarning, stacklevel=3)
-        return True, node_budget
+        return None, node_budget
     return False, node_budget - ctx.budget
 
 
@@ -578,28 +583,40 @@ class PrecedenceOracle:
     Results are cached per constraint tuple; for the position-dependent
     relations the cache exploits monotonicity in ``P`` (a witness for
     ``P'`` also works for every ``P >= P'``, and a failure for ``P'``
-    rules out every ``P <= P'``).
+    rules out every ``P <= P'``).  A search that exhausts
+    ``node_budget`` is cached as undecided (None) and read as the
+    conservative True.
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET) -> None:
         self.node_budget = node_budget
         #: Searches run and search nodes spent on them (cache hits cost
-        #: neither).  Unlike a clock, the count for one sequence of
-        #: queries is the same in every process and under every
-        #: string-hash seed.
+        #: neither), and answers read that the budget cut short (every
+        #: read counts, cached or not).  Unlike a clock, the counts for
+        #: one sequence of queries are the same in every process and
+        #: under every string-hash seed.
         self.searches = 0
         self.nodes = 0
-        self._plain: Dict[tuple, bool] = {}
-        self._positional: Dict[tuple, List[Tuple[frozenset, bool]]] = {}
+        self.exhausted = 0
+        self._plain: Dict[tuple, Optional[bool]] = {}
+        self._positional: Dict[tuple,
+                               List[Tuple[frozenset, Optional[bool]]]] = {}
 
     def _search(self, chain: Sequence[Constraint],
                 positions: Optional[frozenset],
-                require_standard_step: bool) -> bool:
+                require_standard_step: bool) -> Optional[bool]:
         found, spent = _search(chain, positions, require_standard_step,
                                self.node_budget)
         self.searches += 1
         self.nodes += spent
         return found
+
+    def _read(self, verdict: Optional[bool]) -> bool:
+        """A cached verdict as an answer: undecided reads as True."""
+        if verdict is None:
+            self.exhausted += 1
+            return True
+        return verdict
 
     # -- Definition 2 ---------------------------------------------------
     def precedes(self, alpha: Constraint, beta: Constraint) -> bool:
@@ -608,7 +625,7 @@ class PrecedenceOracle:
         key = ("std", alpha, beta)
         if key not in self._plain:
             self._plain[key] = self._search((alpha, beta), None, True)
-        return self._plain[key]
+        return self._read(self._plain[key])
 
     # -- Definition 4 (corrected) ----------------------------------------
     def precedes_c(self, alpha: Constraint, beta: Constraint,
@@ -621,7 +638,7 @@ class PrecedenceOracle:
         if key not in self._plain:
             self._plain[key] = self._search((alpha, beta), None,
                                             printed_variant)
-        return self._plain[key]
+        return self._read(self._plain[key])
 
     # -- Definition 10 ----------------------------------------------------
     def precedes_p(self, alpha: Constraint, beta: Constraint,
@@ -638,14 +655,14 @@ class PrecedenceOracle:
             raise ValueError("the relation needs at least two constraints")
         pset = frozenset(positions)
         entries = self._positional.setdefault(chain, [])
-        for cached_p, result in entries:
-            if result and cached_p <= pset:
-                return True
-            if not result and cached_p >= pset:
+        for cached_p, verdict in entries:
+            if verdict is not False and cached_p <= pset:
+                return self._read(verdict)
+            if verdict is False and cached_p >= pset:
                 return False
-        result = self._search(chain, pset, False)
-        entries.append((pset, result))
-        return result
+        verdict = self._search(chain, pset, False)
+        entries.append((pset, verdict))
+        return self._read(verdict)
 
 
 #: module-level default oracle (shared cache across the library)

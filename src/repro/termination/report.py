@@ -11,7 +11,9 @@ argument for Figure 8's safety fast path applied to the whole
 hierarchy: a weakly acyclic set is settled in milliseconds, without a
 single precedence search.  Every other verdict is computed on its
 first read and kept, so :meth:`~TerminationReport.render` and
-:meth:`~TerminationReport.as_row` still report all of them.
+:meth:`~TerminationReport.as_row` still report all of them; so is
+Theorem 2's stratum order, which planning reads for every set that is
+only stratified.
 
 Reports are value objects: two reports over equal constraint sets
 (same constraints, same probe depth) compare and hash equal, and every
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, List, Optional, Tuple
 
+from repro.chase.strategies import StratifiedStrategy
 from repro.lang.constraints import Constraint
 from repro.termination.cstratification import is_c_stratified
 from repro.termination.hierarchy import t_level
@@ -37,7 +40,7 @@ from repro.termination.precedence import ORACLE, PrecedenceOracle
 from repro.termination.restriction import (is_inductively_restricted,
                                            is_safely_restricted)
 from repro.termination.safety import is_safe
-from repro.termination.stratification import is_stratified
+from repro.termination.stratification import chase_strata, is_stratified
 from repro.termination.weak_acyclicity import is_weakly_acyclic
 
 #: column order used by renderers and the Figure 1 benchmark
@@ -62,8 +65,9 @@ def constraint_set_fingerprint(sigma: Iterable[Constraint]) -> str:
 
 
 class _Verdict:
-    """One Figure 1 verdict of a :class:`TerminationReport`, decided
-    by the decorated check on first read and kept on the report.
+    """One value of a :class:`TerminationReport` -- a Figure 1 verdict
+    or the stratum order -- decided by the decorated check on first
+    read and kept on the report.
 
     A plain descriptor, not ``functools.cached_property``: on Python
     3.10 and 3.11 each cached property holds one lock shared by every
@@ -142,6 +146,12 @@ class TerminationReport:
         None (Definition 16, Theorem 7)."""
         return t_level(self.sigma, self.max_k_probed, self.oracle)
 
+    @_Verdict
+    def strata(self) -> Tuple[Tuple[Constraint, ...], ...]:
+        """Theorem 2's stratum order: the SCCs of the chase graph in
+        topological order."""
+        return tuple(map(tuple, chase_strata(self.sigma, self.oracle)))
+
     def fingerprint(self) -> str:
         """Content fingerprint of the analyzed constraint set plus the
         probe depth (deeper probes can refine the T-hierarchy verdict,
@@ -170,14 +180,15 @@ class TerminationReport:
         """A chase strategy that is guaranteed to terminate, if any.
 
         For sets that are only stratified, Theorem 2's stratum order is
-        required; for the stronger classes any order works and we
-        return None (use the default round-robin).
+        required: a fresh strategy over the report's :attr:`strata` (a
+        strategy keeps its place in the order, so none is shared).  For
+        the stronger classes any order works and we return None (use
+        the default round-robin).
         """
         if self.guarantees_all_sequences:
             return None
         if self.stratified:
-            from repro.termination.stratification import stratified_strategy
-            return stratified_strategy(self.sigma)
+            return StratifiedStrategy(self.strata)
         return None
 
     def as_row(self) -> dict:

@@ -11,10 +11,11 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fuzz import (generate_case, oracle_deadline, OracleTimeout,
-                        run_corpus, write_repro_spec)
+from repro.fuzz import generate_case, run_corpus, write_repro_spec
 from repro.fuzz import oracles as oracles_module
-from repro.fuzz.oracles import Violation
+from repro.fuzz.oracles import ORACLES, Violation
+from repro.termination.precedence import ORACLE
+from repro.workloads.families import sigma_family
 
 pytestmark = pytest.mark.fuzz
 
@@ -23,21 +24,23 @@ def corpus_verdicts(**kwargs):
     report = run_corpus(**kwargs)
     return ([(f.violation.oracle, f.violation.case_label,
               f.violation.detail) for f in report.failures],
-            report.oracle_calls)
+            report.skips, report.oracle_calls)
 
 
 def test_clean_corpus_passes_and_is_deterministic():
-    kwargs = dict(seed=0, n_cases=8, wall_clock=None,
-                  oracle_deadline_s=1.5, pool_every=0, shrink=False)
+    kwargs = dict(seed=0, n_cases=8, pool_every=0, shrink=False)
     first = corpus_verdicts(**kwargs)
+    # A different corpus warms the precedence oracle and the analyze
+    # memo in between; the report must not notice.
+    run_corpus(seed=3, n_cases=4, pool_every=0, shrink=False)
     second = corpus_verdicts(**kwargs)
     assert first == second
     assert first[0] == []                       # no violations on seed 0
+    assert first[2] == 8 * len(ORACLES)         # every oracle, every case
 
 
 def test_report_to_dict_is_json_safe():
-    report = run_corpus(seed=0, n_cases=2, wall_clock=None,
-                        oracle_deadline_s=1.5, pool_every=0, shrink=False)
+    report = run_corpus(seed=0, n_cases=2, pool_every=0, shrink=False)
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["ok"] is True
     assert payload["cases"] == 2
@@ -50,8 +53,7 @@ def test_report_to_dict_is_json_safe():
 def test_lying_probe_is_caught_shrunk_and_replayable(monkeypatch, tmp_path):
     monkeypatch.setitem(oracles_module.PROBES, "safe", lambda sigma: True)
     report = run_corpus(seed=5, n_cases=4, deep_hierarchy_every=1,
-                        pool_every=0, repro_dir=tmp_path,
-                        oracle_deadline_s=2.0)
+                        pool_every=0, repro_dir=tmp_path)
     assert not report.ok
     oracles_hit = {f.violation.oracle for f in report.failures}
     assert "hierarchy" in oracles_hit           # Figure 1 implication broken
@@ -77,7 +79,7 @@ def test_lying_probe_is_caught_shrunk_and_replayable(monkeypatch, tmp_path):
 def test_violations_are_deterministic_across_runs(monkeypatch):
     monkeypatch.setitem(oracles_module.PROBES, "safe", lambda sigma: True)
     kwargs = dict(seed=5, n_cases=4, deep_hierarchy_every=1,
-                  pool_every=0, shrink=False, oracle_deadline_s=2.0)
+                  pool_every=0, shrink=False)
     assert corpus_verdicts(**kwargs) == corpus_verdicts(**kwargs)
 
 
@@ -90,41 +92,43 @@ def test_injected_oracle_registry_is_used():
                           detail="synthetic")]
 
     report = run_corpus(seed=1, n_cases=3, oracles={"custom": always_fires},
-                        shrink=False, oracle_deadline_s=None)
+                        shrink=False)
     assert len(calls) == 3
     assert len(report.failures) == 3
     assert report.oracle_calls == 3
 
 
 # ----------------------------------------------------------------------
-# deadline mechanics
+# the node budget
 # ----------------------------------------------------------------------
-def test_oracle_timeout_is_not_an_exception():
-    # It must cut through the engine's `except Exception` containment;
-    # anything narrower would resurface as a fake "error" result.
-    assert issubclass(OracleTimeout, BaseException)
-    assert not issubclass(OracleTimeout, Exception)
+def test_exhausted_probes_become_hierarchy_skips_not_verdicts(monkeypatch):
+    """A probe that reads an answer the node budget cut short may
+    contradict Figure 1 without any bug, so the hierarchy oracle skips
+    the case instead of judging it."""
+    hierarchy_only = dict(seed=2, n_cases=2, deep_hierarchy_every=0,
+                          oracles={"hierarchy": ORACLES["hierarchy"]},
+                          shrink=False)
+    # Claiming weak acyclicity everywhere breaks Figure 1 on case 1...
+    monkeypatch.setitem(oracles_module.PROBES, "weakly_acyclic",
+                        lambda sigma: True)
+    caught = run_corpus(**hierarchy_only)
+    assert {f.violation.case_label for f in caught.failures} \
+        == {"fuzz_s2_c1"}
 
+    # ...but a claim that read a conservative answer is not judged.
+    (alpha,) = sigma_family(3)
 
-def test_oracle_deadline_interrupts_a_swallowing_loop():
-    with pytest.raises(OracleTimeout):
-        with oracle_deadline(0.05):
-            while True:
-                try:
-                    pass
-                except Exception:               # noqa: BLE001
-                    pass
+    def exhausted_claim(sigma):
+        ORACLE.precedes_k((alpha,) * 4, [])     # needs 311,953 nodes
+        return True
 
-
-def test_deadline_hits_become_skips_not_verdicts():
-    def stall(case, ctx):
-        while True:
-            pass
-
-    report = run_corpus(seed=1, n_cases=2, oracles={"stall": stall},
-                        shrink=False, oracle_deadline_s=0.05)
-    assert report.ok                            # skips, no violations
-    assert len(report.skips) == 4               # oracle + case bail, per case
+    monkeypatch.setitem(oracles_module.PROBES, "weakly_acyclic",
+                        exhausted_claim)
+    report = run_corpus(**hierarchy_only)
+    assert report.ok
+    assert report.skips == [
+        f"[hierarchy] fuzz_s2_c{index}: precedence answers cut short "
+        "by the node budget: 1" for index in range(2)]
 
 
 # ----------------------------------------------------------------------

@@ -28,8 +28,8 @@ DIVERGENT = make_case("a2: S(x) -> E(x, y), S(y)", "S(a).")
 
 @pytest.fixture
 def ctx():
-    with OracleContext(max_steps=200, wall_clock=None,
-                       deep_hierarchy_every=1, pool_every=0) as context:
+    with OracleContext(max_steps=200, deep_hierarchy_every=1,
+                       pool_every=0) as context:
         yield context
 
 
@@ -117,8 +117,8 @@ def test_deep_and_pool_sampling_follow_case_index():
 
 
 def test_skips_are_recorded_not_raised(ctx):
-    tight = OracleContext(max_steps=3, wall_clock=None,
-                          deep_hierarchy_every=0, pool_every=0)
+    tight = OracleContext(max_steps=3, deep_hierarchy_every=0,
+                          pool_every=0)
     with tight:
         tight.start_case(WEAKLY_ACYCLIC)
         # max_steps=3 cannot finish S(a)+S(b): parity oracles skip.

@@ -3,9 +3,8 @@
 The metamorphic oracles cross-validate chase verdicts, hierarchy
 membership and pool parity; if enabling metrics or tracing shifted
 *any* verdict, the instrumentation would be changing engine behaviour
-rather than observing it.  The corpus here runs with all timing
-budgets off (``wall_clock=None``, ``oracle_deadline_s=None``) so both
-passes are fully deterministic and comparable verdict-by-verdict.
+rather than observing it.  Every budget of the corpus is a count, so
+both passes are fully deterministic and comparable verdict-by-verdict.
 """
 
 import pytest
@@ -19,7 +18,6 @@ pytestmark = pytest.mark.fuzz
 
 def corpus_verdicts(tmp_path):
     report = run_corpus(seed=7, n_cases=6, max_steps=150,
-                        wall_clock=None, oracle_deadline_s=None,
                         pool_every=0, shrink=False,
                         repro_dir=tmp_path)
     return {

@@ -132,6 +132,26 @@ def test_auto_strategy_is_pinned_from_the_cached_report():
     assert result.status == "terminated"
 
 
+def test_warm_plans_build_the_strata_once(monkeypatch):
+    """A set that is only stratified keeps Theorem 2's stratum order
+    on its report, so warm plans do not rebuild the chase graph's
+    condensation."""
+    from repro.termination import report as report_module
+    from repro.workloads.paper import example4
+    built = []
+    chase_strata = report_module.chase_strata
+    monkeypatch.setattr(report_module, "chase_strata",
+                        lambda *args: built.append(args)
+                        or chase_strata(*args))
+    report_module.clear_analyze_cache()
+    job = ChaseJob(name="ex4", sigma=tuple(example4()), instance=Instance(),
+                   strategy="auto")
+    scheduler = BatchScheduler(workers=1, force_inprocess=True)
+    plans = [scheduler.plan_job(job) for _ in range(5)]
+    assert {plan.job.strategy for plan in plans} == {"stratified"}
+    assert len(built) == 1
+
+
 def test_explicit_stratified_request_on_unstratifiable_set_errors():
     job = ChaseJob.from_dict({
         "name": "bad", "constraints": DIVERGENT, "instance": "S(a).",

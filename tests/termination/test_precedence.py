@@ -111,8 +111,10 @@ class TestChainRelation:
 
     @pytest.mark.slow
     def test_sigma3_frontier_negative(self):
+        # The exhaustive search spends 311,953 nodes.
         (alpha,) = sigma_family(3)
-        assert not precedes_k((alpha,) * 4, [])
+        oracle = PrecedenceOracle(node_budget=1_000_000)
+        assert not oracle.precedes_k((alpha,) * 4, [])
 
     def test_sigma4_positive(self):
         (alpha,) = sigma_family(4)
@@ -153,15 +155,31 @@ class TestOracleCaching:
         with pytest.warns(RuntimeWarning):
             assert oracle.precedes_k((alpha, alpha, alpha), []) is True
 
+    def test_exhausted_answers_count_on_every_read(self):
+        """A cached answer the budget cut short counts again on each
+        read, so the count does not depend on what was asked before."""
+        oracle = PrecedenceOracle(node_budget=10)
+        (alpha,) = sigma_family(3)
+        a1, a2 = example10()
+        with pytest.warns(RuntimeWarning):
+            assert oracle.precedes_k((alpha, alpha, alpha), []) is True
+            assert oracle.precedes(a1, a2) is True
+        assert (oracle.searches, oracle.exhausted) == (2, 2)
+        assert oracle.precedes_k((alpha, alpha, alpha), []) is True
+        assert oracle.precedes(a1, a2) is True
+        # the monotone shortcut: the cached empty-P answer covers E1
+        assert oracle.precedes_k((alpha, alpha, alpha), [E1]) is True
+        assert (oracle.searches, oracle.exhausted) == (2, 5)
+
 
 class TestSearchCleanup:
     def test_exception_during_backtracking_reaches_the_caller(
             self, monkeypatch):
         """An exception raised while the search unwinds its generators
-        after a witness (an oracle deadline firing in an undo, say)
-        must reach the caller.  A generator left to the collector would
-        run that undo during deallocation, where CPython prints and
-        drops the exception, and the search would answer True."""
+        after a witness (a KeyboardInterrupt in an undo, say) must
+        reach the caller.  A generator left to the collector would run
+        that undo during deallocation, where CPython prints and drops
+        the exception, and the search would answer True."""
         from repro.termination import precedence
 
         class Interrupt(BaseException):

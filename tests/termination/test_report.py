@@ -4,6 +4,7 @@ import pytest
 
 from repro.chase import chase
 from repro.chase.strategies import StratifiedStrategy
+from repro.lang.parser import parse_constraints
 from repro.termination import (is_c_stratified, is_inductively_restricted,
                                is_safe, is_safely_restricted, is_stratified,
                                is_weakly_acyclic, PrecedenceOracle, t_level)
@@ -121,6 +122,21 @@ class TestLazyReport:
         assert report.guarantees_some_sequence
         assert "stratified" in report._verdicts
         assert "safely_restricted" not in report._verdicts
+
+    def test_adversarial_set_is_planned_within_the_node_budget(self):
+        """Fuzz seed 0, case 47: two constraints whose analysis ran for
+        minutes under an effectively unbounded budget.  The default
+        budget cuts searches short, and the report takes their
+        conservative answers."""
+        sigma = parse_constraints(
+            "f0: R1(x, x) -> R0(x, y, x), R1(y, y)\n"
+            "f1: R0(x0, x1, x2), R0(x0, z1, z2) -> x2 = z2")
+        oracle = PrecedenceOracle()
+        with pytest.warns(RuntimeWarning):
+            report = analyze(sigma, max_k=3, oracle=oracle)
+        assert not report.guarantees_some_sequence
+        assert oracle.exhausted > 0
+        assert oracle.nodes == 47_398
 
     def test_equality_ranges_over_constraints_and_probe_depth(self):
         lazy = analyze(example13(), max_k=2, oracle=PrecedenceOracle())
