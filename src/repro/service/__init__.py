@@ -17,8 +17,9 @@ a fingerprint-keyed cache without re-executing anything.
 * :mod:`repro.service.query` -- the answering step of query jobs
   (Section 5 as a served workload: compiled CQ evaluation, Section 4
   semantic optimization, depth-bounded fallback);
-* :mod:`repro.service.cache` -- bounded LRU caches for job results and
-  termination reports;
+* :mod:`repro.service.cache` -- bounded LRU caches for job results,
+  termination reports and the session's memo of planned request
+  bytes;
 * :mod:`repro.service.pool` -- a ``multiprocessing`` worker pool with
   per-job hard timeouts, cancellation and graceful degradation to
   in-process execution;
@@ -28,8 +29,8 @@ a fingerprint-keyed cache without re-executing anything.
   unknown ones, and streams progress events;
 * :mod:`repro.service.dispatch` -- transport-neutral request dispatch
   (:class:`ServiceSession`): the kind-keyed dispatch table, structured
-  error contract and per-request wall-clock clamp shared by the NDJSON
-  loop and the HTTP gateway;
+  error contract, per-request wall-clock clamp and warm-reply path
+  shared by the NDJSON loop and the HTTP gateway;
 * :mod:`repro.service.http` -- the asyncio HTTP/1.1 front-end
   (``repro serve --http``): job submission, polling, chunked NDJSON
   event streams, fingerprint-keyed result fetches, ``/stats`` with

@@ -1,7 +1,7 @@
-"""Bounded LRU caches for job results and termination reports.
+"""Bounded LRU caches for job results, termination reports and
+planned request specs.
 
-The service cache has two compartments, both keyed on content
-fingerprints:
+The service cache has three compartments:
 
 * **results** -- :class:`~repro.service.jobs.JobResult` objects keyed
   on :meth:`ChaseJob.fingerprint`.  Only *deterministic* outcomes are
@@ -13,6 +13,15 @@ fingerprints:
   depth.  The scheduler consults this before every job to pick a
   strategy and a priority class; with a warm cache, scheduling a batch
   over one shared schema costs one analysis total.
+* **specs** -- the serving session's spec memo
+  (:class:`~repro.service.dispatch.ServiceSession`), keyed on the
+  SHA-256 of a job request's exact bytes (an HTTP body or an NDJSON
+  line).  Each entry holds what a warm reply needs of the planned
+  job: its name, kind, fingerprint and ``queued`` event detail.  Equal
+  bytes parse to equal jobs and plan alike, so a request whose bytes
+  were planned before is answered from **results** with no parse,
+  plan or fingerprint.  Sized like **results**: a disabled result
+  cache disables the memo too.
 
 Unlike the process-wide ``functools.lru_cache`` memo inside
 :func:`repro.termination.report.analyze`, these caches are owned by a
@@ -103,12 +112,13 @@ class LRUCache:
 
 
 class ServiceCache:
-    """The two-compartment cache a scheduler (or server) owns."""
+    """The three-compartment cache a scheduler (or server) owns."""
 
     def __init__(self, result_size: int = 256,
                  report_size: int = 128) -> None:
         self.results = LRUCache(result_size, metric="results")
         self.reports = LRUCache(report_size, metric="reports")
+        self.specs = LRUCache(result_size, metric="specs")
 
     # -- chase results --------------------------------------------------
     def lookup_result(self, job: ChaseJob) -> Optional[JobResult]:
@@ -158,8 +168,10 @@ class ServiceCache:
 
     def stats(self) -> dict:
         return {"results": self.results.stats(),
-                "reports": self.reports.stats()}
+                "reports": self.reports.stats(),
+                "specs": self.specs.stats()}
 
     def clear(self) -> None:
         self.results.clear()
         self.reports.clear()
+        self.specs.clear()

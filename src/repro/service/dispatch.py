@@ -31,23 +31,37 @@ machinery -- an over-budget request comes back as a structured partial
 result, not a dropped connection -- and is sound with respect to the
 cache because the wall-clock budget is deliberately excluded from job
 fingerprints (see :mod:`repro.service.jobs`).
+
+Warm replies: the session owns the cache fast path of both transports.
+It memoizes every job request it plans in the cache's ``specs``
+compartment, keyed on the SHA-256 of the request's exact bytes (the
+HTTP body, or the NDJSON line).  A request whose bytes are memoized
+and whose planned fingerprint is still in the ``results`` compartment
+is answered from the cache before its JSON is decoded: no parse, plan
+or fingerprint.  This is sound without parsing because equal bytes
+parse to equal jobs, a plan depends only on the job, the cached
+termination report and the scheduler's fixed step cap, and the
+fingerprint leaves out the wall-clock clamp.  Every other request is
+parsed and planned, and its planned fingerprint is still looked up,
+so a renamed or reformatted spec of a cached job is a hit too.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 from repro.lang.errors import ReproError
 from repro.obs import metrics as _metrics
 from repro.service.jobs import (EventCallback, JOB_KINDS, job_from_dict,
-                                spec_kind)
+                                JobResult, spec_kind)
 from repro.service.scheduler import BatchScheduler, Plan
 from repro.service.serialize import WireError
 
-__all__ = ["RequestError", "ServiceSession", "error_payload",
-           "request_kind"]
+__all__ = ["Admission", "RequestError", "ServiceSession", "SpecEntry",
+           "error_payload", "request_kind"]
 
 
 class RequestError(ReproError):
@@ -98,8 +112,42 @@ def request_kind(request) -> str:
     return kind
 
 
+class SpecEntry(NamedTuple):
+    """A spec memo entry: what a warm reply needs of a planned job
+    request."""
+
+    name: str
+    kind: str
+    fingerprint: str       # of the planned job
+    queued: dict           # detail of the job's ``queued`` event
+
+
+class Admission(NamedTuple):
+    """A job request admitted by :meth:`ServiceSession.admit`.
+
+    ``result`` is the cached result, under the requested name, when
+    the planned fingerprint is warm: it is the reply.  Otherwise
+    ``plan`` is the plan to run.  A request replayed from the spec
+    memo was never planned, so its ``plan`` is None.
+    """
+
+    entry: SpecEntry
+    plan: Optional[Plan]
+    result: Optional[JobResult]
+
+
+def _spec_key(raw: bytes) -> bytes:
+    """The spec memo key of a request's exact bytes."""
+    return hashlib.sha256(raw).digest()
+
+
+def _ignore(event) -> None:
+    """An event sink for replies that report no progress events."""
+
+
 class ServiceSession:
-    """One serving session: scheduler + dispatch table + budgets.
+    """One serving session: scheduler + dispatch table + budgets +
+    spec memo.
 
     ``scheduler`` is owned by the caller (close it there);
     ``request_wall_clock`` is the per-request budget clamp in seconds
@@ -110,7 +158,8 @@ class ServiceSession:
                  request_wall_clock: Optional[float] = None) -> None:
         self.scheduler = scheduler
         self.request_wall_clock = request_wall_clock
-        #: kind -> handler(request, kind, on_event) -> reply payload.
+        #: kind -> handler(request, kind, on_event, key) -> reply
+        #: payload; ``key`` is the request's spec memo key, if any.
         self.handlers: dict = {
             "chase": self._handle_job,
             "query": self._handle_job,
@@ -119,8 +168,12 @@ class ServiceSession:
 
     # -- request handling ----------------------------------------------
     def handle(self, request,
-               on_event: Optional[EventCallback] = None) -> dict:
+               on_event: Optional[EventCallback] = None,
+               key: Optional[bytes] = None) -> dict:
         """Serve one request payload; always returns a reply dict.
+
+        ``key`` is the spec memo key of the bytes ``request`` was
+        decoded from; a job request planned under a key is memoized.
 
         The try/except *around the handler call* is the satellite fix
         pinned by ``test_dispatch.py``: a request whose kind resolves
@@ -139,7 +192,7 @@ class ServiceSession:
         except RequestError as exc:
             return error_payload(str(exc), exc.code, exc.kind)
         try:
-            return handler(request, kind, on_event)
+            return handler(request, kind, on_event, key)
         except RequestError as exc:
             return error_payload(str(exc), exc.code, exc.kind or kind)
         except Exception as exc:                      # noqa: BLE001
@@ -150,18 +203,74 @@ class ServiceSession:
                     on_event: Optional[EventCallback] = None
                     ) -> Optional[dict]:
         """The NDJSON transport: one input line -> one reply payload
-        (None for blank lines)."""
+        (None for blank lines).
+
+        A memoized line with a warm fingerprint emits the ``queued``
+        and ``cached`` events a planned warm job emits, and replies
+        with the cached result, without decoding the line.
+        """
         line = line.strip()
         if not line:
             return None
+        key = _spec_key(line.encode("utf-8"))
+        warm = self._replay(key, on_event)
+        if warm is not None:
+            return warm.result.to_dict()
         try:
             request = json.loads(line)
         except ValueError as exc:
             return error_payload(f"invalid JSON: {exc}",
                                  code="invalid_json")
-        return self.handle(request, on_event=on_event)
+        return self.handle(request, on_event=on_event, key=key)
 
-    # -- job plumbing (shared with the HTTP gateway) -------------------
+    def admit(self, raw: bytes) -> Admission:
+        """Admit one job request by its bytes (the HTTP ``POST /jobs``
+        body) without running it.
+
+        A memoized body with a warm fingerprint is replayed from the
+        cache.  Any other body is decoded, parsed and planned, which
+        memoizes it, and its planned fingerprint is looked up in the
+        result cache.  A warm admission reports no progress events.
+        Raises :class:`RequestError` for bodies that are not valid job
+        requests; those are never memoized.
+        """
+        key = _spec_key(raw)
+        warm = self._replay(key, _ignore)
+        if warm is not None:
+            return warm
+        try:
+            request = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise RequestError(f"invalid JSON: {exc}",
+                               code="invalid_json") from None
+        plan = self.parse_job(request)
+        entry = self._memoize(key, plan)
+        hit = None
+        if entry.fingerprint in self.scheduler.cache.results:
+            hit = self.scheduler.cache.lookup_result(plan.job)
+        return Admission(entry, plan, hit)
+
+    def _replay(self, key: bytes,
+                on_event: Optional[EventCallback]) -> Optional[Admission]:
+        """The warm admission of a memoized request, or None."""
+        entry = self.scheduler.cache.specs.get(key)
+        if entry is None:
+            return None
+        hit = self.scheduler.replay(entry.name, entry.fingerprint,
+                                    entry.queued, on_event)
+        if hit is None:
+            return None
+        return Admission(entry, None, hit)
+
+    def _memoize(self, key: bytes, plan: Plan) -> SpecEntry:
+        """Memoize a planned request under its bytes' key."""
+        job = plan.job
+        entry = SpecEntry(job.name, job.kind, job.fingerprint(),
+                          plan.queued_detail())
+        self.scheduler.cache.specs.put(key, entry)
+        return entry
+
+    # -- job plumbing --------------------------------------------------
     def parse_job(self, request, kind: Optional[str] = None) -> Plan:
         """Parse, budget-clamp and plan a job spec payload.
 
@@ -216,11 +325,15 @@ class ServiceSession:
 
     # -- dispatch-table handlers ---------------------------------------
     def _handle_job(self, request, kind: str,
-                    on_event: Optional[EventCallback]) -> dict:
+                    on_event: Optional[EventCallback],
+                    key: Optional[bytes]) -> dict:
         plan = self.parse_job(request, kind)
+        if key is not None:
+            self._memoize(key, plan)
         result = self.scheduler.run_one(plan, on_event=on_event)
         return result.to_dict()
 
     def _handle_stats(self, request, kind: str,
-                      on_event: Optional[EventCallback]) -> dict:
+                      on_event: Optional[EventCallback],
+                      key: Optional[bytes]) -> dict:
         return self.stats_payload()

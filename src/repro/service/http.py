@@ -19,7 +19,11 @@ Endpoints
     with ``{"id", "fingerprint", "status": "queued"}``; ``?wait=1``
     blocks until completion and replies ``200`` with the result
     inline.  A warm fingerprint is answered ``200`` immediately from
-    the cache without occupying a queue slot.
+    the cache without occupying a queue slot.  The session
+    (:meth:`ServiceSession.admit`) decides that: a body whose exact
+    bytes it planned before is replayed from its spec memo with no
+    parse, plan or fingerprint; any other body is parsed and planned,
+    and its planned fingerprint is looked up.
 ``GET /jobs/<id>``
     Poll a submitted job: state (``queued`` / ``running`` / ``done``),
     fingerprint, event count, and the result payload once done.
@@ -87,8 +91,8 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import metrics as _metrics
 from repro.obs.metrics import OBS
-from repro.service.dispatch import (error_payload, JOB_KINDS, RequestError,
-                                    request_kind, ServiceSession)
+from repro.service.dispatch import (error_payload, RequestError,
+                                    ServiceSession)
 from repro.service.jobs import JobResult, STATUS_ERROR
 from repro.service.scheduler import Plan
 
@@ -151,7 +155,9 @@ class _JobRecord:
     name: str
     kind: str
     fingerprint: str
-    plan: Plan                       # made at submit time, run as is
+    #: Made at submit time and run as is; None once finished, and on
+    #: cache replies, so the history keeps no parsed jobs alive.
+    plan: Optional[Plan] = None
     state: str = "queued"            # queued | running | done
     result: Optional[dict] = None
     events: List[dict] = field(default_factory=list)
@@ -347,6 +353,7 @@ class HttpGateway:
     def _finish(self, record: _JobRecord, result: dict) -> None:
         record.result = result
         record.state = "done"
+        record.plan = None
         ids = self._by_fp.get(record.fingerprint)
         if ids is not None:
             try:
@@ -381,11 +388,20 @@ class HttpGateway:
         self._prune_records()
 
     def _prune_records(self) -> None:
-        while len(self._records) > self.max_records:
-            oldest = next(iter(self._records))
-            if self._records[oldest].state != "done":
-                break
-            del self._records[oldest]
+        """Drop the oldest finished records beyond ``max_records``.
+        Unfinished records are skipped, not waited for, so one long
+        job cannot hold the history above its bound."""
+        excess = len(self._records) - self.max_records
+        if excess <= 0:
+            return
+        finished = []
+        for record_id, record in self._records.items():
+            if record.state == "done":
+                finished.append(record_id)
+                if len(finished) == excess:
+                    break
+        for record_id in finished:
+            del self._records[record_id]
 
     def _new_id(self) -> str:
         self._next_id += 1
@@ -606,13 +622,6 @@ class HttpGateway:
         raise HttpError(404, f"no such endpoint: {request.path}",
                         code="not_found")
 
-    def _json_body(self, request: _Request) -> dict:
-        try:
-            return json.loads(request.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise HttpError(400, f"invalid JSON body: {exc}",
-                            code="invalid_json") from None
-
     async def _respond_json(self, writer, status: int, payload: dict,
                             started: float,
                             extra: Optional[dict] = None) -> None:
@@ -664,43 +673,31 @@ class HttpGateway:
                         started: float) -> bool:
         if self.draining:
             raise HttpError(503, "gateway is draining", code="draining")
-        payload = self._json_body(request)
         try:
-            kind = request_kind(payload)
-            if kind not in JOB_KINDS:
-                raise RequestError(
-                    f"POST /jobs takes a chase or query job spec, "
-                    f"got kind {kind!r}", code="invalid_request",
-                    kind=kind)
-            plan = self.session.parse_job(payload, kind)
+            admission = self.session.admit(request.body)
         except RequestError as exc:
             raise HttpError(400, str(exc), code=exc.code) from None
-        job = plan.job
-        fingerprint = job.fingerprint()
-        cache = self.session.scheduler.cache
-        if fingerprint in cache.results:
-            hit = cache.lookup_result(job)
-            if hit is not None:
-                record = _JobRecord(id=self._new_id(), name=job.name,
-                                    kind=kind, fingerprint=fingerprint,
-                                    plan=plan, state="done",
-                                    result=hit.to_dict())
-                record.wakeup.set()
-                record.finished.set()
-                self._remember(record)
-                if OBS.enabled:
-                    OBS.inc("http.cache_fastpath")
-                await self._respond_json(writer, 200,
-                                         record.poll_payload(), started)
-                return False
+        name, kind, fingerprint, _ = admission.entry
+        if admission.result is not None:
+            record = _JobRecord(id=self._new_id(), name=name, kind=kind,
+                                fingerprint=fingerprint, state="done",
+                                result=admission.result.to_dict())
+            record.wakeup.set()
+            record.finished.set()
+            self._remember(record)
+            if OBS.enabled:
+                OBS.inc("http.cache_fastpath")
+            await self._respond_json(writer, 200, record.poll_payload(),
+                                     started)
+            return False
         if len(self._queue) >= self.queue_bound:
             if OBS.enabled:
                 OBS.inc("http.backpressure_429")
             raise HttpError(429, f"pending queue is full "
                             f"({self.queue_bound} jobs); retry shortly",
                             code="backpressure", retry_after=1.0)
-        record = _JobRecord(id=self._new_id(), name=job.name, kind=kind,
-                            fingerprint=fingerprint, plan=plan)
+        record = _JobRecord(id=self._new_id(), name=name, kind=kind,
+                            fingerprint=fingerprint, plan=admission.plan)
         self._enqueue(record)
         if OBS.enabled:
             OBS.inc("http.jobs_submitted")
@@ -711,7 +708,7 @@ class HttpGateway:
             return False
         await self._respond_json(
             writer, 202,
-            {"id": record.id, "job": job.name, "kind": kind,
+            {"id": record.id, "job": name, "kind": kind,
              "fingerprint": fingerprint, "status": "queued",
              "queue_depth": len(self._queue),
              "links": {"poll": f"/jobs/{record.id}",

@@ -22,6 +22,9 @@ Each job is planned once.  :meth:`BatchScheduler.run_batch` plans
 the jobs it is given; the serve transports plan each request as it
 arrives (the planned fingerprint is their cache key) and hand the
 resulting :class:`Plan` to the scheduler, which then uses it as is.
+A request whose exact bytes the serving session planned before is not
+planned again: :meth:`BatchScheduler.replay` answers it from the cache
+by the fingerprint the session memoized.
 
 Before dispatch, every job is looked up in the fingerprint cache --
 warm hits are answered without executing anything.  Results with
@@ -64,6 +67,20 @@ class Plan(NamedTuple):
     job: ChaseJob
     report: TerminationReport
     guaranteed: bool
+
+    def queued_detail(self) -> dict:
+        """The scheduling verdict the job's ``queued`` event carries."""
+        return {"guaranteed": self.guaranteed,
+                "strategy": self.job.strategy,
+                "max_steps": self.job.max_steps,
+                "report": self.report.fingerprint()[:12]}
+
+
+def _cached_event(name: str, hit: JobResult,
+                  fingerprint: str) -> ProgressEvent:
+    return ProgressEvent("cached", name,
+                         {"status": hit.status, "steps": hit.steps},
+                         fingerprint=fingerprint)
 
 
 class BatchScheduler:
@@ -151,10 +168,10 @@ class BatchScheduler:
         results: List[Optional[JobResult]] = [None] * len(jobs)
         for index, item in enumerate(jobs):
             if isinstance(item, Plan):
-                job, report, guaranteed = item
+                plan = item
             else:
                 try:
-                    job, report, guaranteed = self.plan_job(item)
+                    plan = self.plan_job(item)
                 except Exception as exc:              # noqa: BLE001
                     results[index] = JobResult(
                         job=item.name, fingerprint="",
@@ -163,21 +180,15 @@ class BatchScheduler:
                     emit(ProgressEvent("finished", item.name,
                                        {"status": STATUS_ERROR}))
                     continue
-            emit(ProgressEvent("queued", job.name, {
-                "guaranteed": guaranteed,
-                "strategy": job.strategy,
-                "max_steps": job.max_steps,
-                "report": report.fingerprint()[:12],
-            }, fingerprint=job.fingerprint()))
+            job = plan.job
+            emit(ProgressEvent("queued", job.name, plan.queued_detail(),
+                               fingerprint=job.fingerprint()))
             hit = self.cache.lookup_result(job)
             if hit is not None:
                 results[index] = hit
-                emit(ProgressEvent("cached", job.name,
-                                   {"status": hit.status,
-                                    "steps": hit.steps},
-                                   fingerprint=job.fingerprint()))
+                emit(_cached_event(job.name, hit, job.fingerprint()))
                 continue
-            planned.append((index, job, guaranteed))
+            planned.append((index, job, plan.guaranteed))
         # Intra-batch dedup: jobs with equal fingerprints execute once
         # and share the result (marked cached for the duplicates --
         # unless the shared outcome turns out non-deterministic, in
@@ -228,6 +239,30 @@ class BatchScheduler:
                 self._absorb_metrics(result)
                 self.cache.store_result(result)
         return results  # type: ignore[return-value]
+
+    def replay(self, name: str, fingerprint: str, queued: dict,
+               on_event: Optional[EventCallback] = None
+               ) -> Optional[JobResult]:
+        """Answer a job planned earlier from the result cache, without
+        its plan.
+
+        ``fingerprint`` is the planned job's and ``queued`` its
+        :meth:`Plan.queued_detail`.  On a hit, emits the ``queued`` and
+        ``cached`` events :meth:`run_batch` emits for a warm job and
+        returns the cached result under ``name``.  On a miss nothing
+        is emitted, and the caller plans the job.  ``on_event``
+        overrides the constructor's event sink.
+        """
+        if fingerprint not in self.cache.results:
+            return None
+        hit = self.cache.results.get(fingerprint)
+        if hit is None:          # evicted by another thread meanwhile
+            return None
+        emit = on_event if on_event is not None else self._emit
+        emit(ProgressEvent("queued", name, dict(queued),
+                           fingerprint=fingerprint))
+        emit(_cached_event(name, hit, fingerprint))
+        return replace(hit, cached=True, job=name)
 
     @staticmethod
     def _absorb_metrics(result: JobResult) -> None:

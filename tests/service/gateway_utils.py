@@ -3,8 +3,9 @@
 A tiny stdlib HTTP/1.1 client over asyncio streams (we are testing a
 hand-rolled server; testing it through a hand-rolled client keeps full
 control over framing -- truncation, chunking, pipelining) plus gateway
-lifecycle helpers.  Tests drive everything through ``asyncio.run``:
-pytest-asyncio is deliberately not a dependency.
+lifecycle helpers and the ``parses`` fixture, which counts the specs
+the serving session parses.  Tests drive everything through
+``asyncio.run``: pytest-asyncio is deliberately not a dependency.
 
 The client frames responses by Content-Length / chunked encoding and
 never relies on read-to-EOF: the service forks worker processes while
@@ -19,7 +20,9 @@ import asyncio
 import contextlib
 import json
 
-from repro.service import BatchScheduler, ServiceCache
+import pytest
+
+from repro.service import BatchScheduler, dispatch, ServiceCache
 from repro.service.dispatch import ServiceSession
 from repro.service.http import HttpGateway
 
@@ -37,6 +40,18 @@ def spec(name, constraints=TERMINATING, instance="S(a). S(b).", **kw):
 def query_spec(name, **kw):
     return spec(name, instance="E(a, b). S(a).",
                 query="q(x) <- E(x, y)", **kw)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The job specs the serving session parses, in order (a fixture:
+    import it into a test module to use it there)."""
+    calls = []
+    parse = dispatch.job_from_dict
+    monkeypatch.setattr(dispatch, "job_from_dict",
+                        lambda payload: calls.append(payload)
+                        or parse(payload))
+    return calls
 
 
 @contextlib.asynccontextmanager

@@ -9,22 +9,31 @@ required fields) must come back as a *structured* error reply --
 Both serve transports (NDJSON and HTTP) sit on this contract.
 """
 
+import contextlib
+import json
+
 import pytest
 
-from gateway_utils import DIVERGENT, spec, TERMINATING
+from gateway_utils import DIVERGENT, parses, spec, TERMINATING  # noqa: F401
 from repro.service import BatchScheduler, ServiceCache
 from repro.service.dispatch import (error_payload, RequestError,
                                     request_kind, ServiceSession)
 
 
-@pytest.fixture
-def session():
+@contextlib.contextmanager
+def make_session(result_size=64):
     scheduler = BatchScheduler(workers=1,
-                               cache=ServiceCache(result_size=64))
+                               cache=ServiceCache(result_size=result_size))
     try:
         yield ServiceSession(scheduler)
     finally:
         scheduler.close()
+
+
+@pytest.fixture
+def session():
+    with make_session() as session:
+        yield session
 
 
 # ----------------------------------------------------------------------
@@ -168,3 +177,111 @@ def test_error_payload_shape():
     assert payload == {"status": "error", "error": "some_code",
                        "failure_reason": "boom", "kind": "chase"}
     assert "kind" not in error_payload("boom")
+
+
+# ----------------------------------------------------------------------
+# the spec memo: warm replies from a hash of the request's bytes
+# ----------------------------------------------------------------------
+def compact(payload):
+    """Another byte string of the same spec."""
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def test_a_repeated_line_is_replayed_without_parsing(session, parses):
+    line = json.dumps(spec("m1"))
+    cold = session.handle_line(line)
+    assert cold["status"] == "terminated" and not cold["cached"]
+    # Other bytes of the same spec: parsed, planned, and hit by their
+    # planned fingerprint.
+    parsed = session.handle_line(compact(spec("m1")))
+    assert parsed["cached"]
+    assert len(parses) == 2
+    replayed = session.handle_line(line)
+    assert len(parses) == 2
+    assert replayed == parsed
+    specs = session.scheduler.cache.specs
+    assert (specs.hits, len(specs)) == (1, 2)
+
+
+def test_a_replay_counts_as_a_result_hit(session):
+    line = json.dumps(spec("m2"))
+    session.handle_line(line)
+    results = session.scheduler.cache.results
+    before = (results.hits, results.misses)
+    session.handle_line(line)
+    assert (results.hits, results.misses) == (before[0] + 1, before[1])
+
+
+def test_an_evicted_result_is_parsed_and_run_again(parses):
+    with make_session(result_size=2) as session:
+        line = json.dumps(spec("e1"))
+        first = session.handle_line(line)
+        # Requests without bytes are not memoized: these two push
+        # e1's result, and only its result, out of the cache.
+        session.handle(spec("e2", instance="S(c)."))
+        session.handle(spec("e3", instance="S(d)."))
+        cache = session.scheduler.cache
+        assert first["fingerprint"] not in cache.results
+        assert len(cache.specs) == 1
+        del parses[:]
+        again = session.handle_line(line)
+        assert len(parses) == 1
+        assert not again["cached"]
+        del first["elapsed"], again["elapsed"]
+        assert again == first
+        assert session.handle_line(line)["cached"]
+        assert len(parses) == 1
+
+
+def test_rejected_lines_are_never_memoized(session, parses):
+    lines = ["{not json", "[1, 2]", '{"kind": "chase"}',
+             '{"kind": "stats"}', '{"kind": "frobnicate"}',
+             json.dumps(spec("bad", constraints="a1: S(x) ->")),
+             json.dumps(spec("unstratified", constraints=DIVERGENT,
+                             strategy="stratified"))]
+    for _ in range(2):
+        for line in lines:
+            reply = session.handle_line(line)
+            assert reply.get("status") == "error" or reply["kind"] == "stats"
+    assert len(session.scheduler.cache.specs) == 0
+    assert len(parses) == 2 * 3
+
+
+def test_result_size_zero_never_replays(parses):
+    with make_session(result_size=0) as session:
+        line = json.dumps(spec("z1"))
+        replies = [session.handle_line(line) for _ in range(2)]
+        assert [reply["cached"] for reply in replies] == [False, False]
+        assert len(parses) == 2
+        assert len(session.scheduler.cache.specs) == 0
+
+
+def test_lines_differing_only_in_name_keep_their_names(session, parses):
+    x, y = json.dumps(spec("x")), json.dumps(spec("y"))
+    assert session.handle_line(x)["job"] == "x"
+    assert session.handle_line(y)["job"] == "y"        # planned, hit
+    del parses[:]
+    assert session.handle_line(x)["job"] == "x"        # replayed
+    assert session.handle_line(y)["job"] == "y"        # replayed
+    assert parses == []
+
+
+def test_a_replayed_line_emits_the_events_of_a_planned_warm_one(session):
+    """A replay emits what the scheduler emits for a warm job it
+    planned: ``queued`` with the scheduling verdict, then ``cached``
+    -- to the request's sink, else to the scheduler's own."""
+    line = json.dumps(spec("ev", constraints=DIVERGENT, instance="S(a).",
+                           max_steps=50))
+    session.handle_line(line)
+    planned, replayed, default = [], [], []
+    session.handle_line(compact(json.loads(line)), on_event=planned.append)
+    session.handle_line(line, on_event=replayed.append)
+    session.scheduler.on_event = default.append
+    session.handle_line(line)
+
+    def shape(events):
+        return [(e.kind, e.job, e.detail, e.fingerprint) for e in events]
+    assert [event.kind for event in planned] == ["queued", "cached"]
+    assert shape(replayed) == shape(planned)
+    assert shape(default) == shape(planned)
+    assert planned[0].detail["guaranteed"] is False

@@ -8,13 +8,18 @@ parser and the framing are part of what is under test.
 
 import asyncio
 import json
+import threading
 
-from gateway_utils import (DIVERGENT, encode_request, gateway,
-                           query_spec, read_response, request,
+from gateway_utils import (DIVERGENT, encode_request, gateway,  # noqa: F401
+                           parses, query_spec, read_response, request,
                            request_raw_body, spec)
 from repro.service import BatchScheduler, ServiceCache
 from repro.service.dispatch import ServiceSession
 from repro.service.http import HttpGateway
+
+
+def body_of(payload, **dumps):
+    return json.dumps(payload, **dumps).encode("utf-8")
 
 
 def test_submit_wait_returns_the_result_inline():
@@ -71,7 +76,8 @@ def test_submit_poll_events_results_roundtrip():
 
 def test_a_submitted_job_is_planned_once():
     """The plan made at submit time is what the executor thread runs:
-    one plan_job call per request, on the cold path and the warm one."""
+    one plan_job call for the cold request, and none for its warm
+    repeat, which the session replays from its spec memo."""
     async def main():
         async with gateway() as gw:
             scheduler = gw.session.scheduler
@@ -86,7 +92,7 @@ def test_a_submitted_job_is_planned_once():
             status, _, warm = await request(
                 gw.port, "POST", "/jobs", body=spec("p1"))
             assert status == 200 and warm["result"]["cached"]
-            assert len(calls) == 2
+            assert len(calls) == 1
     asyncio.run(main())
 
 
@@ -238,9 +244,10 @@ def test_graceful_shutdown_drains_inflight_jobs():
             assert status == 202
             await asyncio.wait_for(gw.wait_terminated(), timeout=60)
             # The in-flight job finished (not dropped): its result is
-            # in the record table.
+            # in the record table, and its plan is released.
             record = gw._records[sub["id"]]
             assert record.state == "done"
+            assert record.plan is None
             assert record.result["status"] in ("terminated",
                                                "exceeded_budget")
     asyncio.run(main())
@@ -253,4 +260,151 @@ def test_shutdown_endpoint_is_gated():
             assert status == 404
             status, _, health = await request(gw.port, "GET", "/healthz")
             assert status == 200 and health["status"] == "ok"
+    asyncio.run(main())
+
+
+def test_finished_and_cached_records_hold_no_plan():
+    async def main():
+        async with gateway() as gw:
+            _, _, cold = await request(gw.port, "POST", "/jobs?wait=1",
+                                       body=spec("np"))
+            _, _, warm = await request(gw.port, "POST", "/jobs",
+                                       body=spec("np"))
+            assert warm["result"]["cached"]
+            for reply in (cold, warm):
+                record = gw._records[reply["id"]]
+                assert record.state == "done" and record.plan is None
+    asyncio.run(main())
+
+
+def test_history_pruning_skips_a_running_job():
+    """One long job must not hold the job history above
+    ``max_records``: the oldest finished records are dropped around
+    it while it runs."""
+    async def main():
+        async with gateway(max_records=4) as gw:
+            warm = spec("warm")
+            await request(gw.port, "POST", "/jobs?wait=1", body=warm)
+            # Hold the executor, so the long job is still unfinished
+            # while the warm repeats arrive.
+            gate = threading.Event()
+            execute = gw._execute
+            gw._execute = lambda plans: gate.wait(60) and execute(plans)
+            try:
+                _, _, slow = await request(
+                    gw.port, "POST", "/jobs",
+                    body=spec("slow", constraints=DIVERGENT,
+                              instance="S(a).", max_steps=1_000))
+                for _ in range(40):
+                    status, _, reply = await request(
+                        gw.port, "POST", "/jobs", body=warm)
+                    assert status == 200 and reply["result"]["cached"]
+                assert gw._records[slow["id"]].state != "done"
+                assert len(gw._records) == gw.max_records
+            finally:
+                gate.set()
+            record = gw._records[slow["id"]]
+            await asyncio.wait_for(record.finished.wait(), timeout=60)
+            assert record.result["status"] == "exceeded_budget"
+    asyncio.run(main())
+
+
+# ----------------------------------------------------------------------
+# the session's spec memo behind POST /jobs
+# ----------------------------------------------------------------------
+def test_a_repeated_body_is_replayed_without_parsing(parses):
+    async def main():
+        async with gateway() as gw:
+            body = body_of(spec("h1"))
+            status, _, cold = await request(gw.port, "POST",
+                                            "/jobs?wait=1", body=body)
+            assert status == 200 and not cold["result"]["cached"]
+            # Other bytes of the same spec: parsed, planned, and hit by
+            # their planned fingerprint.
+            status, _, parsed = await request(
+                gw.port, "POST", "/jobs",
+                body=body_of(spec("h1"), separators=(",", ":")))
+            assert status == 200 and parsed["result"]["cached"]
+            assert len(parses) == 2
+            status, _, replayed = await request(gw.port, "POST", "/jobs",
+                                                body=body)
+            assert status == 200
+            assert len(parses) == 2
+            assert replayed.pop("id") != parsed.pop("id")
+            assert replayed == parsed
+            _, _, stats = await request(gw.port, "GET", "/stats")
+            assert stats["cache"]["specs"]["hits"] == 1
+    asyncio.run(main())
+
+
+def test_an_evicted_result_is_parsed_and_run_again(parses):
+    async def main():
+        async with gateway(cache_size=2) as gw:
+            body = body_of(spec("ev1"))
+            _, _, first = await request(gw.port, "POST", "/jobs?wait=1",
+                                        body=body)
+            # Requests without bytes are not memoized: these two push
+            # ev1's result, and only its result, out of the cache.
+            gw.session.handle(spec("ev2", instance="S(c)."))
+            gw.session.handle(spec("ev3", instance="S(d)."))
+            assert first["fingerprint"] not in gw.session.scheduler.cache.results
+            del parses[:]
+            status, _, again = await request(gw.port, "POST",
+                                             "/jobs?wait=1", body=body)
+            assert status == 200 and len(parses) == 1
+            assert not again["result"]["cached"]
+            for reply in (first, again):
+                del reply["id"], reply["result"]["elapsed"]
+            assert again == first
+    asyncio.run(main())
+
+
+def test_rejected_bodies_are_never_memoized(parses):
+    async def main():
+        async with gateway() as gw:
+            bodies = [b"{nope", b"\xff\xfe", b"[1, 2]",
+                      body_of({"kind": "chase"}), body_of({"kind": "stats"}),
+                      body_of(spec("bad", constraints="a1: S(x) ->"))]
+            for _ in range(2):
+                for body in bodies:
+                    status, _, reply = await request(gw.port, "POST",
+                                                     "/jobs", body=body)
+                    assert status == 400 and reply["status"] == "error"
+            assert len(gw.session.scheduler.cache.specs) == 0
+            assert len(parses) == 2 * 2
+    asyncio.run(main())
+
+
+def test_result_size_zero_never_replays(parses):
+    async def main():
+        async with gateway(cache_size=0) as gw:
+            body = body_of(spec("z1"))
+            for _ in range(2):
+                status, _, reply = await request(gw.port, "POST",
+                                                 "/jobs?wait=1", body=body)
+                assert status == 200 and not reply["result"]["cached"]
+            assert len(parses) == 2
+    asyncio.run(main())
+
+
+def test_bodies_differing_only_in_name_keep_their_names():
+    async def main():
+        async with gateway() as gw:
+            await request(gw.port, "POST", "/jobs?wait=1", body=spec("x"))
+            for name in ("y", "x", "y"):
+                _, _, reply = await request(gw.port, "POST", "/jobs",
+                                            body=spec(name))
+                assert reply["result"]["cached"]
+                assert reply["job"] == reply["result"]["job"] == name
+    asyncio.run(main())
+
+
+def test_a_draining_gateway_refuses_a_known_body():
+    async def main():
+        async with gateway() as gw:
+            await request(gw.port, "POST", "/jobs?wait=1", body=spec("d1"))
+            gw.draining = True
+            status, _, reply = await request(gw.port, "POST", "/jobs",
+                                             body=spec("d1"))
+            assert status == 503 and reply["error"] == "draining"
     asyncio.run(main())

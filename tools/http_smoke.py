@@ -5,18 +5,22 @@ Starts a real gateway subprocess on an ephemeral port, fires a
 16-request mixed burst at it from concurrent threads through the
 stdlib ``urllib`` client -- unique chase submits, query jobs,
 cache-hitting repeats, a stats probe and deliberately malformed specs
--- then validates the ``/stats`` reply against the schema downstream
-consumers rely on (check_trace-style field checks) and drains the
-gateway through ``POST /shutdown``.
+-- then sends one body twice in sequence, validates the ``/stats``
+reply against the schema downstream consumers rely on (check_trace-
+style field checks) and drains the gateway through ``POST /shutdown``.
 
 Checks enforced:
 
 * every burst request gets the expected status (200 for jobs and
   probes, 400 + structured error body for the malformed ones);
 * served results are byte-identical across cache hits and repeats;
+* a body sent again is answered from the cache, replayed from the
+  session's spec memo: the reply says ``cached: true`` and the
+  ``specs`` compartment counts one more hit;
 * ``/stats`` is a JSON object with ``kind == "stats"``, a ``metrics``
   object holding ``counters``/``gauges``/``histograms`` keyed by
-  dotted metric names, a ``cache`` object, and a ``gateway`` object
+  dotted metric names, a ``cache`` object with the ``results``,
+  ``reports`` and ``specs`` compartments, and a ``gateway`` object
   with the queue/backpressure fields;
 * ``/stats`` content-negotiates Prometheus text exposition;
 * graceful shutdown: the drain endpoint answers 202 and the server
@@ -42,6 +46,9 @@ BURST = 16
 TERMINATING = "a1: S(x) -> E(x, y)"
 
 STATS_METRIC_SECTIONS = ("counters", "gauges", "histograms")
+CACHE_COMPARTMENTS = ("results", "reports", "specs")
+CACHE_FIELDS = frozenset(("size", "maxsize", "hits", "misses",
+                          "evictions"))
 GATEWAY_FIELDS = frozenset(("queue_depth", "queue_bound", "open_jobs",
                             "records", "draining", "workers_alive"))
 
@@ -100,12 +107,42 @@ def burst_worker(base, index, outcomes, errors):
         errors.append(f"request {index}: {type(exc).__name__}: {exc}")
 
 
-def check_stats(base, errors):
+def stats_reply(base):
     status, _, body = http(base, "GET", "/stats")
+    return status, json.loads(body) if status == 200 else None
+
+
+def check_replay(base, errors):
+    """One body twice in sequence: the repeat is replayed from the
+    spec memo as a cache reply."""
+    payload = {"name": "smoke-replay", "constraints": TERMINATING,
+               "instance": "S(replay)."}
+    first = http(base, "POST", "/jobs?wait=1", payload)
+    _, before = stats_reply(base)
+    second = http(base, "POST", "/jobs?wait=1", payload)
+    _, after = stats_reply(base)
+    for label, (status, _, body) in (("first", first), ("second", second)):
+        if status != 200:
+            errors.append(f"replay: {label} send got status {status}")
+            return
+    if json.loads(second[2])["result"].get("cached") is not True:
+        errors.append("replay: the repeated body was not answered "
+                      "from the cache")
+    try:
+        hits = [reply["cache"]["specs"]["hits"] for reply in (before, after)]
+    except (KeyError, TypeError):
+        errors.append("replay: /stats shows no cache.specs hits")
+        return
+    if hits[1] != hits[0] + 1:
+        errors.append(f"replay: cache.specs hits went {hits[0]} -> "
+                      f"{hits[1]}, expected one more")
+
+
+def check_stats(base, errors):
+    status, stats = stats_reply(base)
     if status != 200:
         errors.append(f"/stats: status {status}")
         return
-    stats = json.loads(body)
     if stats.get("kind") != "stats":
         errors.append(f"/stats: kind {stats.get('kind')!r}")
     metrics = stats.get("metrics")
@@ -125,8 +162,18 @@ def check_stats(base, errors):
         if "http.requests" not in counters:
             errors.append("/stats: counter 'http.requests' missing "
                           "(gateway not instrumented?)")
-    if not isinstance(stats.get("cache"), dict):
+    cache = stats.get("cache")
+    if not isinstance(cache, dict):
         errors.append("/stats: 'cache' must be an object")
+    else:
+        for compartment in CACHE_COMPARTMENTS:
+            table = cache.get(compartment)
+            if not isinstance(table, dict):
+                errors.append(f"/stats: cache[{compartment!r}] must be "
+                              "an object")
+            elif CACHE_FIELDS - set(table):
+                errors.append(f"/stats: cache[{compartment!r}] misses "
+                              f"{sorted(CACHE_FIELDS - set(table))}")
     gw = stats.get("gateway")
     if not isinstance(gw, dict):
         errors.append("/stats: 'gateway' must be an object")
@@ -183,6 +230,7 @@ def main(argv=None):
             errors.append("shared-spec results diverged across the "
                           "burst")
 
+        check_replay(base, errors)
         check_stats(base, errors)
 
         status, _, _ = http(base, "POST", "/shutdown")
@@ -201,7 +249,7 @@ def main(argv=None):
     if errors:
         return 1
     print(f"http_smoke: OK ({args.requests}-request burst, "
-          f"stats schema valid, graceful drain)")
+          f"memo replay, stats schema valid, graceful drain)")
     return 0
 
 
