@@ -126,11 +126,12 @@ def resolve_strategy(spec: Optional[str],
 
     ``ordered`` / ``round_robin`` / ``random[:seed]`` / ``stratified``
     map to the corresponding :mod:`repro.chase.strategies` classes.
-    ``auto`` (or None) consults the memoized termination report: for
-    sets where every order terminates the default round-robin is kept
-    (returns None); for merely stratified sets Theorem 2's stratum
-    order is required and returned; otherwise no strategy can help and
-    the default is kept (budgets must bound the run).
+    ``auto`` (or None) consults the memoized termination report: a
+    stratified set that weak acyclicity, safety, c-stratification and
+    inductive restriction do not certify gets Theorem 2's stratum
+    order; every other set keeps the default round-robin (returns
+    None), which terminates when one of those classes or a T[k] level
+    holds and otherwise must be bounded by budgets.
     """
     if spec is None or spec == "auto":
         from repro.termination.report import analyze

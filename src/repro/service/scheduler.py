@@ -6,9 +6,13 @@ operational policy.  For every job it consults the (cached)
 constraint set and derives:
 
 * a **strategy** -- jobs with ``strategy="auto"`` keep the default
-  order when every chase sequence is bounded (Theorems 3/5/6/7), get
-  Theorem 2's stratum order when the set is merely stratified, and
-  otherwise stay on the default but **must** be budget-capped;
+  order when weak acyclicity, safety, c-stratification or inductive
+  restriction bounds every chase sequence (Theorems 3/5/6), get
+  Theorem 2's stratum order when the set is merely stratified (in
+  none of those four classes, whatever its T[k] level), and otherwise
+  stay on the default, which terminates if the T[3..k] probe places
+  the set in the T-hierarchy (Theorem 7) and else **must** be
+  budget-capped;
 * a **priority class** -- jobs whose constraint sets guarantee
   termination are scheduled ahead of unknown ones, so a batch's
   guaranteed work is never starved behind divergence suspects burning
@@ -119,9 +123,12 @@ class BatchScheduler:
         :class:`Plan`).
 
         Reads only the verdicts :func:`~repro.termination.report
-        .analyze` decides up front -- whether some Figure 1 condition
-        bounds every sequence, and else whether the set is stratified
-        -- unless the job itself asks for the stratified strategy.
+        .analyze` decides up front -- whether one of the four classes
+        checked before stratification bounds every sequence, else
+        whether the set is stratified, else whether the T[3..k] probe
+        bounds every sequence -- unless the job pins its own strategy:
+        a stratum order request reads stratification, another order on
+        a stratified set reads the probe.
         """
         report = self.cache.report_for(job.sigma, max_k=job.max_k)
         if job.strategy == "auto":
@@ -139,9 +146,10 @@ class BatchScheduler:
             raise ValueError(f"job {job.name!r} requests the stratified "
                              "strategy but its constraint set is not "
                              "stratified")
-        guaranteed = bool(report.guarantees_all_sequences
-                          or (report.stratified
-                              and job.strategy == "stratified"))
+        # The stratum order of a stratified set terminates (Theorem 2):
+        # such a plan needs no T[3..k] probe.
+        guaranteed = (job.strategy == "stratified"
+                      or report.guarantees_all_sequences)
         if not guaranteed and self.unknown_step_cap is not None \
                 and job.max_steps > self.unknown_step_cap:
             job = job.with_updates(max_steps=self.unknown_step_cap)

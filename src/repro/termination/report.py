@@ -2,18 +2,22 @@
 termination condition of Figure 1, plus a recommended chase policy.
 
 Reports are lazy.  :func:`analyze` answers the planner's one question
--- does some Figure 1 condition guarantee a terminating sequence? --
-by checking the conditions cheapest first, in the order Figure 1's
-inclusions allow (weak acyclicity, safety, c-stratification, inductive
-restriction, the T[k] probe), and stops at the first that holds;
-stratification is checked only when none does.  This is Section 3.7's
-argument for Figure 8's safety fast path applied to the whole
+-- which chase order, if any, is guaranteed to terminate? -- by
+checking the conditions cheapest first and stopping at the first that
+holds.  Weak acyclicity, safety, c-stratification and inductive
+restriction (= T[2]) each bound every chase sequence, so the default
+order is kept.  Next comes stratification, whose stratum order
+terminates (Theorem 2).  Only a set that is neither runs the T[3..k]
+probe, a precedence search for every chain of k constraints (Section
+3.7): a stratified set already has a terminating order, and the
+probe's answer could not make its plan any safer.  This is Section
+3.7's argument for Figure 8's safety fast path applied to the whole
 hierarchy: a weakly acyclic set is settled in milliseconds, without a
 single precedence search.  Every other verdict is computed on its
 first read and kept, so :meth:`~TerminationReport.render` and
-:meth:`~TerminationReport.as_row` still report all of them; so is
+:meth:`~TerminationReport.as_row` still report all of them; so are
 Theorem 2's stratum order, which planning reads for every set that is
-only stratified.
+only stratified, and the report's fingerprint.
 
 Reports are value objects: two reports over equal constraint sets
 (same constraints, same probe depth) compare and hash equal, and every
@@ -65,9 +69,9 @@ def constraint_set_fingerprint(sigma: Iterable[Constraint]) -> str:
 
 
 class _Verdict:
-    """One value of a :class:`TerminationReport` -- a Figure 1 verdict
-    or the stratum order -- decided by the decorated check on first
-    read and kept on the report.
+    """One value of a :class:`TerminationReport` -- a Figure 1 verdict,
+    the stratum order or the fingerprint -- decided by the decorated
+    check on first read and kept on the report.
 
     A plain descriptor, not ``functools.cached_property``: on Python
     3.10 and 3.11 each cached property holds one lock shared by every
@@ -152,12 +156,24 @@ class TerminationReport:
         topological order."""
         return tuple(map(tuple, chase_strata(self.sigma, self.oracle)))
 
+    @_Verdict
+    def _fingerprint(self) -> str:
+        return (f"{constraint_set_fingerprint(self.sigma)}"
+                f":k{self.max_k_probed}")
+
     def fingerprint(self) -> str:
         """Content fingerprint of the analyzed constraint set plus the
         probe depth (deeper probes can refine the T-hierarchy verdict,
-        so reports at different ``max_k`` must not collide)."""
-        return (f"{constraint_set_fingerprint(self.sigma)}"
-                f":k{self.max_k_probed}")
+        so reports at different ``max_k`` must not collide).  Computed
+        once per report."""
+        return self._fingerprint
+
+    @property
+    def _certified(self) -> bool:
+        """Does one of the four classes checked before stratification
+        (WA, safe, c-stratified, IR = T[2]) bound every sequence?"""
+        return (self.weakly_acyclic or self.safe or self.c_stratified
+                or self.inductively_restricted)
 
     @property
     def guarantees_all_sequences(self) -> bool:
@@ -166,30 +182,31 @@ class TerminationReport:
         Stratification alone does not (Example 4); every other class in
         Figure 1 does (Theorems 3, 5, 6, 7).
         """
-        return (self.weakly_acyclic or self.safe or self.c_stratified
-                or self.inductively_restricted
-                or self.t_hierarchy_level is not None)
+        return self._certified or self.t_hierarchy_level is not None
 
     @property
     def guarantees_some_sequence(self) -> bool:
         """Does some condition guarantee at least one terminating
-        sequence (Theorem 1)?"""
-        return self.guarantees_all_sequences or self.stratified
+        sequence (Theorem 1)?  Stratification is checked before the
+        T[3..k] probe, so a stratified set never runs it here."""
+        return (self._certified or self.stratified
+                or self.t_hierarchy_level is not None)
 
     def recommended_strategy(self):
         """A chase strategy that is guaranteed to terminate, if any.
 
-        For sets that are only stratified, Theorem 2's stratum order is
-        required: a fresh strategy over the report's :attr:`strata` (a
-        strategy keeps its place in the order, so none is shared).  For
-        the stronger classes any order works and we return None (use
-        the default round-robin).
+        Theorem 2's stratum order for a stratified set that none of
+        WA, safety, c-stratification and IR certifies, whatever its
+        T[k] level: a fresh strategy over the report's :attr:`strata`
+        (a strategy keeps its place in the order, so none is shared).
+        Otherwise None, the default round-robin: any order works for a
+        certified set, and a set that is not stratified terminates
+        under every order if it is in some T[k] (Theorem 7) and under
+        no known order if not.  Never runs the T[3..k] probe.
         """
-        if self.guarantees_all_sequences:
+        if self._certified or not self.stratified:
             return None
-        if self.stratified:
-            return StratifiedStrategy(self.strata)
-        return None
+        return StratifiedStrategy(self.strata)
 
     def as_row(self) -> dict:
         """The per-condition verdicts as a flat dict (benchmark tables)."""
@@ -220,11 +237,14 @@ def analyze(sigma: Iterable[Constraint], max_k: int = 3,
     """Classify ``sigma`` against the conditions of Figure 1.
 
     Decides :attr:`~TerminationReport.guarantees_some_sequence` before
-    returning, cheapest condition first, and with it what planning
-    reads: whether every sequence is bounded and, if not, whether the
-    set is stratified.  Every verdict it did not need waits for its
-    first read.  ``max_k`` bounds the T-hierarchy probe (each level
-    costs an |Sigma|^k sweep of chain queries).
+    returning, cheapest condition first -- weak acyclicity, safety,
+    c-stratification, inductive restriction, stratification, then the
+    T[3..k] probe -- and with it what planning reads: whether one of
+    the first four classes bounds every sequence, else whether the set
+    is stratified (Theorem 2's stratum order terminates), else whether
+    the probe bounds every sequence.  Every verdict it did not need
+    waits for its first read.  ``max_k`` bounds the T-hierarchy probe
+    (each level costs an |Sigma|^k sweep of chain queries).
 
     Reports are memoized per (constraint tuple, ``max_k``, oracle):
     re-analyzing a constraint set already seen is O(1), and verdicts

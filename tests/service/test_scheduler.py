@@ -11,10 +11,15 @@ siblings.
 import pytest
 
 from repro.lang.instance import Instance
+from repro.lang.parser import parse_constraints, parse_instance
 from repro.service.cache import ServiceCache
 from repro.service.jobs import ChaseJob, execute_job, STATUS_ERROR
-from repro.service.scheduler import BatchScheduler
+from repro.service.scheduler import BatchScheduler, Plan
+from repro.termination import PrecedenceOracle
+from repro.termination.report import (analyze, constraint_set_fingerprint,
+                                      TerminationReport)
 from repro.workloads.batch import mixed_batch_specs
+from repro.workloads.paper import NAMED_SETS
 
 DIVERGENT = "a2: S(x) -> E(x, y), S(y)"
 
@@ -287,10 +292,23 @@ def test_cached_events_are_emitted_on_warm_hits():
         == ["cached"] * 4
 
 
+def plan_with_oracle(job, oracle):
+    """Plan ``job`` on a report analyzed by ``oracle``, so the
+    precedence searches planning spends can be counted."""
+    scheduler = BatchScheduler(workers=1, force_inprocess=True)
+    report = analyze(job.sigma, max_k=job.max_k, oracle=oracle)
+    scheduler.cache.reports.put(
+        (constraint_set_fingerprint(job.sigma), job.max_k), report)
+    plan = scheduler.plan_job(job)
+    assert plan.report is report
+    return plan
+
+
 def test_figure2_is_planned_by_the_t3_probe_alone():
-    """Figure 2 is in T[3] but in no cheaper class: the planner's
-    guarantee comes from the last probe before stratification, and the
-    default order is kept.  (Example 4, only stratified, is pinned by
+    """Figure 2 is in T[3] but in no cheaper class, and it is not
+    stratified: the planner's guarantee comes from the T[3] probe,
+    which runs once stratification has failed, and the default order
+    is kept.  (Example 4, only stratified, is pinned by
     ``test_auto_strategy_is_pinned_from_the_cached_report``.)"""
     from repro.workloads.paper import figure2
     job = ChaseJob(name="fig2", sigma=tuple(figure2()), instance=Instance(),
@@ -301,7 +319,107 @@ def test_figure2_is_planned_by_the_t3_probe_alone():
         == ("round_robin", job.max_steps, True)
     assert report.t_hierarchy_level == 3
     assert not (report.weakly_acyclic or report.safe or report.c_stratified
-                or report.inductively_restricted)
+                or report.inductively_restricted or report.stratified)
+
+
+def test_stratified_set_in_t3_is_planned_with_its_stratum_order():
+    """Fuzz seed 1, case 179: stratified and in T[3], but in none of
+    WA, safe, c-stratified and IR.  Stratification is decided before
+    the T[3] probe, so the plan is Theorem 2's stratum order rather
+    than the default round-robin, which T[3] also guarantees.  Both
+    orders terminate on the case's instance."""
+    job = ChaseJob(
+        name="seed1_case179",
+        sigma=tuple(parse_constraints(
+            "f0: R1(x3, x1, x1) -> R1(x1, x3, y0), R1(y0, x3, x1)\n"
+            "f1: R0(x0, x1) -> R1(x0, x1, x0)")),
+        instance=parse_instance(
+            "R0(?n1, c0). R0(c1, c0). R0(c1, c1). R0(c2, c0). "
+            "R1(?n1, c1, ?n2). R1(?n2, c0, ?n2)."))
+    planned, report, guaranteed = plan_with_oracle(job, PrecedenceOracle())
+    assert (planned.strategy, planned.max_steps, guaranteed) \
+        == ("stratified", job.max_steps, True)
+    assert "t_hierarchy_level" not in report._verdicts
+    assert report.t_hierarchy_level == 3
+    for strategy in ("stratified", "round_robin"):
+        result = execute_job(planned.with_updates(strategy=strategy))
+        assert (result.status, result.steps, len(result.facts)) \
+            == ("terminated", 4, 10)
+
+
+def test_stratified_mapping_with_a_key_egd_plans_without_the_probe():
+    """A stratified data-exchange mapping plus a key EGD on ``PartOf``
+    (perfbench's stratified mapping and the EGD it leaves out).  None
+    of WA, safe, c-stratified and IR holds, so planning stops at
+    stratification.  The T[2..3] probe would spend 442,063 search
+    nodes on this set, and the node budget would cut 14 searches
+    short."""
+    job = ChaseJob(name="stratified_key_egd", sigma=tuple(parse_constraints(
+        "t1: inproc(k, t, y, c) -> Pub(k, t, y), PartOf(k, c)\n"
+        "t2: crossref(c, b, y) -> Vol(c)\n"
+        "t3: author(k, i, n) -> Wrote(k, i, n)\n"
+        "t4: article(k, t, y, j) -> Pub(k, t, y), InJournal(k, j)\n"
+        "a1: Vol(x1) -> Ed(x1, x1)\n"
+        "a2: Ed(x1, x2) -> Ref(x2, z)\n"
+        "a3: Ed(x1, x2) -> Ref(x1, x2), Ref(x2, x1)\n"
+        "a4: Ref(x1, x2), Ref(x1, x3), Ref(x3, x1) -> Vol(x2)\n"
+        "e0: PartOf(k, c1), PartOf(k, c2) -> c1 = c2")),
+        instance=Instance())
+    oracle = PrecedenceOracle()
+    planned, report, guaranteed = plan_with_oracle(job, oracle)
+    assert (planned.strategy, guaranteed) == ("stratified", True)
+    assert "t_hierarchy_level" not in report._verdicts
+    assert oracle.exhausted == 0
+    assert oracle.nodes == 28_721
+
+
+#: The plan (strategy, guaranteed, step cap) of an empty-instance job
+#: with a 100,000-step budget on each paper set: unknown sets are
+#: capped at the scheduler's 10,000 steps.
+NAMED_PLANS = {
+    "example10": ("round_robin", True, 100_000),
+    "example13": ("round_robin", True, 100_000),
+    "example17": ("round_robin", False, 10_000),
+    "example19": ("round_robin", True, 100_000),
+    "example2_gamma": ("round_robin", True, 100_000),
+    "example4": ("stratified", True, 100_000),
+    "example8_beta": ("round_robin", True, 100_000),
+    "figure2": ("round_robin", True, 100_000),
+    "figure9": ("round_robin", False, 10_000),
+    "intro_alpha1": ("round_robin", True, 100_000),
+    "intro_alpha2": ("round_robin", False, 10_000),
+    "intro_alpha3": ("round_robin", True, 100_000),
+    "intro_betas": ("round_robin", True, 100_000),
+    "intro_betas_ext": ("round_robin", True, 100_000),
+    "sigma_double_prime": ("round_robin", True, 100_000),
+    "thm4_safe_not_strat": ("round_robin", True, 100_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SETS))
+def test_every_paper_set_keeps_its_plan(name):
+    job = ChaseJob(name=name, sigma=tuple(NAMED_SETS[name][0]()),
+                   instance=Instance(), max_steps=100_000)
+    planned, _, guaranteed = BatchScheduler(
+        workers=1, force_inprocess=True).plan_job(job)
+    assert (planned.strategy, guaranteed, planned.max_steps) \
+        == NAMED_PLANS[name]
+
+
+def test_queued_detail_renders_the_constraint_set_once(monkeypatch):
+    """A report's fingerprint is computed on first use and kept: the
+    spec memo entry and the ``queued`` event both read it."""
+    from repro.lang import parser
+    job = ChaseJob(name="chain", sigma=tuple(parse_constraints(
+        "c: R(x, y) -> T(x, y)\nd: T(x, y) -> U(y)")), instance=Instance())
+    plan = Plan(job, TerminationReport(job.sigma, job.max_k), True)
+    rendered = []
+    render = parser._render_constraint_body
+    monkeypatch.setattr(parser, "_render_constraint_body",
+                        lambda c: rendered.append(c) or render(c))
+    first, second = plan.queued_detail(), plan.queued_detail()
+    assert first == second
+    assert len(rendered) == len(job.sigma)
 
 
 def test_a_plan_runs_as_given_with_the_same_events():

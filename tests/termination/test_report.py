@@ -122,6 +122,9 @@ class TestLazyReport:
         assert report.guarantees_some_sequence
         assert "stratified" in report._verdicts
         assert "safely_restricted" not in report._verdicts
+        # Stratification is decided before the T[3..k] probe, which a
+        # stratified set does not need.
+        assert "t_hierarchy_level" not in report._verdicts
 
     def test_adversarial_set_is_planned_within_the_node_budget(self):
         """Fuzz seed 0, case 47: two constraints whose analysis ran for
@@ -167,10 +170,13 @@ class TestLazyReport:
         assert report.guarantees_some_sequence \
             == (every or direct["stratified"])
         strategy = report.recommended_strategy()
-        if every or not direct["stratified"]:
-            assert strategy is None
-        else:
+        certified = (direct["weakly_acyclic"] or direct["safe"]
+                     or direct["c_stratified"]
+                     or direct["inductively_restricted"])
+        if direct["stratified"] and not certified:
             assert isinstance(strategy, StratifiedStrategy)
+        else:
+            assert strategy is None
         assert {condition: getattr(report, condition)
                 for condition in CONDITIONS} == direct
         assert report.t_hierarchy_level == level
