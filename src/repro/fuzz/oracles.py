@@ -464,6 +464,12 @@ def oracle_certain_answers(case: FuzzCase,
     return out
 
 
+def _encoded(result) -> tuple:
+    """A job result's status and encoded facts and answers: the texts,
+    compared byte for byte."""
+    return result.status, result.facts_json, result.answers_json
+
+
 def oracle_service_parity(case: FuzzCase,
                           ctx: OracleContext) -> List[Violation]:
     """The service path replays in-process execution byte-for-byte.
@@ -488,8 +494,7 @@ def oracle_service_parity(case: FuzzCase,
         direct = execute_any(job)
         cold = scheduler.run_one(job)
         warm = scheduler.run_one(job)
-        if (cold.status, cold.facts, cold.answers) \
-                != (direct.status, direct.facts, direct.answers):
+        if _encoded(cold) != _encoded(direct):
             out.append(Violation(
                 "service_parity", case.label(),
                 f"{job.kind} job: scheduler result diverges from "
@@ -501,16 +506,14 @@ def oracle_service_parity(case: FuzzCase,
                     "service_parity", case.label(),
                     f"{job.kind} job: deterministic outcome "
                     f"{direct.status} was not served from cache"))
-            elif (warm.status, warm.facts, warm.answers) \
-                    != (cold.status, cold.facts, cold.answers):
+            elif _encoded(warm) != _encoded(cold):
                 out.append(Violation(
                     "service_parity", case.label(),
                     f"{job.kind} job: warm cache hit diverges from the "
                     "cold run"))
         if ctx.pool_case(case):
             pooled = ctx.pool_scheduler().run_one(job)
-            if (pooled.status, pooled.facts, pooled.answers) \
-                    != (direct.status, direct.facts, direct.answers):
+            if _encoded(pooled) != _encoded(direct):
                 out.append(Violation(
                     "service_parity", case.label(),
                     f"{job.kind} job: 2-worker pool result diverges "

@@ -12,6 +12,12 @@ keeps the disabled path truly free:
 * the methods themselves do *not* re-check ``enabled``, so tests can
   drive a private :class:`Registry` directly.
 
+Writes, snapshots and merges hold one per-registry lock: the HTTP
+gateway's event-loop and executor threads record into :data:`OBS`
+concurrently, and an unguarded read-modify-write loses updates.  The
+lock is taken only inside the methods, so the disabled path never
+touches it, and a forked worker's :data:`OBS` gets a fresh one.
+
 Metric names are flat dotted strings (``chase.steps``,
 ``plan.order_cache.hits``); there are no labels.  Counters are
 monotonic ints, gauges are last-write-wins floats, histograms keep
@@ -32,6 +38,7 @@ the ``--metrics`` CLI flags enable it per invocation.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Dict, List, Optional
 
 #: Environment switch; anything except 0/false/off/no/empty enables.
@@ -52,7 +59,7 @@ class Registry:
     site (see module docstring); flipping it never clears the data.
     """
 
-    __slots__ = ("enabled", "counters", "gauges", "_hist")
+    __slots__ = ("enabled", "counters", "gauges", "_hist", "_lock")
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
@@ -60,40 +67,45 @@ class Registry:
         self.gauges: Dict[str, float] = {}
         # name -> [count, sum, min, max]
         self._hist: Dict[str, List[float]] = {}
+        self._lock = threading.Lock()
 
     # -- recording ------------------------------------------------------
     def inc(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to the counter ``name`` (created at 0)."""
-        self.counters[name] = self.counters.get(name, 0) + amount
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + amount
 
     def gauge(self, name: str, value: float) -> None:
         """Set the gauge ``name`` (last write wins)."""
-        self.gauges[name] = value
+        with self._lock:
+            self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample into the histogram ``name``."""
-        entry = self._hist.get(name)
-        if entry is None:
-            self._hist[name] = [1, value, value, value]
-            return
-        entry[0] += 1
-        entry[1] += value
-        if value < entry[2]:
-            entry[2] = value
-        if value > entry[3]:
-            entry[3] = value
+        with self._lock:
+            entry = self._hist.get(name)
+            if entry is None:
+                self._hist[name] = [1, value, value, value]
+                return
+            entry[0] += 1
+            entry[1] += value
+            if value < entry[2]:
+                entry[2] = value
+            if value > entry[3]:
+                entry[3] = value
 
     # -- snapshots ------------------------------------------------------
     def snapshot(self) -> dict:
         """A JSON-able copy of everything recorded so far."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                name: {"count": entry[0], "sum": entry[1],
-                       "min": entry[2], "max": entry[3]}
-                for name, entry in self._hist.items()},
-        }
+        with self._lock:
+            return {
+                "counters": dict(self.counters),
+                "gauges": dict(self.gauges),
+                "histograms": {
+                    name: {"count": entry[0], "sum": entry[1],
+                           "min": entry[2], "max": entry[3]}
+                    for name, entry in self._hist.items()},
+            }
 
     def merge_snapshot(self, snap: Optional[dict]) -> None:
         """Fold another registry's snapshot into this one.
@@ -106,28 +118,30 @@ class Registry:
         """
         if not snap:
             return
-        for name, amount in snap.get("counters", {}).items():
-            self.counters[name] = self.counters.get(name, 0) + amount
-        for name, value in snap.get("gauges", {}).items():
-            self.gauges[name] = value
-        for name, incoming in snap.get("histograms", {}).items():
-            entry = self._hist.get(name)
-            if entry is None:
-                self._hist[name] = [incoming["count"], incoming["sum"],
-                                    incoming["min"], incoming["max"]]
-                continue
-            entry[0] += incoming["count"]
-            entry[1] += incoming["sum"]
-            if incoming["min"] < entry[2]:
-                entry[2] = incoming["min"]
-            if incoming["max"] > entry[3]:
-                entry[3] = incoming["max"]
+        with self._lock:
+            for name, amount in snap.get("counters", {}).items():
+                self.counters[name] = self.counters.get(name, 0) + amount
+            for name, value in snap.get("gauges", {}).items():
+                self.gauges[name] = value
+            for name, incoming in snap.get("histograms", {}).items():
+                entry = self._hist.get(name)
+                if entry is None:
+                    self._hist[name] = [incoming["count"], incoming["sum"],
+                                        incoming["min"], incoming["max"]]
+                    continue
+                entry[0] += incoming["count"]
+                entry[1] += incoming["sum"]
+                if incoming["min"] < entry[2]:
+                    entry[2] = incoming["min"]
+                if incoming["max"] > entry[3]:
+                    entry[3] = incoming["max"]
 
     def clear(self) -> None:
         """Drop all recorded data (``enabled`` is untouched)."""
-        self.counters.clear()
-        self.gauges.clear()
-        self._hist.clear()
+        with self._lock:
+            self.counters.clear()
+            self.gauges.clear()
+            self._hist.clear()
 
     def empty(self) -> bool:
         """Has nothing ever been recorded?  (The no-op fast-path
@@ -142,6 +156,15 @@ class Registry:
 
 #: The process-wide registry every instrumented call site consults.
 OBS = Registry(enabled=_env_enabled())
+
+
+def _fresh_lock_after_fork() -> None:
+    """A lock another parent thread held at the fork would stay held
+    in the child forever; the child's registry gets a released one."""
+    OBS._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_after_fork)
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,13 @@ result, not a dropped connection -- and is sound with respect to the
 cache because the wall-clock budget is deliberately excluded from job
 fingerprints (see :mod:`repro.service.jobs`).
 
+Replies: a job reply carries the result's facts or answers, which the
+session keeps as the JSON text the job encoded
+(:class:`~repro.service.jobs.JobResult`).  The NDJSON loop replies
+with a dict, so :meth:`ServiceSession.handle_line` decodes that text;
+the HTTP gateway splices it into its bodies undecoded
+(:meth:`ServiceSession.cached_result`, ``JobResult.to_json``).
+
 Warm replies: the session owns the cache fast path of both transports.
 It memoizes every job request it plans in the cache's ``specs``
 compartment, keyed on the SHA-256 of the request's exact bytes (the
@@ -309,13 +316,14 @@ class ServiceSession:
             return job.with_updates(wall_clock=budget)
         return job
 
-    def cached_result(self, fingerprint: str) -> Optional[dict]:
-        """A cached result payload by raw fingerprint (the HTTP
-        ``GET /results/<fingerprint>`` endpoint); None on a miss."""
+    def cached_result(self, fingerprint: str) -> Optional[str]:
+        """The JSON text of a cached result by raw fingerprint (the
+        HTTP ``GET /results/<fingerprint>`` endpoint, which sends it as
+        is); None on a miss."""
         hit = self.scheduler.cache.results.get(fingerprint)
         if hit is None:
             return None
-        return replace(hit, cached=True).to_dict()
+        return replace(hit, cached=True).to_json()
 
     def stats_payload(self) -> dict:
         """The introspection reply: live merged registry + cache."""

@@ -63,7 +63,15 @@ Operational guarantees
   complete, then releases the worker processes.
 * **Observability**: request/status counters, queue-depth gauge and
   per-request latency histograms under ``http.*`` (visible on
-  ``/stats`` like every other subsystem).
+  ``/stats`` like every other subsystem); ``/stats`` also reports the
+  job history's stored result text as ``gateway.records_bytes``.
+
+Results are encoded once.  A finished job record holds its result as
+the JSON text of ``JobResult.to_json``, which splices the facts or
+answers text the job encoded; every reply that carries a result puts
+that text into its body (:func:`repro.service.serialize.dumps`), so
+no reply decodes or re-encodes facts, and each body is still byte for
+byte ``json.dumps(payload, sort_keys=True)``.
 
 Execution model: the asyncio loop never blocks on a chase.  A single
 runner task drains the pending queue in micro-batches of up to the
@@ -95,6 +103,7 @@ from repro.service.dispatch import (error_payload, RequestError,
                                     ServiceSession)
 from repro.service.jobs import JobResult, STATUS_ERROR
 from repro.service.scheduler import Plan
+from repro.service.serialize import dumps, raw
 
 __all__ = ["HttpGateway", "HttpError", "serve_http"]
 
@@ -159,7 +168,9 @@ class _JobRecord:
     #: cache replies, so the history keeps no parsed jobs alive.
     plan: Optional[Plan] = None
     state: str = "queued"            # queued | running | done
-    result: Optional[dict] = None
+    #: The finished result's JSON text (``JobResult.to_json``), made
+    #: once and spliced into every reply that carries it.
+    result: Optional[str] = None
     events: List[dict] = field(default_factory=list)
     wakeup: asyncio.Event = field(default_factory=asyncio.Event)
     finished: asyncio.Event = field(default_factory=asyncio.Event)
@@ -168,7 +179,7 @@ class _JobRecord:
     def poll_payload(self) -> dict:
         return {"id": self.id, "job": self.name, "kind": self.kind,
                 "fingerprint": self.fingerprint, "status": self.state,
-                "events": len(self.events), "result": self.result}
+                "events": len(self.events), "result": raw(self.result)}
 
 
 def _truthy(values: Optional[list]) -> bool:
@@ -328,7 +339,7 @@ class HttpGateway:
                     failure_reason=f"{type(exc).__name__}: {exc}")
                     for record in batch]
             for record, result in zip(batch, results):
-                self._finish(record, result.to_dict())
+                self._finish(record, result.to_json())
 
     def _execute(self, plans):
         """Executor-thread entry: one scheduler batch of the plans made
@@ -350,7 +361,7 @@ class HttpGateway:
                 record.events.append(payload)
                 record.wakeup.set()
 
-    def _finish(self, record: _JobRecord, result: dict) -> None:
+    def _finish(self, record: _JobRecord, result: str) -> None:
         record.result = result
         record.state = "done"
         record.plan = None
@@ -625,7 +636,7 @@ class HttpGateway:
     async def _respond_json(self, writer, status: int, payload: dict,
                             started: float,
                             extra: Optional[dict] = None) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        body = (dumps(payload) + "\n").encode("utf-8")
         await self._respond_raw(writer, status, body, "application/json",
                                 started, extra)
 
@@ -681,7 +692,7 @@ class HttpGateway:
         if admission.result is not None:
             record = _JobRecord(id=self._new_id(), name=name, kind=kind,
                                 fingerprint=fingerprint, state="done",
-                                result=admission.result.to_dict())
+                                result=admission.result.to_json())
             record.wakeup.set()
             record.finished.set()
             self._remember(record)
@@ -754,7 +765,7 @@ class HttpGateway:
         await self._write_chunk(writer, {"kind": "result",
                                          "job": record.name,
                                          "id": record.id,
-                                         "result": record.result})
+                                         "result": raw(record.result)})
         writer.write(b"0\r\n\r\n")
         await writer.drain()
         self._account(200, started)
@@ -762,18 +773,19 @@ class HttpGateway:
 
     @staticmethod
     async def _write_chunk(writer, payload: dict) -> None:
-        data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        data = (dumps(payload) + "\n").encode("utf-8")
         writer.write(f"{len(data):x}\r\n".encode("latin-1")
                      + data + b"\r\n")
         await writer.drain()
 
     async def _get_result(self, request: _Request, writer,
                           started: float, fingerprint: str) -> bool:
-        payload = self.session.cached_result(fingerprint)
-        if payload is None:
+        text = self.session.cached_result(fingerprint)
+        if text is None:
             raise HttpError(404, f"no cached result for fingerprint "
                             f"{fingerprint[:12]}...", code="not_found")
-        await self._respond_json(writer, 200, payload, started)
+        await self._respond_raw(writer, 200, (text + "\n").encode("utf-8"),
+                                "application/json", started)
         return False
 
     async def _get_stats(self, request: _Request, writer,
@@ -796,6 +808,9 @@ class HttpGateway:
             "queue_bound": self.queue_bound,
             "open_jobs": self._open_jobs,
             "records": len(self._records),
+            "records_bytes": sum(len(record.result)
+                                 for record in self._records.values()
+                                 if record.result is not None),
             "draining": self.draining,
             "workers_alive": self.session.scheduler.pool.alive_workers,
         }

@@ -51,9 +51,9 @@ from repro.lang.parser import (_render_constraint_body, parse_atoms,
                                render_constraints, render_query)
 from repro.lang.terms import NullFactory
 from repro.obs import trace as _trace
-from repro.service.serialize import (atom_sort_key, decode_atom,
+from repro.service.serialize import (canonical_facts, decode_atom, dumps,
                                      encode_facts, encode_instance,
-                                     encode_term, WireError)
+                                     encode_term, raw, WireError)
 from repro.storage.interning import TermTable
 
 #: Non-chase job outcomes (the pool synthesizes these).
@@ -110,7 +110,7 @@ def instance_fingerprint(instance: Instance) -> str:
     """
     table = TermTable()
     rows: List[list] = []
-    for fact in sorted(instance, key=atom_sort_key):
+    for fact in canonical_facts(instance):
         rows.append([fact.relation,
                      [table.intern(term) for term in fact.args]])
     terms = [encode_term(table.term(tid)) for tid in range(len(table))]
@@ -419,23 +419,31 @@ job_from_dict = ChaseJob.from_dict
 job_from_path = ChaseJob.from_path
 
 
+def _decoded(text: Optional[str]) -> Optional[list]:
+    return None if text is None else json.loads(text)
+
+
 @dataclass
 class JobResult:
     """The outcome of one job, in wire-safe form.
 
     ``status`` is a :class:`ChaseStatus` value, ``"killed"`` (the pool
     enforced a hard timeout or a cancellation) or ``"error"`` (the job
-    raised).  ``facts`` is the canonical encoding of the final
-    instance (None for killed/error jobs).
+    raised).  ``facts_json`` is the JSON text of the final instance's
+    facts in canonical order (:func:`~repro.service.serialize
+    .encode_facts`; None for killed/error jobs).  The text is the one
+    stored form: the pool pipe, the result cache and the HTTP gateway
+    keep and ship it as is, and :attr:`facts` decodes it on read.
 
     Query jobs (a :class:`ChaseJob` with a ``query``) share this
-    result type: they carry their certain answers in ``answers``
-    (sorted encoded term rows; None on chase jobs and on killed/error
-    query jobs), the evaluated -- possibly semantically optimized --
-    query text in ``query``, and ``truncated=True`` when the exact
-    chase blew a budget and the answers come from the depth-bounded
-    prefix.  ``facts`` stays None for query jobs: the answer relation,
-    not the chased instance, is their deliverable.
+    result type: they carry their certain answers in ``answers_json``
+    (the text of the sorted encoded term rows; None on chase jobs and
+    on killed/error query jobs), the evaluated -- possibly
+    semantically optimized -- query text in ``query``, and
+    ``truncated=True`` when the exact chase blew a budget and the
+    answers come from the depth-bounded prefix.  ``facts_json`` stays
+    None for query jobs: the answer relation, not the chased instance,
+    is their deliverable.
     """
 
     job: str
@@ -443,12 +451,12 @@ class JobResult:
     status: str
     steps: int = 0
     new_nulls: int = 0
-    facts: Optional[List[list]] = None
+    facts_json: Optional[str] = None
     failure_reason: Optional[str] = None
     elapsed: float = 0.0
     cached: bool = False
     worker: str = "inproc"
-    answers: Optional[List[list]] = None
+    answers_json: Optional[str] = None
     query: Optional[str] = None
     truncated: bool = False
     #: Per-job observability snapshot recorded by a *worker process*
@@ -474,32 +482,63 @@ class JobResult:
         kills and errors depend on timing, not content."""
         return self.status in _DETERMINISTIC_STATUSES
 
+    @property
+    def facts(self) -> Optional[List[list]]:
+        """The decoded fact list (None for killed/error and query
+        jobs); a fresh list on every read."""
+        return _decoded(self.facts_json)
+
+    @property
+    def answers(self) -> Optional[List[list]]:
+        """The decoded answer rows (None on chase jobs and killed/error
+        query jobs); a fresh list on every read."""
+        return _decoded(self.answers_json)
+
     def instance(self) -> Optional[Instance]:
         """Decode the final instance (None for killed/error jobs)."""
-        if self.facts is None:
+        facts = self.facts
+        if facts is None:
             return None
-        return Instance(decode_atom(fact) for fact in self.facts)
+        return Instance(decode_atom(fact) for fact in facts)
 
-    def to_dict(self) -> dict:
+    def _payload(self, facts, answers) -> dict:
         return {
             "job": self.job, "fingerprint": self.fingerprint,
             "status": self.status, "steps": self.steps,
-            "new_nulls": self.new_nulls, "facts": self.facts,
+            "new_nulls": self.new_nulls, "facts": facts,
             "failure_reason": self.failure_reason,
             "elapsed": self.elapsed, "cached": self.cached,
-            "worker": self.worker, "answers": self.answers,
+            "worker": self.worker, "answers": answers,
             "query": self.query, "truncated": self.truncated,
             "metrics": self.metrics,
         }
 
+    def to_dict(self) -> dict:
+        """The reply payload, with facts and answers decoded (for dict
+        consumers: the NDJSON reply and the CLI)."""
+        return self._payload(self.facts, self.answers)
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, built by
+        splicing the stored texts instead of decoding them."""
+        return dumps(self._payload(raw(self.facts_json),
+                                   raw(self.answers_json)))
+
     @classmethod
     def from_dict(cls, payload: dict) -> "JobResult":
-        return cls(**payload)
+        """The inverse of :meth:`to_dict`.  The decoded lists are in
+        canonical order, so ``json.dumps`` gives back their text."""
+        fields_ = dict(payload)
+        for key in ("facts", "answers"):
+            value = fields_.pop(key, None)
+            fields_[f"{key}_json"] = (None if value is None
+                                      else json.dumps(value))
+        return cls(**fields_)
 
     def describe(self) -> str:
         origin = "cache" if self.cached else self.worker
         reason = f" ({self.failure_reason})" if self.failure_reason else ""
-        if self.answers is not None:
+        if self.answers_json is not None:
             prefix = "truncated-prefix " if self.truncated else ""
             return (f"{self.job}: {self.status} after {self.steps} steps, "
                     f"{len(self.answers)} {prefix}answers, "
@@ -587,7 +626,7 @@ def execute_job(job: ChaseJob,
         outcome = {"new_nulls": result.new_null_count(),
                    "failure_reason": result.failure_reason}
         if job.query is None:
-            outcome["facts"] = encode_facts(result.instance)
+            outcome["facts_json"] = encode_facts(result.instance)
         else:
             # Imported here: repro.service.query imports this module.
             from repro.service.query import answer_query

@@ -10,7 +10,9 @@ with workers instead of drowning in fork overhead; a worker that gets
 killed (hard timeout, cancellation) is simply replaced by a fresh one
 for the remaining jobs.  Live instances never cross the boundary --
 everything on the pipe is the wire encoding of
-:mod:`repro.service.serialize`.
+:mod:`repro.service.serialize`: a job goes out as its spec dict, and
+its result comes back as the :class:`~repro.service.jobs.JobResult`
+fields, facts and answers as the JSON text the worker encoded.
 
 On top of parallelism, the pool adds the operational guarantees the
 in-process runner cannot give:
@@ -131,7 +133,9 @@ def _worker_loop(conn) -> None:
                                fingerprint="", status=STATUS_ERROR,
                                failure_reason=traceback.format_exc(limit=8),
                                worker=worker)
-        out = result.to_dict()
+        # The result's fields as they are: its facts or answers stay
+        # the JSON text the job encoded, never a decoded list.
+        out = dict(vars(result))
         if OBS.enabled:
             out["metrics"] = OBS.snapshot()
         try:
@@ -415,7 +419,7 @@ class WorkerPool:
                     for record in message[1]:
                         tracer.emit(record)
                 continue
-            result = JobResult.from_dict(message[1])
+            result = JobResult(**message[1])
             if result.elapsed == 0.0:
                 # Results synthesized before the runner started (spec
                 # parse errors in the worker) carry no elapsed time;

@@ -21,8 +21,9 @@ answers:
    not satisfy ``Sigma``, so rewritings are not used) -- the result is
    flagged ``truncated``;
 3. evaluate through the compiled id-level path of
-   :mod:`repro.cq.evaluate` and return the answers as canonically
-   sorted encoded rows.
+   :mod:`repro.cq.evaluate` and return the answers as the JSON text of
+   canonically sorted encoded rows
+   (:func:`repro.service.serialize.encode_rows`).
 
 Certain answers are constants-only, so the encoded result is
 independent of null labeling -- byte-identical across workers and
@@ -32,7 +33,6 @@ status safely cacheable under the job fingerprint.
 
 from __future__ import annotations
 
-import json
 from typing import List
 
 from repro.chase.result import ChaseResult, ChaseStatus
@@ -42,7 +42,7 @@ from repro.lang.constraints import Constraint
 from repro.lang.instance import Instance
 from repro.lang.parser import render_query
 from repro.service.jobs import ChaseJob
-from repro.service.serialize import encode_term
+from repro.service.serialize import encode_rows
 
 __all__ = ["answer_query", "QueryJob"]
 
@@ -53,18 +53,15 @@ __all__ = ["answer_query", "QueryJob"]
 QueryJob = ChaseJob
 
 
-def _answer_sort_key(row: list) -> str:
-    return json.dumps(row, sort_keys=True)
-
-
 def answer_query(job: ChaseJob, result: ChaseResult, instance: Instance,
                  sigma: List[Constraint]) -> dict:
     """Section 5's answering step for a query job whose chase gave
     ``result`` (``instance`` and ``sigma`` are what it chased).
 
     Returns the :class:`~repro.service.jobs.JobResult` fields a query
-    job reports in place of a chase job's facts: ``answers`` (sorted,
-    constants only), the evaluated ``query`` text and ``truncated`` --
+    job reports in place of a chase job's facts: ``answers_json`` (the
+    text of the sorted rows, constants only), the evaluated ``query``
+    text and ``truncated`` --
     or, for an inconsistent knowledge base, only the query text and no
     answers.  The chase's own fields (``new_nulls``,
     ``failure_reason``) are set by the caller for both job kinds.
@@ -93,7 +90,5 @@ def answer_query(job: ChaseJob, result: ChaseResult, instance: Instance,
             instance, sigma, depth, max_steps=job.max_steps,
             max_facts=job.max_facts, wall_clock=job.wall_clock).instance
     answers = target.evaluate(evaluation_instance, constants_only=True)
-    encoded = sorted(([encode_term(term) for term in row]
-                      for row in answers), key=_answer_sort_key)
-    return {"answers": encoded, "query": render_query(target),
-            "truncated": truncated}
+    return {"answers_json": encode_rows(answers),
+            "query": render_query(target), "truncated": truncated}

@@ -21,12 +21,25 @@ its backend name and the sorted fact list; a chase result carries the
 status, the final instance and summary statistics (the step sequence
 deliberately does not cross the wire -- it holds live constraint and
 assignment objects and is only consumed by in-process analyses).
+
+Job results are encoded once, as JSON text.  :func:`encode_facts`
+builds each fact's text ``["R", [["c", "a"], ["n", 1]]]`` from one
+fragment per term, made without ``json`` for string and int constants
+and nulls, and sorts those strings: the text of a fact is also its
+canonical sort key, so the sort needs no second encoding.  The joined
+text is exactly ``json.dumps`` of the sorted fact list, and
+:func:`encode_rows` does the same for certain-answer rows.  The
+service keeps and ships that text; the HTTP gateway splices it into
+reply bodies with :func:`dumps` and :class:`RawJSON`, and only dict
+consumers (``JobResult.to_dict``, the NDJSON reply, the CLI) decode
+it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, List, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.chase.result import ChaseResult, ChaseStatus
 from repro.lang.atoms import Atom
@@ -64,11 +77,6 @@ def decode_term(payload: Any) -> GroundTerm:
     raise WireError(f"unknown term tag {tag!r}")
 
 
-def encode_atom(fact: Atom) -> list:
-    """``[relation, [term, ...]]``."""
-    return [fact.relation, [encode_term(arg) for arg in fact.args]]
-
-
 def decode_atom(payload: Any) -> Atom:
     if not isinstance(payload, (list, tuple)) or len(payload) != 2:
         raise WireError(f"malformed atom payload {payload!r}")
@@ -78,22 +86,108 @@ def decode_atom(payload: Any) -> Atom:
     return Atom(relation, tuple(decode_term(arg) for arg in args))
 
 
-def atom_sort_key(fact: Atom) -> str:
-    """A canonical, injective sort key for facts (used everywhere the
-    wire or a fingerprint needs a deterministic fact order)."""
-    return json.dumps(encode_atom(fact), sort_keys=True)
+#: ``json.dumps(value, sort_keys=True)`` without building an encoder
+#: per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
-def encode_facts(facts) -> List[list]:
-    """The facts of any iterable, in canonical order."""
-    return [encode_atom(fact)
-            for fact in sorted(facts, key=atom_sort_key)]
+def _term_text(term: GroundTerm) -> str:
+    """The JSON text of :func:`encode_term`, with the common cases --
+    string and int constants, int-labelled nulls -- built directly."""
+    kind = type(term)
+    if kind is Constant:
+        value = term.value
+        if type(value) is str:
+            return f'["c", {encode_basestring_ascii(value)}]'
+        if type(value) is int:
+            return f'["c", {value}]'
+    elif kind is Null and type(term.label) is int:
+        return f'["n", {term.label}]'
+    return _encode(encode_term(term))
+
+
+def _fact_texts(facts: Iterable[Atom]) -> List[str]:
+    """The JSON text ``[relation, [term, ...]]`` of each fact."""
+    heads: dict = {}          # relation name -> '["R", ['
+    texts = []
+    for fact in facts:
+        head = heads.get(fact.relation)
+        if head is None:
+            head = heads[fact.relation] = f"[{_encode(fact.relation)}, ["
+        texts.append(head + ", ".join(map(_term_text, fact.args)) + "]]")
+    return texts
+
+
+def canonical_facts(facts: Iterable[Atom]) -> List[Atom]:
+    """The facts of any iterable in canonical order: sorted by their
+    JSON text (stable, so equal texts keep their input order)."""
+    facts = list(facts)
+    texts = _fact_texts(facts)
+    return [facts[index]
+            for index in sorted(range(len(facts)), key=texts.__getitem__)]
+
+
+def encode_facts(facts: Iterable[Atom]) -> str:
+    """The JSON text of the facts of any iterable, in canonical order:
+    ``json.dumps`` of their sorted ``[relation, [term, ...]]`` list."""
+    texts = _fact_texts(facts)
+    texts.sort()
+    return "[" + ", ".join(texts) + "]"
+
+
+def encode_rows(rows: Iterable[Sequence[GroundTerm]]) -> str:
+    """The JSON text of term rows (certain answers), sorted by each
+    row's text, as :func:`encode_facts` sorts facts."""
+    texts = ["[" + ", ".join(map(_term_text, row)) + "]" for row in rows]
+    texts.sort()
+    return "[" + ", ".join(texts) + "]"
+
+
+class RawJSON:
+    """JSON text that :func:`dumps` splices into a payload verbatim.
+
+    Not a ``str``: a ``RawJSON`` that reaches ``json.dumps`` raises
+    ``TypeError`` instead of being quoted as a string.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+def raw(text: Optional[str]) -> Optional[RawJSON]:
+    """``text`` to splice, or None (JSON ``null``) for no text."""
+    return None if text is None else RawJSON(text)
+
+
+def dumps(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True)``, except that each
+    top-level :class:`RawJSON` value is spliced in as its text.
+
+    The keys between two raw values are encoded by one ``json`` call,
+    so only the raw texts are copied rather than re-encoded.
+    """
+    parts = []
+    run: dict = {}
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, RawJSON):
+            if run:
+                parts.append(_encode(run)[1:-1])
+                run = {}
+            parts.append(f"{_encode(key)}: {value.text}")
+        else:
+            run[key] = value
+    if run:
+        parts.append(_encode(run)[1:-1])
+    return "{" + ", ".join(parts) + "}"
 
 
 def encode_instance(instance: Instance) -> dict:
     """A stable dict encoding of an instance (backend + sorted facts)."""
     return {"backend": instance.backend,
-            "facts": encode_facts(instance)}
+            "facts": json.loads(encode_facts(instance))}
 
 
 def decode_instance(payload: dict,

@@ -1,6 +1,8 @@
 """The metrics registry: recording, snapshots, merging, rendering."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -57,6 +59,56 @@ class TestRegistry:
         reg.gauge("g", 2.5)
         reg.observe("h", 1.0)
         assert json.loads(json.dumps(reg.snapshot())) == reg.snapshot()
+
+
+class TestThreads:
+    """The gateway's event-loop and executor threads share one
+    registry; a read-modify-write without the lock loses updates."""
+
+    @staticmethod
+    def run_concurrently(*targets):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=target)
+                       for target in targets]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_two_threads_lose_no_increments(self):
+        reg = Registry()
+
+        def count():
+            for _ in range(200_000):
+                reg.inc("x")
+        self.run_concurrently(count, count)
+        assert reg.counters["x"] == 400_000
+
+    def test_snapshots_and_merges_race_with_writers(self):
+        reg = Registry()
+        errors = []
+
+        def write():
+            for index in range(20_000):
+                reg.observe(f"h{index}", float(index))
+                reg.merge_snapshot({"counters": {f"c{index % 500}": 1}})
+
+        def read():
+            try:
+                for _ in range(200):
+                    reg.snapshot()
+            except RuntimeError as exc:     # dict changed size
+                errors.append(exc)
+        self.run_concurrently(write, read)
+        assert errors == []
+        snap = reg.snapshot()
+        assert sum(snap["counters"].values()) == 20_000
+        assert sum(entry["count"]
+                   for entry in snap["histograms"].values()) == 20_000
 
 
 class TestMergeSnapshot:

@@ -101,3 +101,39 @@ def test_cache_stats_and_clear():
     assert stats["reports"]["size"] == 1
     cache.clear()
     assert cache.lookup_result(job) is None
+
+
+def test_warm_report_lookup_renders_and_hashes_nothing(monkeypatch):
+    """A freshly parsed copy of a cached set finds its report by the
+    constraints' structural hashes: no set fingerprint is computed."""
+    import repro.service.cache as cache_module
+    import repro.termination.report as report_module
+    text = "a1: S(x) -> E(x, y)\na2: E(x, y) -> T(y)"
+    cache = ServiceCache()
+    first = cache.report_for(parse_constraints(text))
+    first.fingerprint()
+    calls = []
+    real = report_module.constraint_set_fingerprint
+
+    def counting(sigma):
+        calls.append(sigma)
+        return real(sigma)
+    # Wherever the function is looked up from.
+    for module in (report_module, cache_module):
+        if hasattr(module, "constraint_set_fingerprint"):
+            monkeypatch.setattr(module, "constraint_set_fingerprint",
+                                counting)
+    relabelled = "b2: E(x, y) -> T(y)\nb1: S(x) -> E(x, y)"
+    assert cache.report_for(parse_constraints(relabelled)) is first
+    assert calls == []
+
+
+def test_report_key_counts_repeated_constraints():
+    # The set fingerprint's sorted renderings count a repeat, so a
+    # listing with a repeat gets its own report, as before.
+    cache = ServiceCache()
+    once = cache.report_for(parse_constraints("S(x) -> E(x, y)"))
+    twice = cache.report_for(parse_constraints(
+        "S(x) -> E(x, y)\nS(x) -> E(x, y)"))
+    assert once is not twice
+    assert once.fingerprint() != twice.fingerprint()

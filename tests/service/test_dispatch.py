@@ -172,6 +172,28 @@ def test_cached_result_miss_is_none(session):
     assert session.cached_result("0" * 64) is None
 
 
+def test_replies_decode_the_stored_text_for_ndjson(session):
+    """The NDJSON reply is a dict with the facts decoded; the stored
+    entry keeps only their text, and the HTTP surface gets the text."""
+    cold = session.handle_line(json.dumps(spec("t1")))
+    warm = session.handle_line(json.dumps(spec("t1")))
+    assert warm["cached"] and warm["facts"] == cold["facts"]
+    assert isinstance(cold["facts"], list) and cold["facts"]
+    entry = session.scheduler.cache.results.get(cold["fingerprint"])
+    assert json.loads(entry.facts_json) == cold["facts"]
+    text = session.cached_result(cold["fingerprint"])
+    assert text == json.dumps(dict(cold, cached=True, elapsed=entry.elapsed,
+                                   job=entry.job), sort_keys=True)
+
+
+def test_ndjson_stats_report_stored_bytes(session):
+    session.handle_line(json.dumps(spec("s1")))
+    cache = session.handle_line('{"kind": "stats"}')["cache"]
+    for compartment in ("results", "reports", "specs"):
+        assert cache[compartment]["size"] == 1
+        assert cache[compartment]["bytes"] > 0
+
+
 def test_error_payload_shape():
     payload = error_payload("boom", "some_code", kind="chase")
     assert payload == {"status": "error", "error": "some_code",

@@ -248,8 +248,8 @@ def test_graceful_shutdown_drains_inflight_jobs():
             record = gw._records[sub["id"]]
             assert record.state == "done"
             assert record.plan is None
-            assert record.result["status"] in ("terminated",
-                                               "exceeded_budget")
+            assert json.loads(record.result)["status"] in (
+                "terminated", "exceeded_budget")
     asyncio.run(main())
 
 
@@ -305,7 +305,7 @@ def test_history_pruning_skips_a_running_job():
                 gate.set()
             record = gw._records[slow["id"]]
             await asyncio.wait_for(record.finished.wait(), timeout=60)
-            assert record.result["status"] == "exceeded_budget"
+            assert json.loads(record.result)["status"] == "exceeded_budget"
     asyncio.run(main())
 
 

@@ -12,12 +12,11 @@ import pytest
 
 from repro.lang.instance import Instance
 from repro.lang.parser import parse_constraints, parse_instance
-from repro.service.cache import ServiceCache
+from repro.service.cache import report_key, ServiceCache
 from repro.service.jobs import ChaseJob, execute_job, STATUS_ERROR
 from repro.service.scheduler import BatchScheduler, Plan
 from repro.termination import PrecedenceOracle
-from repro.termination.report import (analyze, constraint_set_fingerprint,
-                                      TerminationReport)
+from repro.termination.report import analyze, TerminationReport
 from repro.workloads.batch import mixed_batch_specs
 from repro.workloads.paper import NAMED_SETS
 
@@ -297,8 +296,7 @@ def plan_with_oracle(job, oracle):
     precedence searches planning spends can be counted."""
     scheduler = BatchScheduler(workers=1, force_inprocess=True)
     report = analyze(job.sigma, max_k=job.max_k, oracle=oracle)
-    scheduler.cache.reports.put(
-        (constraint_set_fingerprint(job.sigma), job.max_k), report)
+    scheduler.cache.reports.put(report_key(job.sigma, job.max_k), report)
     plan = scheduler.plan_job(job)
     assert plan.report is report
     return plan

@@ -9,11 +9,11 @@ from repro.lang.atoms import Atom
 from repro.lang.instance import Instance
 from repro.lang.parser import parse_constraints
 from repro.lang.terms import Constant, Null, Variable
-from repro.service.serialize import (atom_sort_key, decode_atom,
-                                     decode_instance, decode_result,
-                                     decode_term, encode_atom,
+from repro.service.serialize import (decode_atom, decode_instance,
+                                     decode_result, decode_term,
                                      encode_instance, encode_result,
                                      encode_term, WireError)
+from wire_oracle import atom_sort_key, encode_atom
 
 
 def test_term_roundtrip_preserves_kind_and_type():

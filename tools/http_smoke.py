@@ -15,13 +15,16 @@ Checks enforced:
   probes, 400 + structured error body for the malformed ones);
 * served results are byte-identical across cache hits and repeats;
 * a body sent again is answered from the cache, replayed from the
-  session's spec memo: the reply says ``cached: true`` and the
-  ``specs`` compartment counts one more hit;
+  session's spec memo: the reply says ``cached: true``, carries the
+  cold reply's ``facts``, ``answers``, ``status`` and ``steps`` (the
+  stored text spliced into the body), and the ``specs`` compartment
+  counts one more hit -- checked for a chase and a query body;
 * ``/stats`` is a JSON object with ``kind == "stats"``, a ``metrics``
   object holding ``counters``/``gauges``/``histograms`` keyed by
   dotted metric names, a ``cache`` object with the ``results``,
-  ``reports`` and ``specs`` compartments, and a ``gateway`` object
-  with the queue/backpressure fields;
+  ``reports`` and ``specs`` compartments, each reporting its stored
+  ``bytes`` next to its ``size``, and a ``gateway`` object with the
+  queue/backpressure fields and the job history's ``records_bytes``;
 * ``/stats`` content-negotiates Prometheus text exposition;
 * graceful shutdown: the drain endpoint answers 202 and the server
   process exits 0.
@@ -47,10 +50,13 @@ TERMINATING = "a1: S(x) -> E(x, y)"
 
 STATS_METRIC_SECTIONS = ("counters", "gauges", "histograms")
 CACHE_COMPARTMENTS = ("results", "reports", "specs")
-CACHE_FIELDS = frozenset(("size", "maxsize", "hits", "misses",
+CACHE_FIELDS = frozenset(("size", "bytes", "maxsize", "hits", "misses",
                           "evictions"))
 GATEWAY_FIELDS = frozenset(("queue_depth", "queue_bound", "open_jobs",
-                            "records", "draining", "workers_alive"))
+                            "records", "records_bytes", "draining",
+                            "workers_alive"))
+#: What a warm reply must repeat of the cold one.
+REPLAYED_FIELDS = ("facts", "answers", "status", "steps")
 
 
 def http(base, method, path, payload=None, headers=None, timeout=60):
@@ -112,29 +118,33 @@ def stats_reply(base):
     return status, json.loads(body) if status == 200 else None
 
 
-def check_replay(base, errors):
+def check_replay(base, errors, payload):
     """One body twice in sequence: the repeat is replayed from the
-    spec memo as a cache reply."""
-    payload = {"name": "smoke-replay", "constraints": TERMINATING,
-               "instance": "S(replay)."}
+    spec memo as a cache reply carrying the cold reply's outcome."""
+    label = payload["name"]
     first = http(base, "POST", "/jobs?wait=1", payload)
     _, before = stats_reply(base)
     second = http(base, "POST", "/jobs?wait=1", payload)
     _, after = stats_reply(base)
-    for label, (status, _, body) in (("first", first), ("second", second)):
+    for send, (status, _, body) in (("first", first), ("second", second)):
         if status != 200:
-            errors.append(f"replay: {label} send got status {status}")
+            errors.append(f"{label}: {send} send got status {status}")
             return
-    if json.loads(second[2])["result"].get("cached") is not True:
-        errors.append("replay: the repeated body was not answered "
+    cold, warm = (json.loads(reply[2])["result"] for reply in (first, second))
+    if warm.get("cached") is not True:
+        errors.append(f"{label}: the repeated body was not answered "
                       "from the cache")
+    for field in REPLAYED_FIELDS:
+        if warm.get(field) != cold.get(field):
+            errors.append(f"{label}: the warm reply's {field!r} differs "
+                          "from the cold reply's")
     try:
         hits = [reply["cache"]["specs"]["hits"] for reply in (before, after)]
     except (KeyError, TypeError):
-        errors.append("replay: /stats shows no cache.specs hits")
+        errors.append(f"{label}: /stats shows no cache.specs hits")
         return
     if hits[1] != hits[0] + 1:
-        errors.append(f"replay: cache.specs hits went {hits[0]} -> "
+        errors.append(f"{label}: cache.specs hits went {hits[0]} -> "
                       f"{hits[1]}, expected one more")
 
 
@@ -174,6 +184,11 @@ def check_stats(base, errors):
             elif CACHE_FIELDS - set(table):
                 errors.append(f"/stats: cache[{compartment!r}] misses "
                               f"{sorted(CACHE_FIELDS - set(table))}")
+            elif not (isinstance(table["bytes"], int)
+                      and (table["bytes"] > 0) == (table["size"] > 0)):
+                errors.append(f"/stats: cache[{compartment!r}] holds "
+                              f"{table['size']} entries in "
+                              f"{table['bytes']!r} bytes")
     gw = stats.get("gateway")
     if not isinstance(gw, dict):
         errors.append("/stats: 'gateway' must be an object")
@@ -181,6 +196,10 @@ def check_stats(base, errors):
         missing = GATEWAY_FIELDS - set(gw)
         if missing:
             errors.append(f"/stats: gateway misses {sorted(missing)}")
+        elif not (isinstance(gw["records_bytes"], int)
+                  and gw["records_bytes"] > 0):
+            errors.append(f"/stats: {gw['records']} job records in "
+                          f"{gw['records_bytes']!r} bytes")
     status, headers, body = http(base, "GET", "/stats",
                                  headers={"Accept": "text/plain"})
     if status != 200 or not headers.get(
@@ -230,7 +249,12 @@ def main(argv=None):
             errors.append("shared-spec results diverged across the "
                           "burst")
 
-        check_replay(base, errors)
+        check_replay(base, errors, {
+            "name": "smoke-replay", "constraints": TERMINATING,
+            "instance": "S(replay). S(again)."})
+        check_replay(base, errors, {
+            "name": "smoke-replay-query", "constraints": TERMINATING,
+            "instance": "E(r, s). S(r).", "query": "q(x) <- E(x, y)"})
         check_stats(base, errors)
 
         status, _, _ = http(base, "POST", "/shutdown")
