@@ -15,6 +15,7 @@ already be satisfied.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
@@ -86,9 +87,16 @@ def apply_egd_step(instance: Instance, egd: EGD, assignment: Assignment,
     elif isinstance(left, Null):
         old, new = left, right
     else:
+        # Named in the order of their canonical JSON text (the term
+        # order of :mod:`repro.service.serialize`), not in the order
+        # the trigger bound them: on the set backend that order follows
+        # the string-hash seed, and the reason is part of the reply.
+        first, second = sorted(
+            (left, right), key=lambda term: json.dumps(term.value,
+                                                       default=repr))
         raise ChaseFailure(
             f"EGD {egd.display_name()} equates distinct constants "
-            f"{left} and {right}")
+            f"{first} and {second}")
     changed = instance.substitute_term(old, new)
     return ChaseStep(index=index, constraint=egd,
                      assignment=_freeze_assignment(assignment),

@@ -31,15 +31,23 @@ datalog evaluation, kept *lazy* at homomorphism granularity:
   necessarily rewrites its body image, which retires the trigger
   through the delta feed first.
 
-Since the storage-layer refactor every internal key is an interned
-integer id from the working instance's store: the delta queue and the
-per-constraint backlogs carry permanent *fact ids*
-(:meth:`repro.storage.base.FactStore.fact_id` -- stable across EGD
-remove/re-add cycles), the fact -> pending-trigger reverse map is
-keyed on fact ids, and trigger identity plus the satisfied-frontier
-cache are tuples of interned *term ids*.  No ``Atom`` or term is
-hashed on the trigger hot path; atoms are decoded from ids only to run
-the homomorphism search itself.
+Every internal key is an interned integer id from the working
+instance's store: the delta queue and the per-constraint backlogs
+carry permanent *fact ids* (:meth:`repro.storage.base.FactStore
+.fact_id` -- stable across EGD remove/re-add cycles), and the fact ->
+pending-trigger reverse map is keyed on them.  Discovery stays at the
+id level up to the enqueue decision.  Each constraint has a
+:class:`_Layout`, derived once per index: the delta search projects
+the body onto its variables in name order and yields rows of interned
+*term ids*; the trigger key is the row zipped with the variable names
+(no intern, no sort); an EGD trigger is active when two ints differ,
+and a TGD trigger when its frontier id tuple is neither in the
+satisfied cache nor extended by one ``limit=1`` run of the head plan
+with that frontier pre-bound as ids; an active row's body image is
+re-validated with one id-level ``row_fid`` probe per atom.  Terms are
+decoded only for the triggers that are enqueued.  (The delta fact
+itself is still unified with the body atoms as an ``Atom``, and the
+``set`` backend's probes build atoms from ids internally.)
 
 Trigger identity is the frozen body assignment (the paper's
 ``(alpha, mu(x))`` naming of chase steps, Section 2), as interned
@@ -62,24 +70,145 @@ on :meth:`TriggerIndex.mark_fired` to consume each exactly once.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import (Deque, Dict, Iterable, Iterator, List, Optional, Set,
-                    Tuple)
+from operator import itemgetter
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
-from repro.homomorphism.engine import (Assignment,
-                                       find_homomorphisms_through)
-from repro.homomorphism.extend import freeze_assignment_ids, head_extends
+from repro.homomorphism.engine import (Assignment, find_homomorphisms_through,
+                                       has_homomorphism,
+                                       reference_mode_active)
+from repro.homomorphism.extend import freeze_assignment_ids
 from repro.homomorphism.plan import compile_plan
 from repro.lang.constraints import Constraint, EGD, TGD
 from repro.lang.instance import Instance
 from repro.lang.terms import Variable
 from repro.obs.metrics import OBS
 from repro.storage.base import FactId
+from repro.storage.interning import TermTable
 
 #: Hashable identity of a trigger within one constraint: the frozen
 #: body assignment ``mu`` as sorted (variable-name, interned-term-id)
 #: pairs.  Ids come from the working instance's term table, so the key
 #: is two machine ints per variable instead of a boxed term hash.
 TriggerKey = Tuple[Tuple[str, int], ...]
+
+
+def _picker(indices: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A callable taking a row to the tuple of its entries at
+    ``indices`` (``itemgetter`` returns a bare entry for one index)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: tuple([row[index] for index in indices])
+
+
+class _Layout:
+    """One constraint's id-level shape, derived once per index.
+
+    Delta searches project the body onto :attr:`variables` (every body
+    variable, in name order), so each result is a *row* of interned
+    term ids aligned with them.  Everything the index does with a
+    trigger before enqueueing it reads that row:
+
+    * ``zip(names, row)`` is the trigger key;
+    * :attr:`images` re-ground each body atom as an id tuple for one
+      ``row_fid`` probe (body constants sit past the end of the row, in
+      :attr:`constants`);
+    * :attr:`sides` are the row positions of an EGD's two sides;
+    * :attr:`frontier` are the row positions of a TGD's frontier
+      variables (:attr:`frontier_vars`, name order): the key of the
+      :attr:`satisfied` cache and the pre-bound ids of the :attr:`head`
+      plan's existence check.
+    """
+
+    __slots__ = ("plan", "variables", "names", "constants", "images",
+                 "sides", "frontier", "frontier_vars", "head",
+                 "head_frontier", "satisfied", "prune")
+
+    def __init__(self, constraint: Constraint, table: TermTable,
+                 oblivious: bool) -> None:
+        self.plan = compile_plan(constraint.body)
+        self.variables = self.plan.variable_order
+        self.names = tuple(var.name for var in self.variables)
+        slot = {var: index for index, var in enumerate(self.variables)}
+        constants: List[int] = []
+        images = []
+        for spec in self.plan.specs:
+            indices = []
+            for arg in spec.args:
+                if isinstance(arg, Variable):
+                    indices.append(slot[arg])
+                else:
+                    indices.append(len(self.variables) + len(constants))
+                    constants.append(table.intern(arg))
+            images.append((spec.relation, spec.arity, _picker(indices)))
+        self.constants = tuple(constants)
+        self.images = tuple(images)
+        self.sides: Optional[Tuple[int, int]] = None
+        self.frontier: Tuple[int, ...] = ()
+        self.frontier_vars: Tuple[Variable, ...] = ()
+        self.head = None
+        self.head_frontier: Tuple[Variable, ...] = ()
+        if isinstance(constraint, EGD):
+            self.sides = (slot[constraint.lhs], slot[constraint.rhs])
+        else:
+            assert isinstance(constraint, TGD)
+            self.frontier = tuple(sorted(
+                slot[var] for var in constraint.frontier_variables()))
+            self.frontier_vars = tuple(self.variables[index]
+                                       for index in self.frontier)
+            self.head = compile_plan(constraint.head)
+            # The head plan's own objects for the frontier, so its
+            # binding lookups match on identity.
+            self.head_frontier = tuple(
+                next(var for var in self.head.variables if var == frontier)
+                for frontier in self.frontier_vars)
+        #: interned frontier bindings whose TGD head is known to extend;
+        #: sound to cache because satisfaction is permanent (module
+        #: docstring)
+        self.satisfied: Set[tuple] = set()
+        self.prune = self._prune_for(table.intern, oblivious)
+
+    def _prune_for(self, intern, oblivious: bool):
+        """A search-pruning predicate for the delta enumeration.
+
+        Prunes subtrees guaranteed to yield only settled homomorphisms:
+        TGD bindings whose fully-bound frontier is cached as satisfied
+        (every completion shares that frontier), and EGD bindings that
+        already equate the two sides (every completion stays trivial).
+        Sound in the standard chase only -- the oblivious chase must
+        fire satisfied TGD triggers, so there no pruning happens.
+
+        The predicates accept both binding flavours: the plan engine
+        calls them with interned ids (int equality, direct cache
+        lookups), the reference engine with ground terms (interned on
+        the fly for the frontier cache).
+        """
+        if self.sides is not None:
+            lhs, rhs = (self.variables[side] for side in self.sides)
+
+            def prune_egd(binding):
+                left = binding.get(lhs)
+                return left is not None and left == binding.get(rhs)
+            # Declaring the variables the predicate reads lets the plan
+            # executor abandon a whole scan on the first True when the
+            # scanned atom binds none of them (the predicate's answer
+            # cannot change row to row).
+            prune_egd.depends_on = frozenset((lhs, rhs))
+            return prune_egd
+        if oblivious:
+            return None
+        frontier_vars = self.frontier_vars
+        cache = self.satisfied
+
+        def prune_tgd(binding):
+            values = tuple(map(binding.get, frontier_vars))
+            if None in values:
+                return False
+            if values and type(values[0]) is not int:
+                values = tuple(map(intern, values))
+            return values in cache
+        prune_tgd.depends_on = frozenset(frontier_vars)
+        return prune_tgd
 
 
 class TriggerIndex:
@@ -101,6 +230,9 @@ class TriggerIndex:
         self._store = instance.store
         self._table = instance.store.terms
         self._oblivious = oblivious
+        self._layouts: Dict[Constraint, _Layout] = {
+            constraint: _Layout(constraint, self._table, oblivious)
+            for constraint in self._sigma}
         #: materialized triggers that were active when discovered
         self._pending: Dict[Constraint, "OrderedDict[TriggerKey, Assignment]"] = {
             constraint: OrderedDict() for constraint in self._sigma}
@@ -109,32 +241,19 @@ class TriggerIndex:
             constraint: set() for constraint in self._sigma}
         #: fact id -> pending triggers whose body image uses the fact
         self._by_fact: Dict[FactId, Set[Tuple[Constraint, TriggerKey]]] = {}
-        self._body_relations: Dict[Constraint, Set[str]] = {
-            constraint: {atom.relation for atom in constraint.body}
-            for constraint in self._sigma}
         #: inverted routing map: relation -> constraints mentioning it,
         #: so refresh() is O(interested constraints) per added fact
         self._constraints_by_relation: Dict[str, List[Constraint]] = {}
         for constraint in self._sigma:
-            for relation in self._body_relations[constraint]:
+            for relation in {atom.relation for atom in constraint.body}:
                 self._constraints_by_relation.setdefault(
                     relation, []).append(constraint)
         #: added fact ids not yet expanded, per constraint
         self._backlog: Dict[Constraint, Deque[FactId]] = {
             constraint: deque() for constraint in self._sigma}
         #: suspended delta enumeration for the backlog fact being expanded
-        self._expanding: Dict[Constraint, Optional[Iterator[Assignment]]] = {
+        self._expanding: Dict[Constraint, Optional[Iterator[tuple]]] = {
             constraint: None for constraint in self._sigma}
-        #: interned frontier bindings whose TGD head is known to extend;
-        #: sound to cache because satisfaction is permanent (module
-        #: docstring)
-        self._satisfied_frontiers: Dict[Constraint, Set[tuple]] = {
-            constraint: set() for constraint in self._sigma}
-        self._frontiers: Dict[Constraint, List] = {
-            constraint: sorted(constraint.frontier_variables(),
-                               key=lambda v: v.name)
-            if isinstance(constraint, TGD) else []
-            for constraint in self._sigma}
         #: buffered deltas: (op, fact id)
         self._events: Deque[Tuple[str, FactId]] = deque()
         self._attached = False
@@ -149,7 +268,7 @@ class TriggerIndex:
         for constraint in self._sigma:
             if not constraint.body:
                 self._seen[constraint].add(())
-                if not self._is_settled(constraint, {}):
+                if not self._is_settled(self._layouts[constraint], ()):
                     self._pending[constraint][()] = {}
 
     # ------------------------------------------------------------------
@@ -208,85 +327,54 @@ class TriggerIndex:
     # ------------------------------------------------------------------
     # Activity
     # ------------------------------------------------------------------
-    def _is_settled(self, constraint: Constraint,
-                    assignment: Assignment) -> bool:
-        """Is the trigger *inactive for good* (safe to drop)?
+    def _is_settled(self, layout: _Layout, row: Sequence[int]) -> bool:
+        """Is the trigger whose body variables hold the ids ``row``
+        (aligned with ``layout.variables``) *inactive for good* (safe to
+        drop)?
 
         Standard chase: a satisfied trigger stays satisfied while its
         body image survives (see module docstring), so ``True`` means
         the trigger can be removed permanently.  Oblivious chase: only
         trivial EGD triggers (``mu(x_i) = mu(x_j)``) are settled.
         """
-        if isinstance(constraint, EGD):
-            return assignment[constraint.lhs] == assignment[constraint.rhs]
+        if layout.sides is not None:
+            left, right = layout.sides
+            return row[left] == row[right]
         if self._oblivious:
             return False
-        assert isinstance(constraint, TGD)
         # Satisfaction only depends on the frontier binding, and stays
         # true once established -- so one check covers every body
         # homomorphism sharing the frontier (a big saving for bodies
         # with non-frontier join variables).
-        intern = self._table.intern
-        frontier = tuple(intern(assignment[var])
-                         for var in self._frontiers[constraint])
-        cache = self._satisfied_frontiers[constraint]
-        if frontier in cache:
+        frontier = tuple([row[index] for index in layout.frontier])
+        if frontier in layout.satisfied:
             if OBS.enabled:
                 OBS.inc("triggers.frontier_prune_hits")
             return True
-        if head_extends(constraint, self._instance, assignment):
-            cache.add(frontier)
+        if self._head_extends(layout, frontier):
+            layout.satisfied.add(frontier)
+            return True
+        return False
+
+    def _head_extends(self, layout: _Layout, frontier: tuple) -> bool:
+        """Does the TGD head map with its frontier bound to the ids
+        ``frontier``?  One ``limit=1`` run of the head plan; under
+        :func:`~repro.homomorphism.engine.reference_engine` the frontier
+        is decoded for the reference search instead."""
+        binding = dict(zip(layout.head_frontier, frontier))
+        if reference_mode_active():
+            term_of = self._table.term
+            return has_homomorphism(
+                layout.head.atoms, self._instance,
+                {var: term_of(tid) for var, tid in binding.items()})
+        for _ in layout.head.execute(self._store, partial_ids=binding,
+                                     limit=1, project=()):
             return True
         return False
 
     # ------------------------------------------------------------------
     # Expansion (lazy semi-naive delta search)
     # ------------------------------------------------------------------
-    def _prune_for(self, constraint: Constraint):
-        """A search-pruning predicate for the delta enumeration.
-
-        Prunes subtrees guaranteed to yield only settled homomorphisms:
-        TGD bindings whose fully-bound frontier is cached as satisfied
-        (every completion shares that frontier), and EGD bindings that
-        already equate the two sides (every completion stays trivial).
-        Sound in the standard chase only -- the oblivious chase must
-        fire satisfied TGD triggers, so there no pruning happens.
-
-        The predicates accept both binding flavours: the plan engine
-        calls them with interned ids (int equality, direct cache
-        lookups), the reference engine with ground terms (interned on
-        the fly for the frontier cache).
-        """
-        if isinstance(constraint, EGD):
-            lhs, rhs = constraint.lhs, constraint.rhs
-
-            def prune_egd(binding):
-                left = binding.get(lhs)
-                return left is not None and left == binding.get(rhs)
-            # Declaring the variables the predicate reads lets the plan
-            # executor abandon a whole scan on the first True when the
-            # scanned atom binds none of them (the predicate's answer
-            # cannot change row to row).
-            prune_egd.depends_on = frozenset((lhs, rhs))
-            return prune_egd
-        if self._oblivious:
-            return None
-        frontier_vars = self._frontiers[constraint]
-        cache = self._satisfied_frontiers[constraint]
-        intern = self._table.intern
-
-        def prune_tgd(binding):
-            values = []
-            for var in frontier_vars:
-                value = binding.get(var)
-                if value is None:
-                    return False
-                values.append(value if type(value) is int
-                              else intern(value))
-            return tuple(values) in cache
-        prune_tgd.depends_on = frozenset(frontier_vars)
-        return prune_tgd
-
     def _expand_backlog(self, constraint: Constraint,
                         found: List[Assignment],
                         found_keys: Set[TriggerKey],
@@ -295,21 +383,20 @@ class TriggerIndex:
         ``found`` or nothing is left to expand.
 
         The enumeration for the fact currently being expanded is kept
-        suspended between calls; yielded assignments are re-validated
-        against the live instance (module docstring explains why this
-        is sound across mutations).
+        suspended between calls.  It yields id rows; a row is decoded
+        to terms only once it is known to be new, active and live --
+        yields from a suspended enumeration are re-validated against
+        the live instance (the module docstring explains why this is
+        sound across mutations).
         """
+        layout = self._layouts[constraint]
         store = self._store
-        intern = self._table.intern
+        term_of = self._table.term
         seen = self._seen[constraint]
+        pending = self._pending[constraint]
         backlog = self._backlog[constraint]
-        body = list(constraint.body)
-        # The compiled plan of the body doubles as its id-level image
-        # template: body atoms are re-grounded as interned-id tuples,
-        # validated with one row_fid probe each -- no Atom is built or
-        # hashed on this path.
-        specs = compile_plan(constraint.body).specs
-        prune = self._prune_for(constraint)
+        variables, names = layout.variables, layout.names
+        constants, images = layout.constants, layout.images
         while True:
             enumeration = self._expanding[constraint]
             if enumeration is None:
@@ -325,44 +412,40 @@ class TriggerIndex:
                     OBS.inc("triggers.backlog_expanded")
                     OBS.observe("triggers.backlog_depth", len(backlog))
                 enumeration = find_homomorphisms_through(
-                    body, self._instance, fact, prune=prune)
+                    layout.plan, self._instance, fact, prune=layout.prune,
+                    project=variables)
                 self._expanding[constraint] = enumeration
-            for assignment in enumeration:
-                ids_by_var = {var: intern(value)
-                              for var, value in assignment.items()}
-                # Inlined freeze_assignment_ids (reusing ids_by_var so
-                # each value is interned once) -- must keep producing
-                # the same key shape as :meth:`_freeze`.
-                key = tuple(sorted((var.name, tid)
-                                   for var, tid in ids_by_var.items()))
+            for row in enumeration:
+                key = tuple(zip(names, row))
                 if key in seen:
                     continue
+                if self._is_settled(layout, row):
+                    # Remembered, never enqueued.  A stale row may land
+                    # here unvalidated: its image lost a fact for good,
+                    # so remembering it changes nothing.
+                    seen.add(key)
+                    continue
+                # The body image as id tuples, one row_fid probe each:
+                # a suspended enumeration may yield a row whose image
+                # lost a fact since.
+                grounded = row + constants if constants else row
                 image_fids = []
-                stale = False
-                for spec in specs:
-                    ids = tuple(ids_by_var[arg]
-                                if isinstance(arg, Variable) else intern(arg)
-                                for arg in spec.args)
-                    fid = store.row_fid(spec.relation, spec.arity, ids)
+                for relation, arity, pick in images:
+                    fid = store.row_fid(relation, arity, pick(grounded))
                     if fid is None:
-                        stale = True  # an image fact was removed
                         break
                     image_fids.append(fid)
-                if stale:
-                    continue
-                seen.add(key)
-                if self._is_settled(constraint, assignment):
-                    continue  # remembered, never enqueued
-                # The engine yields a fresh dict per assignment; safe
-                # to keep without copying.
-                self._pending[constraint][key] = assignment
-                for fid in image_fids:
-                    self._by_fact.setdefault(fid, set()).add(
-                        (constraint, key))
-                found.append(dict(assignment))
-                found_keys.add(key)
-                if cap is not None and len(found) >= cap:
-                    return  # enumeration stays suspended for next time
+                else:
+                    seen.add(key)
+                    assignment = dict(zip(variables, map(term_of, row)))
+                    pending[key] = assignment
+                    for fid in image_fids:
+                        self._by_fact.setdefault(fid, set()).add(
+                            (constraint, key))
+                    found.append(dict(assignment))
+                    found_keys.add(key)
+                    if cap is not None and len(found) >= cap:
+                        return  # enumeration stays suspended for next time
             self._expanding[constraint] = None  # fact fully expanded
 
     # ------------------------------------------------------------------
@@ -373,12 +456,13 @@ class TriggerIndex:
                         cap: Optional[int]) -> None:
         """One pass over the materialized queue: drop settled triggers,
         collect active ones not yet in ``found`` (up to ``cap``)."""
+        layout = self._layouts[constraint]
         pending = self._pending[constraint]
         settled: List[TriggerKey] = []
         for key, assignment in pending.items():
             if key in found_keys:
                 continue
-            if self._is_settled(constraint, assignment):
+            if self._is_settled(layout, [tid for _, tid in key]):
                 settled.append(key)
                 continue
             found.append(dict(assignment))

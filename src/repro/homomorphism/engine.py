@@ -17,11 +17,11 @@ paths, and terms are decoded only when a binding survives.
 from __future__ import annotations
 
 from typing import (Callable, Dict, Iterable, Iterator, Mapping, Optional,
-                    Sequence)
+                    Sequence, Tuple, Union)
 
 from contextlib import contextmanager
 
-from repro.homomorphism.plan import Assignment, compile_plan
+from repro.homomorphism.plan import Assignment, JoinPlan, compile_plan
 from repro.homomorphism.reference import (reference_find_homomorphisms,
                                           reference_find_homomorphisms_through)
 from repro.lang.atoms import Atom
@@ -147,12 +147,14 @@ def find_homomorphisms(atoms: Sequence[Atom], instance: Instance,
                         prune=prune)
 
 
-def find_homomorphisms_through(atoms: Sequence[Atom], instance: Instance,
+def find_homomorphisms_through(atoms: Union[Sequence[Atom], JoinPlan],
+                               instance: Instance,
                                delta_fact: Atom,
                                partial: Optional[Mapping[Variable, GroundTerm]] = None,
                                limit: Optional[int] = None,
                                prune: Optional[Callable[[Mapping[Variable, GroundTerm]],
-                                                        bool]] = None
+                                                        bool]] = None,
+                               project: Optional[Tuple[Variable, ...]] = None
                                ) -> Iterator[Assignment]:
     """Enumerate homomorphisms whose image uses ``delta_fact``.
 
@@ -162,26 +164,42 @@ def find_homomorphisms_through(atoms: Sequence[Atom], instance: Instance,
     interest -- every other homomorphism already existed before the
     insertion.  Each atom that unifies with ``delta_fact`` is pinned to
     it inside the body's compiled plan and the remaining atoms are
-    solved against the full instance.
+    solved against the full instance.  ``atoms`` may be that plan
+    itself, which spares callers with a fixed body the plan-cache
+    lookup per search.
+
+    ``project``, as in :meth:`JoinPlan.execute`, yields tuples of the
+    listed variables' interned ids instead of assignment dicts.  Under
+    :func:`reference_engine` the reference search runs and its term
+    results are interned, so an id-level caller is cross-validated by
+    the same switch as a term-level one.
 
     A homomorphism using the delta fact at several positions is
     yielded once: when more than one atom unifies, results are
-    deduplicated on their frozen assignment.  In the common single-pin
-    case -- the delta fact unifies with exactly one body atom -- no
-    duplicate can arise (within one pin, a complete binding determines
-    every matched fact), so the per-yield dedup hashing is skipped
-    entirely.
+    deduplicated on the id tuple of the body variables.  In the common
+    single-pin case -- the delta fact unifies with exactly one body
+    atom -- no duplicate can arise (within one pin, a complete binding
+    determines every matched fact), so the per-yield dedup hashing is
+    skipped entirely.
 
     This is the workhorse of :class:`repro.chase.triggers.TriggerIndex`:
     after a chase step adds facts, only these restricted searches run,
     instead of re-enumerating every body homomorphism from scratch.
     """
+    plan = atoms if isinstance(atoms, JoinPlan) else None
     if _reference_mode:
-        yield from reference_find_homomorphisms_through(
-            atoms, instance, delta_fact, partial=partial, limit=limit,
-            prune=prune)
+        found = reference_find_homomorphisms_through(
+            plan.atoms if plan is not None else atoms, instance,
+            delta_fact, partial=partial, limit=limit, prune=prune)
+        if project is None:
+            yield from found
+        else:
+            intern = instance.store.terms.intern
+            for assignment in found:
+                yield tuple([intern(assignment[var]) for var in project])
         return
-    plan = compile_plan(tuple(atoms))
+    if plan is None:
+        plan = compile_plan(tuple(atoms))
     store = instance.store
     base: Assignment = dict(partial) if partial else {}
     pins = []
@@ -206,23 +224,39 @@ def find_homomorphisms_through(atoms: Sequence[Atom], instance: Instance,
             # the join work the prune exists to skip.
             yield from plan.execute_batch(store, partial=base,
                                           pin_index=index,
-                                          pin_entries=entries)
+                                          pin_entries=entries,
+                                          project=project)
             return
         yield from plan.execute(store, partial=base, pin_index=index,
                                 pin_entries=entries, limit=limit,
-                                prune=prune)
+                                prune=prune, project=project)
         return
+    # Several pins: each runs with every body variable projected, so
+    # results dedup on that id tuple, then go out in the caller's form.
+    variables = plan.variable_order
+    as_is = project == variables
+    table = store.terms
     seen: set = set()
     produced = 0
     for index, entries in pins:
-        for assignment in plan.execute(store, partial=base, pin_index=index,
-                                       pin_entries=entries, prune=prune):
-            key = frozenset(assignment.items())
-            if key in seen:
+        for row in plan.execute(store, partial=base, pin_index=index,
+                                pin_entries=entries, prune=prune,
+                                project=variables):
+            if row in seen:
                 continue
-            seen.add(key)
+            seen.add(row)
             produced += 1
-            yield assignment
+            if as_is:
+                yield row
+            elif project is None:
+                assignment = dict(base)
+                assignment.update(zip(variables, map(table.term, row)))
+                yield assignment
+            else:
+                ids = dict(zip(variables, row))
+                yield tuple([ids[var] if var in ids
+                             else table.intern(base[var])
+                             for var in project])
             if limit is not None and produced >= limit:
                 return
 

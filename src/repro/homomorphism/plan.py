@@ -49,8 +49,9 @@ cross-validation oracle of the ``kernel_parity`` fuzz oracle.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial as partial_call
 from itertools import repeat
+from operator import itemgetter
 from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
@@ -67,18 +68,25 @@ Assignment = Dict[Variable, GroundTerm]
 
 
 class _AtomSpec:
-    """Compiled shape of one body atom."""
+    """Compiled shape of one body atom.
+
+    Variables are taken from ``canonical`` (name -> the plan's one
+    object for that name), so every binding-dict lookup of an execution
+    matches on identity instead of calling ``Variable.__eq__``.
+    """
 
     __slots__ = ("relation", "arity", "args", "ground_positions",
                  "var_positions", "variables")
 
-    def __init__(self, atom: Atom) -> None:
+    def __init__(self, atom: Atom, canonical: Dict[str, Variable]) -> None:
         self.relation = atom.relation
         self.arity = atom.arity
-        self.args = atom.args
+        self.args = tuple(canonical.setdefault(arg.name, arg)
+                          if isinstance(arg, Variable) else arg
+                          for arg in atom.args)
         ground: List[Tuple[int, GroundTerm]] = []
         by_var: List[Tuple[int, Variable]] = []
-        for position, arg in enumerate(atom.args):
+        for position, arg in enumerate(self.args):
             if isinstance(arg, Variable):
                 by_var.append((position, arg))
             else:
@@ -91,14 +99,20 @@ class _AtomSpec:
 class JoinPlan:
     """A compiled, reorderable join over a fixed atom sequence."""
 
-    __slots__ = ("atoms", "specs", "variables", "_orders")
+    __slots__ = ("atoms", "specs", "variables", "variable_order", "_orders")
 
     def __init__(self, atoms: Sequence[Atom]) -> None:
         self.atoms: Tuple[Atom, ...] = tuple(atoms)
+        canonical: Dict[str, Variable] = {}
         self.specs: Tuple[_AtomSpec, ...] = tuple(
-            _AtomSpec(atom) for atom in self.atoms)
+            _AtomSpec(atom, canonical) for atom in self.atoms)
         self.variables: frozenset = frozenset(
             var for spec in self.specs for var in spec.variables)
+        #: the same variables sorted by name: the projection under
+        #: which delta searches deduplicate, and the trigger index's
+        #: key order
+        self.variable_order: Tuple[Variable, ...] = tuple(
+            sorted(self.variables, key=lambda var: var.name))
         #: (prebound variable set, pinned atom index) ->
         #: [order, decision-time relation sizes, store id, generation]
         self._orders: Dict[Tuple[frozenset, Optional[int]], list] = {}
@@ -221,15 +235,18 @@ class JoinPlan:
                 pin_entries: Optional[Assignment] = None,
                 limit: Optional[int] = None,
                 prune=None,
-                project: Optional[Tuple[Variable, ...]] = None
+                project: Optional[Tuple[Variable, ...]] = None,
+                partial_ids: Optional[Mapping[Variable, int]] = None
                 ) -> Iterator[Assignment]:
         """Enumerate homomorphisms of the compiled body into ``store``.
 
-        ``partial`` pre-binds variables; ``pin_index``/``pin_entries``
-        (from :meth:`pin_binding`) exclude one atom whose bindings were
-        already unified against a delta fact; ``limit`` caps the number
-        of yields.  Yielded assignments are fresh term-level dicts
-        including the pre-bound variables.
+        ``partial`` pre-binds variables to terms, ``partial_ids`` to
+        interned ids of ``store``'s term table (the trigger index's
+        head checks hold their frontier as ids already);
+        ``pin_index``/``pin_entries`` (from :meth:`pin_binding`) exclude
+        one atom whose bindings were already unified against a delta
+        fact; ``limit`` caps the number of yields.  Yielded assignments
+        are fresh term-level dicts including the pre-bound variables.
 
         ``project``, if given, is a projection push-down: instead of
         decoded assignment dicts the iterator yields plain tuples of
@@ -251,6 +268,11 @@ class JoinPlan:
         suspended enumeration keeps consistent snapshots of the access
         path, so yields that outlive later mutations must be
         re-validated by the caller (the trigger index does).
+
+        The join walks the atom order with an explicit stack of scans
+        rather than a recursive generator: a generator that recurses
+        into itself holds its own function in a closure cell, and that
+        cycle outlived every search until the cyclic collector ran.
         """
         if OBS.enabled:
             OBS.inc("plan.tuple_executions")
@@ -258,16 +280,20 @@ class JoinPlan:
         intern = table.intern
         term_of = table.term
         binding_ids: Dict[Variable, int] = (
-            {var: intern(value) for var, value in partial.items()}
-            if partial else {})
+            dict(partial_ids) if partial_ids else {})
+        if partial:
+            for var, value in partial.items():
+                binding_ids[var] = intern(value)
 
         if project is None:
             def emit():
                 return {var: term_of(tid)
                         for var, tid in binding_ids.items()}
+        elif len(project) > 1:
+            emit = partial_call(itemgetter(*project), binding_ids)
         else:
             def emit():
-                return tuple(binding_ids[var] for var in project)
+                return tuple([binding_ids[var] for var in project])
         if prune is not None and prune(binding_ids):
             return
         if pin_entries:
@@ -353,39 +379,51 @@ class JoinPlan:
         prebound = frozenset(var for var in binding_ids
                              if var in self.variables)
         order = self.order_for(store, prebound, pin_index)
-        depth_count = len(order)
+        last = len(order) - 1
         produced = 0
         # Ground argument ids are interned once per execution.
         ground_ids: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-
-        def search(depth: int) -> Iterator[Assignment]:
-            nonlocal produced
-            if depth == depth_count:
-                produced += 1
-                yield emit()
-                return
-            index = order[depth]
-            spec = specs[index]
-            if spec.ground_positions:
-                pairs = ground_ids.get(index)
-                if pairs is None:
-                    pairs = tuple((position, intern(term))
-                                  for position, term in spec.ground_positions)
-                    ground_ids[index] = pairs
-                bound = list(pairs)
-            else:
-                bound = []
-            unbound: List[Tuple[int, Variable]] = []
-            for position, var in spec.var_positions:
-                tid = binding_ids.get(var)
-                if tid is not None:
-                    bound.append((position, tid))
+        # One entry per depth of the order: the open scan, the
+        # (position, variable) pairs its rows bind, whether a prune hit
+        # abandons the whole scan, and what the current row bound.
+        scans: List[Optional[Iterator[Tuple[int, ...]]]] = [None] * len(order)
+        frees: List[List[Tuple[int, Variable]]] = [[]] * len(order)
+        abandons = [False] * len(order)
+        bound_here: List[Dict[Variable, int]] = [{}] * len(order)
+        depth = 0
+        while depth >= 0:
+            rows = scans[depth]
+            if rows is None:
+                index = order[depth]
+                spec = specs[index]
+                if spec.ground_positions:
+                    pairs = ground_ids.get(index)
+                    if pairs is None:
+                        pairs = tuple((position, intern(term)) for position,
+                                      term in spec.ground_positions)
+                        ground_ids[index] = pairs
+                    bound = list(pairs)
                 else:
-                    unbound.append((position, var))
-            abandon_on_prune = (prune_reads is not None
-                                and not any(var in prune_reads
-                                            for _, var in unbound))
-            for row in scan(spec.relation, spec.arity, bound):
+                    bound = []
+                unbound: List[Tuple[int, Variable]] = []
+                for position, var in spec.var_positions:
+                    tid = binding_ids.get(var)
+                    if tid is not None:
+                        bound.append((position, tid))
+                    else:
+                        unbound.append((position, var))
+                frees[depth] = unbound
+                abandons[depth] = (prune_reads is not None
+                                   and not any(var in prune_reads
+                                               for _, var in unbound))
+                rows = scans[depth] = scan(spec.relation, spec.arity, bound)
+            else:
+                # Back from the deeper scan: undo this row's bindings.
+                for var in bound_here[depth]:
+                    del binding_ids[var]
+            unbound = frees[depth]
+            descend = False
+            for row in rows:
                 local: Dict[Variable, int] = {}
                 consistent = True
                 for position, var in unbound:
@@ -403,16 +441,25 @@ class JoinPlan:
                     if prune is not None and prune(binding_ids):
                         for var in local:
                             del binding_ids[var]
-                        if abandon_on_prune:
-                            return
+                        if abandons[depth]:
+                            break
                         continue
-                yield from search(depth + 1)
-                for var in local:
-                    del binding_ids[var]
-                if limit is not None and produced >= limit:
-                    return
-
-        yield from search(0)
+                if depth == last:
+                    produced += 1
+                    yield emit()
+                    for var in local:
+                        del binding_ids[var]
+                    if limit is not None and produced >= limit:
+                        return
+                    continue
+                bound_here[depth] = local
+                descend = True
+                break
+            if descend:
+                depth += 1
+            else:
+                scans[depth] = None
+                depth -= 1
 
     def execute_batch(self, store: FactStore,
                       partial: Optional[Mapping[Variable, GroundTerm]] = None,

@@ -64,7 +64,8 @@ Operational guarantees
 * **Observability**: request/status counters, queue-depth gauge and
   per-request latency histograms under ``http.*`` (visible on
   ``/stats`` like every other subsystem); ``/stats`` also reports the
-  job history's stored result text as ``gateway.records_bytes``.
+  job history's stored text -- result and event texts -- as
+  ``gateway.records_bytes``.
 
 Results are encoded once.  A finished job record holds its result as
 the JSON text of ``JobResult.to_json``, which splices the facts or
@@ -171,7 +172,9 @@ class _JobRecord:
     #: The finished result's JSON text (``JobResult.to_json``), made
     #: once and spliced into every reply that carries it.
     result: Optional[str] = None
-    events: List[dict] = field(default_factory=list)
+    #: Each progress event as the JSON text its stream chunk carries,
+    #: made once on the executor thread.
+    events: List[str] = field(default_factory=list)
     wakeup: asyncio.Event = field(default_factory=asyncio.Event)
     finished: asyncio.Event = field(default_factory=asyncio.Event)
     submitted: float = field(default_factory=time.monotonic)
@@ -347,18 +350,19 @@ class HttpGateway:
         loop = self._loop
 
         def on_event(event) -> None:
-            payload = {"kind": event.kind, "job": event.job,
-                       "detail": event.detail, "ts": event.ts,
-                       "fingerprint": event.fingerprint}
-            loop.call_soon_threadsafe(self._apply_event, payload)
+            text = dumps({"kind": event.kind, "job": event.job,
+                          "detail": event.detail, "ts": event.ts,
+                          "fingerprint": event.fingerprint})
+            loop.call_soon_threadsafe(self._apply_event, event.fingerprint,
+                                      text)
 
         return self.session.scheduler.run_batch(plans, on_event=on_event)
 
-    def _apply_event(self, payload: dict) -> None:
-        for record_id in self._by_fp.get(payload["fingerprint"], ()):
+    def _apply_event(self, fingerprint: str, text: str) -> None:
+        for record_id in self._by_fp.get(fingerprint, ()):
             record = self._records.get(record_id)
             if record is not None and record.state != "done":
-                record.events.append(payload)
+                record.events.append(text)
                 record.wakeup.set()
 
     def _finish(self, record: _JobRecord, result: str) -> None:
@@ -762,18 +766,18 @@ class HttpGateway:
                 break
             record.wakeup.clear()
             await record.wakeup.wait()
-        await self._write_chunk(writer, {"kind": "result",
-                                         "job": record.name,
-                                         "id": record.id,
-                                         "result": raw(record.result)})
+        await self._write_chunk(writer, dumps({"kind": "result",
+                                               "job": record.name,
+                                               "id": record.id,
+                                               "result": raw(record.result)}))
         writer.write(b"0\r\n\r\n")
         await writer.drain()
         self._account(200, started)
         return True
 
     @staticmethod
-    async def _write_chunk(writer, payload: dict) -> None:
-        data = (dumps(payload) + "\n").encode("utf-8")
+    async def _write_chunk(writer, text: str) -> None:
+        data = (text + "\n").encode("utf-8")
         writer.write(f"{len(data):x}\r\n".encode("latin-1")
                      + data + b"\r\n")
         await writer.drain()
@@ -808,9 +812,9 @@ class HttpGateway:
             "queue_bound": self.queue_bound,
             "open_jobs": self._open_jobs,
             "records": len(self._records),
-            "records_bytes": sum(len(record.result)
-                                 for record in self._records.values()
-                                 if record.result is not None),
+            "records_bytes": sum(len(record.result or "")
+                                 + sum(map(len, record.events))
+                                 for record in self._records.values()),
             "draining": self.draining,
             "workers_alive": self.session.scheduler.pool.alive_workers,
         }

@@ -341,6 +341,18 @@ class ChaseJob:
         object.__setattr__(self, "_fingerprint", digest)
         return digest
 
+    def adopt_fingerprint(self, digest: str) -> "ChaseJob":
+        """This job, with ``digest`` memoized as its fingerprint.
+
+        For a job decoded from the wire form of a job whose digest is
+        already known -- a pool worker's -- so the whole instance is
+        not sorted and hashed a second time.  The wire form round-trips
+        every digested field, so the digest is the one
+        :meth:`fingerprint` would compute.
+        """
+        object.__setattr__(self, "_fingerprint", digest)
+        return self
+
     # -- wire form ------------------------------------------------------
     def to_dict(self) -> dict:
         """A lossless JSON-able encoding (the pool's wire format)."""

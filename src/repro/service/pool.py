@@ -80,10 +80,13 @@ def _worker_loop(conn) -> None:
     """Worker-process entry point: serve jobs until told to stop.
 
     Must stay top-level (picklable under spawn start methods).  Every
-    message in is ``(job_payload, progress_every, obs_cfg)`` where
-    ``obs_cfg`` mirrors the parent's live observability state (or is
-    None when everything is off); every message out is ``("event",
-    kind, job, detail, ts, fingerprint)``, ``("trace", records)`` or
+    message in is ``(job_payload, progress_every, obs_cfg,
+    fingerprint)`` where ``obs_cfg`` mirrors the parent's live
+    observability state (or is None when everything is off) and
+    ``fingerprint`` is the digest the parent planned the job under --
+    the decoded job adopts it instead of sorting and hashing its
+    instance again; every message out is ``("event", kind, job,
+    detail, ts, fingerprint)``, ``("trace", records)`` or
     ``("result", payload)``.
 
     Per-job observability: when the parent has metrics enabled the
@@ -102,7 +105,7 @@ def _worker_loop(conn) -> None:
             break
         if message is _STOP:
             break
-        payload, progress_every, obs_cfg = message
+        payload, progress_every, obs_cfg, fingerprint = message
         obs_cfg = obs_cfg or {}
         # Reconfigure per job: a persistent worker may serve metered
         # and unmetered jobs back to back.
@@ -114,7 +117,7 @@ def _worker_loop(conn) -> None:
                          sample=obs_cfg.get("sample", 1))
                   if obs_cfg.get("trace") else None)
         try:
-            job = job_from_dict(payload)
+            job = job_from_dict(payload).adopt_fingerprint(fingerprint)
             on_event: Optional[EventCallback] = None
             if progress_every > 0:
                 def on_event(event: ProgressEvent) -> None:
@@ -130,7 +133,7 @@ def _worker_loop(conn) -> None:
                                      worker=worker)
         except Exception:                             # noqa: BLE001
             result = JobResult(job=payload.get("name", "job"),
-                               fingerprint="", status=STATUS_ERROR,
+                               fingerprint=fingerprint, status=STATUS_ERROR,
                                failure_reason=traceback.format_exc(limit=8),
                                worker=worker)
         # The result's fields as they are: its facts or answers stay
@@ -326,7 +329,7 @@ class WorkerPool:
             index, job, enqueued = pending.popleft()
             try:
                 worker.conn.send((job.to_dict(), self.progress_every,
-                                  self._obs_config()))
+                                  self._obs_config(), job.fingerprint()))
             except (BrokenPipeError, OSError):
                 # Worker died between jobs: drop it, requeue, retry.
                 pending.appendleft((index, job, enqueued))

@@ -67,6 +67,28 @@ class TestEGDStep:
         with pytest.raises(ChaseFailure):
             apply_egd_step(inst, egd, binding)
 
+    def test_failure_names_constants_in_canonical_order(self):
+        """The reason must not depend on which side the trigger bound
+        first (on the set backend that follows the string-hash seed)."""
+        egd = parse_constraint("e: E(u,v), E(u,w) -> v = w")
+        c, seven = Constant("c"), Constant(7)
+        for left, right in ((b, c), (c, b)):
+            with pytest.raises(ChaseFailure) as failure:
+                apply_egd_step(parse_instance("E(a,b). E(a,c)"), egd,
+                               {Variable("u"): a, Variable("v"): left,
+                                Variable("w"): right})
+            assert str(failure.value) == \
+                "EGD e equates distinct constants b and c"
+        # Canonical JSON text order: a string's quote sorts before a
+        # digit, so "b" comes before 7 whichever side binds it.
+        for left, right in ((b, seven), (seven, b)):
+            with pytest.raises(ChaseFailure) as failure:
+                apply_egd_step(Instance([Atom("E", (a, b)),
+                                         Atom("E", (a, seven))]), egd,
+                               {Variable("u"): a, Variable("v"): left,
+                                Variable("w"): right})
+            assert str(failure.value).endswith("constants b and 7")
+
     def test_equal_values_rejected(self):
         egd = parse_constraint("E(u,v), E(u,w) -> v = w")
         inst = parse_instance("E(a,b)")

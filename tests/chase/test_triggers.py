@@ -6,14 +6,18 @@ identical statuses, and homomorphically equivalent results for
 terminating runs (``null_renaming_equivalent``, Section 2).
 """
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings
 
 from repro.chase import (chase, ChaseStatus, oblivious_chase,
                          OrderedStrategy, RandomStrategy, RoundRobinStrategy,
                          TriggerIndex)
-from repro.homomorphism.engine import null_renaming_equivalent
+from repro.homomorphism.engine import (null_renaming_equivalent,
+                                       reference_engine)
 from repro.homomorphism.extend import all_satisfied
+from repro.lang.instance import Instance
 from repro.lang.parser import parse_constraints, parse_instance
 from repro.termination.stratification import stratified_strategy
 from repro.workloads.families import (bounded_null_cascade, chain_instance,
@@ -28,6 +32,18 @@ from repro.workloads.paper import (example2_gamma, example4,
 
 from tests.conftest import graph_instances, graph_tgd_sets
 
+
+#: A data-exchange mapping with a key EGD: every author occurrence gets
+#: a fresh person null, and the EGD merges the nulls of equal names.
+#: Names repeat across publications, and one publication lists the
+#: same name twice.
+KEY_EGD_AUTHORS = (
+    parse_constraints("m4: author(k, i, n) -> Wrote(k, i, a), Person(a, n);"
+                      "e2: Person(a1, n), Person(a2, n) -> a1 = a2"),
+    parse_instance("author(p1, 1, ann). author(p1, 2, bob). "
+                   "author(p2, 1, bob). author(p2, 2, ann). "
+                   "author(p3, 1, cy). author(p3, 2, ann). "
+                   "author(p4, 1, cy). author(p4, 2, cy)"))
 
 # Every workload family the repo benchmarks, as (sigma, instance) pairs.
 FAMILIES = [
@@ -50,6 +66,7 @@ FAMILIES = [
     ("egd_tgd_interplay",
      parse_constraints("S(x) -> E(x,y); E(x,y), E(x,z) -> y = z"),
      parse_instance("S(a). E(a,b). S(b)")),
+    ("key_egd_authors", *KEY_EGD_AUTHORS),
 ]
 
 
@@ -68,6 +85,26 @@ def test_incremental_matches_naive(name, sigma, instance, strategy_factory):
     if incremental.terminated:
         assert all_satisfied(sigma, incremental.instance)
         assert null_renaming_equivalent(incremental.instance, naive.instance)
+
+
+@pytest.mark.parametrize("backend", ["set", "column"])
+@pytest.mark.parametrize("engine", ["plan", "reference"])
+def test_key_egd_mapping_matches_naive(backend, engine):
+    """The id-level trigger path on both backends, and under the
+    reference search, against the naive path: one person per name."""
+    sigma, source = KEY_EGD_AUTHORS
+    instance = Instance(source, backend=backend)
+    with reference_engine() if engine == "reference" else nullcontext():
+        for strategy_factory in (OrderedStrategy, RoundRobinStrategy):
+            incremental = chase(instance, sigma,
+                                strategy=strategy_factory())
+            naive = chase(instance, sigma, strategy=strategy_factory(),
+                          naive=True)
+            assert incremental.terminated and naive.terminated
+            assert all_satisfied(sigma, incremental.instance)
+            assert null_renaming_equivalent(incremental.instance,
+                                            naive.instance)
+            assert len(incremental.instance.facts("Person")) == 3
 
 
 @pytest.mark.parametrize("name,sigma,instance", FAMILIES,
@@ -219,6 +256,29 @@ class TestTriggerIndexUnit:
         inst = parse_instance("E(a,a)")
         index = TriggerIndex(sigma, inst, oblivious=True)
         assert index.pop_unfired() is None
+        index.detach()
+
+    def test_expansion_decodes_only_enqueued_triggers(self, monkeypatch):
+        """Delta rows stay interned ids through the key, the activity
+        check and the image probes: terms are decoded once per variable
+        of each trigger that is enqueued, and for nothing else."""
+        from repro.storage.interning import TermTable
+        sigma = parse_constraints("a: S(x) -> E(x,y);"
+                                  "e: E(x,y), E(x,z) -> y = z")
+        inst = Instance(parse_instance("S(a). S(b). E(a,c). E(d,e). E(d,f)"),
+                        backend="column")
+        index = TriggerIndex(sigma, inst)
+        decoded = []
+        term = TermTable.term
+        monkeypatch.setattr(TermTable, "term",
+                            lambda table, tid: decoded.append(tid)
+                            or term(table, tid))
+        # a: x=a is settled (E(a,c) exists), x=b is active; e: two
+        # orderings of (e, f) are active, the trivial bindings settled.
+        assert index.pending_count() == 3
+        enqueued = [assignment for constraint in sigma
+                    for assignment in index.pending_assignments(constraint)]
+        assert len(decoded) == sum(map(len, enqueued)) == 1 + 3 + 3
         index.detach()
 
     def test_detach_stops_listening(self):

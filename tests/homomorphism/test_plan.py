@@ -130,6 +130,62 @@ class TestPlanUnits:
                                                Atom("E", (a, a))))
         assert homs == [{x: a, y: a}]
 
+    def test_partial_ids_bind_like_partial_terms(self):
+        inst = parse_instance("E(a,b). E(b,c). E(a,c). E(c,a)")
+        plan = compile_plan((Atom("E", (x, y)), Atom("E", (y, z))))
+        ids = {x: inst.store.terms.intern(a)}
+        assert _freeze(plan.execute(inst.store, partial_ids=ids)) == \
+            _freeze(plan.execute(inst.store, partial={x: a}))
+        assert list(plan.execute(inst.store, partial_ids=ids, limit=1,
+                                 project=())) == [()]
+
+    def test_projected_multi_pin_yields_each_trigger_once(self):
+        """A delta fact that unifies with both atoms of a same-relation
+        body: the id rows come out once each, on every engine."""
+        a1, a2, n = Variable("a1"), Variable("a2"), Variable("n")
+        ann, p, q = Constant("ann"), Constant("p"), Constant("q")
+        pattern = [Atom("Person", (a1, n)), Atom("Person", (a2, n))]
+        facts = [Atom("Person", (p, ann)), Atom("Person", (q, ann))]
+        delta = facts[0]
+        variables = compile_plan(tuple(pattern)).variable_order
+        assert variables == (a1, a2, n)
+        for backend in ("set", "column"):
+            inst = Instance(facts, backend=backend)
+            ids = inst.store.terms.intern
+            expected = sorted((ids(h[a1]), ids(h[a2]), ids(h[n]))
+                              for h in reference_find_homomorphisms_through(
+                                  pattern, inst, delta))
+            assert len(expected) == 3
+            rows = list(find_homomorphisms_through(pattern, inst, delta,
+                                                   project=variables))
+            assert sorted(rows) == expected and len(set(rows)) == 3
+            with reference_engine():
+                assert sorted(find_homomorphisms_through(
+                    pattern, inst, delta, project=variables)) == expected
+            # A narrower projection still has one row per homomorphism.
+            assert list(find_homomorphisms_through(
+                pattern, inst, delta, project=(n,))) == [(ids(ann),)] * 3
+
+    def test_finished_search_leaves_no_cyclic_garbage(self):
+        """The join walks its order without a self-referencing closure,
+        so a search frees everything by reference counting alone."""
+        import gc
+        pattern = [Atom("E", (x, y)), Atom("E", (y, z))]
+        for backend in ("set", "column"):
+            inst = Instance(parse_instance("E(a,b). E(b,c). E(c,a)"),
+                            backend=backend)
+            list(find_homomorphisms(pattern, inst))
+            gc.collect()
+            gc.disable()
+            try:
+                assert len(list(find_homomorphisms(pattern, inst))) == 3
+                abandoned = find_homomorphisms(pattern, inst)
+                next(abandoned)
+                del abandoned
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+
     def test_limit_respected_on_all_paths(self):
         inst = parse_instance("E(a,b). E(b,c). E(c,a). S(a). S(b). S(c)")
         assert len(list(find_homomorphisms([Atom("E", (x, y))], inst,

@@ -256,3 +256,28 @@ def test_pool_streams_progress_events_across_processes():
     assert all(e.detail["steps"] % 10 == 0 for e in progress)
     kinds = [e.kind for e in events]
     assert kinds.count("started") == 2 and kinds.count("finished") == 2
+
+
+def test_worker_adopts_the_planned_fingerprint(monkeypatch):
+    """A worker decodes the job and runs it under the fingerprint the
+    parent planned it with: the instance is not digested again."""
+    from multiprocessing import Pipe
+
+    from repro.service import jobs as jobs_module
+    from repro.service.pool import _STOP, _worker_loop
+    job = make_job("fp", instance="S(a). S(b). S(c).")
+    planned = job.fingerprint()
+    calls = []
+    digest = jobs_module.instance_fingerprint
+    monkeypatch.setattr(jobs_module, "instance_fingerprint",
+                        lambda instance: calls.append(1) or digest(instance))
+    parent, child = Pipe()
+    parent.send((job.to_dict(), 0, None, planned))
+    parent.send(_STOP)
+    _worker_loop(child)
+    kind, out = parent.recv()
+    assert kind == "result"
+    assert out["status"] == "terminated"
+    assert out["fingerprint"] == planned
+    assert calls == []
+    parent.close()

@@ -319,11 +319,40 @@ def test_gateway_stats_report_record_bytes():
                                    body=spec("rb"))
             _, _, body = await request_raw_body(gw.port, "GET", "/stats")
             stats = json.loads(body)
-            texts = [record.result for record in gw._records.values()]
+            records = list(gw._records.values())
+            assert any(record.events for record in records)
+            texts = [record.result for record in records]
+            texts += [event for record in records for event in record.events]
             assert stats["gateway"]["records_bytes"] == \
                 sum(map(len, texts)) > 0
             assert stats["cache"]["results"]["bytes"] > 0
             assert stats["cache"]["specs"]["bytes"] > 0
+    asyncio.run(main())
+
+
+def test_event_stream_lines_are_the_stored_event_texts():
+    """Each progress event is kept as the JSON text its chunk carries,
+    and every line of the stream is still ``json.dumps(payload,
+    sort_keys=True)`` of the event it reports."""
+    async def main():
+        async with gateway() as gw:
+            _, _, body = await request_raw_body(
+                gw.port, "POST", "/jobs?wait=1", body=spec("ev"))
+            record_id = json.loads(body)["id"]
+            _, _, stream = await request_raw_body(
+                gw.port, "GET", f"/jobs/{record_id}/events")
+            lines = stream.decode("utf-8").splitlines()
+            record = gw._records[record_id]
+            assert lines[:-1] == record.events
+            kinds = [json.loads(line)["kind"] for line in lines]
+            assert kinds[0] == "queued" and "finished" in kinds
+            assert kinds[-1] == "result"
+            for line in lines:
+                payload = json.loads(line)
+                assert line == json.dumps(payload, sort_keys=True)
+            for line in lines[:-1]:
+                assert sorted(json.loads(line)) == \
+                    ["detail", "fingerprint", "job", "kind", "ts"]
     asyncio.run(main())
 
 
