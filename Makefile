@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-service query-smoke fuzz-smoke kernel-smoke obs-smoke http-smoke bench bench-smoke docs-check
+.PHONY: test test-fast test-service query-smoke fuzz-smoke obs-smoke http-smoke bench bench-smoke docs-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -31,15 +31,6 @@ test-service:
 # `repro query` on 2 workers.
 query-smoke:
 	$(PYTHON) -m repro query examples/queries --workers 2 --events
-
-# Kernel-layer smoke: posting-list protocol + column kernel units,
-# batch/tuple parity suite, and a timing-disabled pass over the
-# kernel microbenchmarks (parity asserts still run inside them).
-kernel-smoke:
-	$(PYTHON) -m pytest tests/homomorphism/test_kernels.py \
-	    tests/homomorphism/test_batch.py -q
-	REPRO_BENCH_SIZES=4,8 $(PYTHON) -m pytest \
-	    benchmarks/bench_join_kernels.py -q --benchmark-disable
 
 # Observability smoke: the obs test package, then a real instrumented
 # 2-worker batch -- merged fleet-wide metrics on stderr, an NDJSON

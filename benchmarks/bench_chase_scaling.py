@@ -30,15 +30,6 @@ query throughput**: compiled id-level CQ evaluation
 join-heavy query family, and a mixed query-job batch through
 the scheduler cold vs. warm (the warm pass must execute nothing).
 
-Since the kernel-layer PR it additionally measures the
-**column-at-a-time batch path**: compiled CQ evaluation with the
-vectorized kernels enabled vs. pinned to the tuple path
-(:func:`repro.homomorphism.engine.batch_disabled`), plus a
-no-regression guard on the cross-product chase family with batch
-routing live (the chase proper stays tuple-at-a-time by design --
-see ``docs/PAPER_MAP.md`` -- so end-to-end chase times must not
-move).
-
 Set ``REPRO_BENCH_SIZES`` (comma-separated, e.g. ``4,8``) to shrink
 the sweep -- used by the CI smoke job.  End-to-end time is gated by
 ``perfbench/``; these microbenchmarks locate the work.
@@ -331,96 +322,6 @@ def test_compiled_query_evaluation_speedup(benchmark):
         assert speedup >= 2.0, (
             f"compiled CQ evaluation not >=2x over the reference "
             f"loop (x{speedup:.2f})")
-
-
-@pytest.mark.paper_artifact("kernel layer")
-def test_batch_query_evaluation_speedup(benchmark):
-    """Compiled CQ evaluation with the column-at-a-time kernels vs.
-    the same compiled plan pinned to the tuple path.
-
-    Both sides run identical plans on the ``column`` backend -- order
-    selection, interning, projection push-down all shared -- so the
-    ratio isolates the batch execution model (posting-list
-    intersection + build/probe hash joins over column vectors against
-    per-tuple backtracking).  Answers must be identical; at the
-    largest size the batch path must be at least 2x faster
-    (typically ~7x).
-    """
-    from repro.cq.evaluate import compiled_answers
-    from repro.homomorphism.engine import batch_disabled
-    from repro.lang.parser import parse_query
-    from repro.workloads.generators import random_graph_instance
-
-    n = max(SIZES)
-    facts = sorted(random_graph_instance(1, n_nodes=n,
-                                         edge_probability=0.3).facts(),
-                   key=str)
-    column = Instance(facts, backend="column")
-    query = parse_query(
-        "q(a, d) <- E(a, b), E(b, c), E(c, d), S(a), S(d)")
-
-    batch = benchmark(lambda: compiled_answers(query, column))
-    with batch_disabled():
-        tuple_answers = compiled_answers(query, column)
-    assert batch == tuple_answers
-
-    batch_seconds = _best_of(lambda: compiled_answers(query, column))
-
-    def run_tuple():
-        with batch_disabled():
-            return compiled_answers(query, column)
-
-    tuple_seconds = _best_of(run_tuple)
-    speedup = tuple_seconds / batch_seconds
-    print(f"\nbatch CQ evaluation: {batch_seconds:.4f}s vs tuple path "
-          f"{tuple_seconds:.4f}s at n={n} ({len(batch)} answers, "
-          f"x{speedup:.1f} speedup)")
-    if n >= 32:  # below that, timings are noise-dominated
-        assert speedup >= 2.0, (
-            f"batch CQ evaluation not >=2x over the tuple path "
-            f"(x{speedup:.2f})")
-
-
-@pytest.mark.paper_artifact("kernel layer")
-def test_chase_unharmed_by_batch_routing(benchmark):
-    """The cross-product chase family with batch routing live vs.
-    pinned off.
-
-    The chase's semi-naive searches carry stateful prune predicates
-    and tiny pinned residuals, so the routing guards keep them on the
-    tuple path -- end-to-end chase times must be unchanged (a guard
-    against the batch path leaking into workloads it pessimizes).
-    Results must agree exactly.
-    """
-    from repro.homomorphism.engine import batch_disabled
-
-    n = max(SIZES)
-    sigma, facts = _crossprod_family(n)
-    budget = 60 * n
-
-    def run_routed():
-        return chase(Instance(facts, backend="column"), sigma,
-                     max_steps=budget)
-
-    def run_pinned():
-        with batch_disabled():
-            return chase(Instance(facts, backend="column"), sigma,
-                         max_steps=budget)
-
-    routed = benchmark(run_routed)
-    pinned = run_pinned()
-    assert routed.status is pinned.status
-    assert routed.length == pinned.length == budget
-    routed_seconds = _best_of(run_routed)
-    pinned_seconds = _best_of(run_pinned)
-    ratio = routed_seconds / pinned_seconds
-    print(f"\nchase with batch routing: {routed_seconds:.4f}s vs "
-          f"batch-disabled {pinned_seconds:.4f}s at n={n} "
-          f"(ratio {ratio:.2f})")
-    if n >= 32:  # below that, timings are noise-dominated
-        assert ratio <= 1.25, (
-            f"batch routing slowed the chase down (x{ratio:.2f} of the "
-            f"tuple-pinned time)")
 
 
 @pytest.mark.paper_artifact("Section 5 / query subsystem")

@@ -36,7 +36,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Set, Tuple
 
-from repro.homomorphism import engine as _engine
 from repro.homomorphism.plan import compile_plan, JoinPlan
 from repro.homomorphism.reference import reference_find_homomorphisms
 from repro.lang.instance import Instance
@@ -78,13 +77,6 @@ class CompiledQuery:
         With ``constants_only`` (the paper's certain-answer semantics)
         head images containing labeled nulls are dropped -- decided on
         the interned id, before any term is materialized.
-
-        On a vectorized store (outside a ``batch_disabled()`` /
-        ``reference_engine()`` block) the body join runs through the
-        column-at-a-time kernels of ``JoinPlan.execute_batch`` --
-        answers are exhaustive by definition, the shape the batch path
-        exists for.  Dedup and null filtering are unchanged: both
-        happen here, on the projected id rows.
         """
         store = instance.store
         term_of = store.terms.term
@@ -95,11 +87,7 @@ class CompiledQuery:
         #: id -> is it a null?  Memoized per call: answer rows share
         #: ids heavily, so each distinct id is classified once.
         null_id: dict = {}
-        if _engine.batch_mode_active() and store.supports_batch():
-            rows = self.plan.execute_batch(store, project=self.project)
-        else:
-            rows = self.plan.execute(store, project=self.project)
-        for row in rows:
+        for row in self.plan.execute(store, project=self.project):
             if row in seen:
                 continue
             seen.add(row)

@@ -14,13 +14,7 @@ an implementation-level parity that follows from one) on a concrete
 * ``backend_parity``  -- SetStore and ColumnStore chases agree
   (homomorphically equivalent results, same finite status);
 * ``engine_parity``   -- compiled join plans and the preserved
-  reference engine agree the same way, and a column-backend chase
-  agrees with itself under ``batch_disabled()`` (tuple path pinned);
-* ``kernel_parity``   -- the column-at-a-time kernels
-  (``JoinPlan.execute_batch``) yield exactly the tuple path's
-  homomorphism multiset on every constraint/query body of the case,
-  on both backends (forced, so SetStore's emulated posting-list
-  protocol is exercised too);
+  reference engine agree the same way;
 * ``order_cores``     -- results of different chase orders are
   homomorphically equivalent and their cores isomorphic (the paper's
   uniqueness-up-to-core claim, after [21]);
@@ -56,7 +50,7 @@ the corpus must catch it).
 from __future__ import annotations
 
 import itertools
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -65,10 +59,8 @@ from repro.chase.result import ChaseResult, ChaseStatus
 from repro.chase.runner import chase
 from repro.chase.strategies import RandomStrategy, RoundRobinStrategy
 from repro.fuzz.generate import FuzzCase
-from repro.homomorphism.engine import (batch_disabled,
-                                       null_renaming_equivalent,
+from repro.homomorphism.engine import (null_renaming_equivalent,
                                        reference_engine)
-from repro.homomorphism.plan import compile_plan
 from repro.kb.answering import certain_answers
 from repro.lang.errors import ReproError
 from repro.lang.instance import Instance
@@ -168,16 +160,14 @@ class OracleContext:
     # -- memoized per-case runs -----------------------------------------
     def run_chase(self, case: FuzzCase, backend: Optional[str] = None,
                   strategy_key: str = "round_robin",
-                  reference: bool = False,
-                  no_batch: bool = False) -> ChaseResult:
+                  reference: bool = False) -> ChaseResult:
         """One budgeted chase of the case, memoized per configuration.
 
         Every run uses a private :class:`NullFactory` (labels restart
         at 1) so configurations are comparable label-for-label where
-        execution order happens to agree.  ``no_batch`` pins the run
-        to the tuple-at-a-time path (``batch_disabled()``).
+        execution order happens to agree.
         """
-        key = ("chase", backend, strategy_key, reference, no_batch)
+        key = ("chase", backend, strategy_key, reference)
         if key in self._memo:
             return self._memo[key]
         instance = case.instance
@@ -193,9 +183,6 @@ class OracleContext:
                       nulls=NullFactory())
         if reference:
             with reference_engine():
-                result = chase(instance, list(case.sigma), **kwargs)
-        elif no_batch:
-            with batch_disabled():
                 result = chase(instance, list(case.sigma), **kwargs)
         else:
             result = chase(instance, list(case.sigma), **kwargs)
@@ -330,70 +317,15 @@ def oracle_backend_parity(case: FuzzCase,
 
 def oracle_engine_parity(case: FuzzCase,
                          ctx: OracleContext) -> List[Violation]:
-    """Compiled join plans agree with the reference engine, and the
-    column-at-a-time path agrees with the tuple path (third column of
-    the parity matrix: a column-backend chase with batch routing on
-    vs the same chase inside ``batch_disabled()``)."""
-    out: List[Violation] = []
+    """Compiled join plans agree with the reference engine."""
     left = ctx.run_chase(case)
     right = ctx.run_chase(case, reference=True)
     if not both_finite(left, right):
         ctx.skip(case, "engine_parity", "a run exceeded its budget")
-    else:
-        detail = compare_finite_runs(left, right,
-                                     "compiled vs reference engine")
-        if detail:
-            out.append(Violation("engine_parity", case.label(), detail))
-    batch_on = ctx.run_chase(case, backend="column")
-    batch_off = ctx.run_chase(case, backend="column", no_batch=True)
-    if not both_finite(batch_on, batch_off):
-        ctx.skip(case, "engine_parity", "a batch-column run exceeded "
-                                        "its budget")
-    else:
-        detail = compare_finite_runs(batch_on, batch_off,
-                                     "column chase batch vs tuple path")
-        if detail:
-            out.append(Violation("engine_parity", case.label(), detail))
-    return out
-
-
-def oracle_kernel_parity(case: FuzzCase,
-                         ctx: OracleContext) -> List[Violation]:
-    """``JoinPlan.execute_batch`` yields exactly the tuple path's
-    homomorphism multiset on every body of the case.
-
-    Evaluated on the case's base instance, per constraint body and for
-    the query body, on both backends.  The kernels are *forced*
-    (``force=True``), bypassing the shape/store fallbacks -- this is
-    what exercises SetStore's emulated posting-list protocol and the
-    small shapes the routed path would normally hand to the tuple
-    loop.  Comparison is on multisets of term-level assignments, so a
-    duplicated or dropped homomorphism is caught even when the set of
-    distinct results agrees.
-    """
-    bodies = {tuple(constraint.body) for constraint in case.sigma
-              if constraint.body}
-    bodies.add(tuple(case.query.body))
-    out: List[Violation] = []
-    for backend in ("set", "column"):
-        instance = case.instance
-        if instance.backend != backend:
-            instance = Instance(instance, backend=backend)
-        store = instance.store
-        for body in sorted(bodies, key=str):
-            plan = compile_plan(body)
-            tuple_side = Counter(frozenset(a.items())
-                                 for a in plan.execute(store))
-            batch_side = Counter(frozenset(a.items())
-                                 for a in plan.execute_batch(store,
-                                                             force=True))
-            if tuple_side != batch_side:
-                out.append(Violation(
-                    "kernel_parity", case.label(),
-                    f"{backend} backend, body {body!r}: batch path "
-                    f"yields {sum(batch_side.values())} homomorphisms "
-                    f"vs tuple path {sum(tuple_side.values())}"))
-    return out
+        return []
+    detail = compare_finite_runs(left, right, "compiled vs reference engine")
+    return [Violation("engine_parity", case.label(), detail)] \
+        if detail else []
 
 
 def oracle_order_cores(case: FuzzCase, ctx: OracleContext) -> List[Violation]:
@@ -529,7 +461,6 @@ ORACLES: "OrderedDict[str, Callable]" = OrderedDict([
     ("termination", oracle_termination),
     ("backend_parity", oracle_backend_parity),
     ("engine_parity", oracle_engine_parity),
-    ("kernel_parity", oracle_kernel_parity),
     ("order_cores", oracle_order_cores),
     ("certain_answers", oracle_certain_answers),
     ("service_parity", oracle_service_parity),

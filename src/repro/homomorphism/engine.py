@@ -29,8 +29,7 @@ from repro.lang.instance import Instance
 from repro.lang.terms import GroundTerm, Null, Variable
 
 __all__ = [
-    "Assignment", "apply_assignment", "batch_disabled",
-    "batch_mode_active", "find_homomorphism",
+    "Assignment", "apply_assignment", "find_homomorphism",
     "find_homomorphisms", "find_homomorphisms_through",
     "has_homomorphism", "homomorphism_between", "instance_maps_into",
     "is_endomorphism_proper", "null_renaming_equivalent",
@@ -40,11 +39,6 @@ __all__ = [
 #: When True, searches run on the preserved PR 1 algorithm
 #: (:mod:`repro.homomorphism.reference`) instead of compiled plans.
 _reference_mode = False
-
-#: When True, exhaustive searches on vectorized stores run through
-#: :meth:`JoinPlan.execute_batch` (the column-at-a-time kernels).
-#: :func:`batch_disabled` turns it off per block.
-_batch_mode = True
 
 
 @contextmanager
@@ -76,44 +70,11 @@ def reference_mode_active() -> bool:
     return _reference_mode
 
 
-@contextmanager
-def batch_disabled():
-    """Temporarily pin every search to the tuple-at-a-time path.
-
-    The cross-validation twin of :func:`reference_engine`, one layer
-    up: inside the block, :meth:`JoinPlan.execute_batch` is never
-    chosen, so a chase / query run inside ``batch_disabled()`` is the
-    oracle against which the column-at-a-time kernels are checked (the
-    ``kernel_parity`` fuzz oracle, the batch parity tests, and the
-    tuple baseline of ``bench_join_kernels.py``).  Not thread-safe;
-    intended for tests and benchmarks only.
-    """
-    global _batch_mode
-    previous = _batch_mode
-    _batch_mode = False
-    try:
-        yield
-    finally:
-        _batch_mode = previous
-
-
-def batch_mode_active() -> bool:
-    """May exhaustive searches take the column-at-a-time path?
-
-    Consulted by the routing sites (:func:`find_homomorphisms_through`
-    and the compiled CQ evaluation of :mod:`repro.cq.evaluate`); the
-    per-shape fallbacks of :meth:`JoinPlan.execute_batch` still apply
-    on top.
-    """
-    return _batch_mode and not _reference_mode
-
-
 def find_homomorphisms(atoms: Sequence[Atom], instance: Instance,
                        partial: Optional[Mapping[Variable, GroundTerm]] = None,
                        limit: Optional[int] = None,
                        prune: Optional[Callable[[Mapping[Variable, GroundTerm]],
-                                                bool]] = None,
-                       batch: bool = False
+                                                bool]] = None
                        ) -> Iterator[Assignment]:
     """Enumerate homomorphisms from ``atoms`` into ``instance``.
 
@@ -126,25 +87,12 @@ def find_homomorphisms(atoms: Sequence[Atom], instance: Instance,
     extension; returning True abandons the whole subtree.  The trigger
     index uses this to skip bindings whose frontier is already known to
     be satisfied (every completion would be satisfied too).
-
-    ``batch`` opts an exhaustive enumeration into the column-at-a-time
-    path (subject to :func:`batch_mode_active` and the plan's own
-    shape fallbacks).  It is **opt-in** here because most callers of
-    this entry point short-circuit or mutate the instance while
-    iterating -- the chase runners break out after the first applicable
-    trigger, the core search stops on the first improving endomorphism
-    -- and materializing the full result set first would do strictly
-    wasted work.  ``limit`` forces the tuple path for the same reason.
     """
     if _reference_mode:
         return reference_find_homomorphisms(atoms, instance, partial=partial,
                                             limit=limit, prune=prune)
-    plan = compile_plan(tuple(atoms))
-    if batch and limit is None and batch_mode_active():
-        return plan.execute_batch(instance.store, partial=partial,
-                                  prune=prune)
-    return plan.execute(instance.store, partial=partial, limit=limit,
-                        prune=prune)
+    return compile_plan(tuple(atoms)).execute(
+        instance.store, partial=partial, limit=limit, prune=prune)
 
 
 def find_homomorphisms_through(atoms: Union[Sequence[Atom], JoinPlan],
@@ -211,22 +159,6 @@ def find_homomorphisms_through(atoms: Union[Sequence[Atom], JoinPlan],
         return
     if len(pins) == 1:
         index, entries = pins[0]
-        if limit is None and prune is None and _batch_mode \
-                and not _reference_mode and store.supports_batch():
-            # Exhaustive, prune-free single-pin searches vectorize;
-            # execute_batch still falls back per shape (tiny delta
-            # neighborhoods stay tuple-at-a-time).  Searches carrying a
-            # prune predicate stay on the tuple path even though
-            # execute_batch honors prune: the trigger index's
-            # predicates are *stateful across generator suspensions*
-            # (a frontier fires between pulls and the resumed scan is
-            # abandoned), so breadth-first materialization would do all
-            # the join work the prune exists to skip.
-            yield from plan.execute_batch(store, partial=base,
-                                          pin_index=index,
-                                          pin_entries=entries,
-                                          project=project)
-            return
         yield from plan.execute(store, partial=base, pin_index=index,
                                 pin_entries=entries, limit=limit,
                                 prune=prune, project=project)

@@ -35,31 +35,17 @@ generation-aware: when the store's mutation counter has moved, the
 current relation sizes are re-checked against the decision-time
 snapshot and the order is recomputed once any body relation has grown
 or shrunk by more than 4x.
-
-:meth:`JoinPlan.execute_batch` is the column-at-a-time twin of
-:meth:`JoinPlan.execute`: same compiled specs, same cached orders,
-same prune/projection semantics, but each join step binds a *vector*
-of candidate rows through the posting-list / hash-join kernels of
-:mod:`repro.homomorphism.kernels` instead of one row with trail undo.
-It delegates to the tuple path for shapes the kernels cannot win on
-(trivial bodies, non-vectorized stores, pinned delta searches over
-tiny relations); the tuple path stays authoritative and is the
-cross-validation oracle of the ``kernel_parity`` fuzz oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial as partial_call
-from itertools import repeat
 from operator import itemgetter
 from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
 from repro.lang.atoms import Atom
 from repro.lang.terms import GroundTerm, Variable
-from repro.homomorphism.kernels import (PIN_BATCH_MIN_ROWS, candidate_rows,
-                                        cross_pairs, hash_build, hash_join,
-                                        take)
 from repro.obs.metrics import OBS
 from repro.storage.base import FactStore
 
@@ -275,7 +261,7 @@ class JoinPlan:
         cycle outlived every search until the cyclic collector ran.
         """
         if OBS.enabled:
-            OBS.inc("plan.tuple_executions")
+            OBS.inc("plan.executions")
         table = store.terms
         intern = table.intern
         term_of = table.term
@@ -460,185 +446,6 @@ class JoinPlan:
             else:
                 scans[depth] = None
                 depth -= 1
-
-    def execute_batch(self, store: FactStore,
-                      partial: Optional[Mapping[Variable, GroundTerm]] = None,
-                      pin_index: Optional[int] = None,
-                      pin_entries: Optional[Assignment] = None,
-                      prune=None,
-                      project: Optional[Tuple[Variable, ...]] = None,
-                      force: bool = False
-                      ) -> Iterator[Assignment]:
-        """Column-at-a-time twin of :meth:`execute`.
-
-        Same parameters and the same yielded values (assignment dicts,
-        or interned-id tuples under ``project``), but each join step of
-        the cached order binds a *vector* of candidate rows: candidate
-        sets come from galloping posting-list intersection, shared
-        variables join build/probe style over whole columns, and
-        disjoint atoms cross-expand as ordinal arithmetic
-        (:mod:`repro.homomorphism.kernels`).  Results materialize
-        step-by-step -- there is no ``limit`` because nothing is saved
-        by stopping early; callers that short-circuit (existence
-        probes) belong on the tuple path.
-
-        Shapes the kernels cannot win on delegate to :meth:`execute`
-        unless ``force``: stores without a native posting-list
-        protocol, trivial bodies (empty / single unpinned atom / fully
-        pre-bound -- the tuple path has dedicated fast paths for all
-        three), and pinned delta searches whose widest unpinned
-        relation holds fewer than
-        :data:`~repro.homomorphism.kernels.PIN_BATCH_MIN_ROWS` facts.
-        ``force=True`` runs the kernels regardless (the parity tests'
-        hook, and how SetStore's emulated protocol gets exercised).
-
-        ``prune`` keeps :meth:`execute`'s semantics at column
-        granularity: it is called with id-level bindings, once per
-        surviving row, but only at steps that bind a variable the
-        predicate declared in ``depends_on`` (every step when
-        undeclared) -- between such steps its value cannot change, so
-        the skipped calls are exactly the redundant ones.
-        """
-        specs = self.specs
-        unpinned = [spec for index, spec in enumerate(specs)
-                    if index != pin_index]
-        prebound_names = set(partial or ()) | set(pin_entries or ())
-        vectorizable = (
-            len(unpinned) > 1
-            and not all(var in prebound_names for var in self.variables)
-            and (force or (store.supports_batch()
-                           and (pin_index is None
-                                or max(store.relation_size(spec.relation)
-                                       for spec in unpinned)
-                                >= PIN_BATCH_MIN_ROWS))))
-        if not vectorizable:
-            if OBS.enabled:
-                OBS.inc("plan.route.tuple")
-            yield from self.execute(store, partial, pin_index, pin_entries,
-                                    None, prune, project)
-            return
-        if OBS.enabled:
-            OBS.inc("plan.route.batch")
-
-        table = store.terms
-        intern = table.intern
-        term_of = table.term
-        const_ids: Dict[Variable, int] = (
-            {var: intern(value) for var, value in partial.items()}
-            if partial else {})
-        if prune is not None and prune(const_ids):
-            return
-        if pin_entries:
-            for var, value in pin_entries.items():
-                const_ids[var] = intern(value)
-            if prune is not None and prune(const_ids):
-                return
-        prune_reads = getattr(prune, "depends_on", None) \
-            if prune is not None else None
-
-        prebound = frozenset(var for var in const_ids
-                             if var in self.variables)
-        order = self.order_for(store, prebound, pin_index)
-
-        # The binding table: one column per free variable, row-aligned.
-        columns: Dict[Variable, Sequence[int]] = {}
-        nrows = 1   # the seed row carrying the constant bindings
-
-        for index in order:
-            spec = specs[index]
-            # Classify this atom's positions against the current table.
-            fixed: List[Tuple[int, int]] = [
-                (position, intern(term))
-                for position, term in spec.ground_positions]
-            key_vars: List[Tuple[int, Variable]] = []
-            new_vars: List[Tuple[int, Variable]] = []
-            dup_checks: List[Tuple[int, int]] = []
-            first_of: Dict[Variable, int] = {}
-            for position, var in spec.var_positions:
-                tid = const_ids.get(var)
-                if tid is not None:
-                    fixed.append((position, tid))
-                elif var in columns:
-                    key_vars.append((position, var))
-                elif var in first_of:
-                    dup_checks.append((position, first_of[var]))
-                else:
-                    first_of[var] = position
-                    new_vars.append((position, var))
-            rows = candidate_rows(store, spec.relation, spec.arity, fixed)
-            if OBS.enabled:
-                OBS.inc("plan.batch.rows_scanned", len(rows))
-            if not rows:
-                return
-            gather = ([position for position, _ in key_vars]
-                      + [position for position, _ in new_vars]
-                      + [position for position, _ in dup_checks])
-            col_at = dict(zip(gather, store.batch_columns(
-                spec.relation, spec.arity, rows, gather)))
-            if dup_checks:
-                # Intra-atom repeated variable: both occurrences must
-                # agree before the rows enter the join.
-                keep = [ordinal for ordinal in range(len(rows))
-                        if all(col_at[dup][ordinal] == col_at[first][ordinal]
-                               for dup, first in dup_checks)]
-                if not keep:
-                    return
-                if len(keep) != len(rows):
-                    rows = take(rows, keep)
-                    col_at = {position: take(column, keep)
-                              for position, column in col_at.items()}
-            if key_vars:
-                build = hash_build(
-                    [col_at[position] for position, _ in key_vars],
-                    len(rows))
-                left, right = hash_join(
-                    [columns[var] for _, var in key_vars], nrows, build)
-            else:
-                left, right = cross_pairs(nrows, len(rows))
-            if len(left) == 0:
-                return
-            columns = {var: take(column, left)
-                       for var, column in columns.items()}
-            for position, var in new_vars:
-                columns[var] = take(col_at[position], right)
-            nrows = len(left)
-            if prune is not None and (
-                    prune_reads is None
-                    or any(var in prune_reads for _, var in new_vars)):
-                var_list = list(columns)
-                col_list = [columns[var] for var in var_list]
-                probe = dict(const_ids)
-                keep = []
-                for ordinal in range(nrows):
-                    for var, column in zip(var_list, col_list):
-                        probe[var] = column[ordinal]
-                    if not prune(probe):
-                        keep.append(ordinal)
-                if not keep:
-                    return
-                if len(keep) != nrows:
-                    columns = {var: take(column, keep)
-                               for var, column in columns.items()}
-                    nrows = len(keep)
-
-        if project is not None:
-            if not project:
-                for _ in range(nrows):
-                    yield ()
-                return
-            out_columns = [columns[var] if var in columns
-                           else repeat(const_ids[var], nrows)
-                           for var in project]
-            yield from zip(*out_columns)
-            return
-        const_terms = {var: term_of(tid) for var, tid in const_ids.items()}
-        var_list = list(columns)
-        col_list = [columns[var] for var in var_list]
-        for values in zip(*col_list):
-            assignment = dict(const_terms)
-            for var, tid in zip(var_list, values):
-                assignment[var] = term_of(tid)
-            yield assignment
 
 
 @lru_cache(maxsize=4096)

@@ -9,7 +9,7 @@ dependency graph (Definition 1) and the propagation graph
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from repro.lang.errors import SchemaError
 from repro.lang.terms import Constant, Null, Term, Variable
@@ -149,10 +149,3 @@ def occurrences(atoms: Iterable[Atom], term: Term) -> set[Position]:
     for atom in atoms:
         out.update(atom.positions_of(term))
     return out
-
-
-def iter_term_positions(atoms: Iterable[Atom]) -> Iterator[tuple[Term, Position]]:
-    """Yield every ``(term, position)`` occurrence pair."""
-    for atom in atoms:
-        for i, arg in enumerate(atom.args):
-            yield arg, Position(atom.relation, i + 1)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.lang.atoms import (Atom, atoms_constants, atoms_positions,
-                              atoms_variables, occurrences, Position)
+                              atoms_variables, Position)
 from repro.lang.errors import SchemaError
 from repro.lang.schema import Schema
 from repro.lang.terms import Constant, Variable
@@ -127,12 +127,6 @@ class TGD(Constraint):
 
     def head_positions(self) -> set[Position]:
         return atoms_positions(self.head)
-
-    def body_positions_of(self, var: Variable) -> set[Position]:
-        return occurrences(self.body, var)
-
-    def head_positions_of(self, var: Variable) -> set[Position]:
-        return occurrences(self.head, var)
 
     def constants(self) -> set[Constant]:
         return atoms_constants(self.body) | atoms_constants(self.head)

@@ -307,12 +307,13 @@ class ServiceSession:
 
     def budgeted(self, job):
         """Clamp the job's soft wall-clock budget to the session's
-        per-request budget (the tighter bound wins).  Sound for the
-        cache: wall_clock is excluded from fingerprints."""
+        per-request budget (the tighter bound wins; a NaN budget, which
+        compares False against everything, is replaced too).  Sound
+        for the cache: wall_clock is excluded from fingerprints."""
         budget = self.request_wall_clock
         if budget is None:
             return job
-        if job.wall_clock is None or job.wall_clock > budget:
+        if job.wall_clock is None or not job.wall_clock <= budget:
             return job.with_updates(wall_clock=budget)
         return job
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 import traceback
 from dataclasses import dataclass, field, fields, replace
@@ -184,22 +185,34 @@ def spec_value(payload: dict, key: str, default, convert):
     return default if value is None else convert(value)
 
 
-def spec_budget(key: str, convert=int, minimum=0):
+def spec_budget(key: str, integral: bool = True, minimum=0):
     """A validating numeric converter for :func:`spec_value`.
 
-    Budgets from the wire must be numbers and non-negative (``max_k``
-    at least 1): a negative or non-numeric budget in a hand-written or
-    adversarial spec must surface as a structured :class:`WireError`
-    -- which the serve loop and the CLI turn into an error payload --
-    never as a traceback from deep inside the runner.
+    Budgets from the wire must be finite, non-negative JSON numbers.
+    An integer knob takes an integer or an integral float (``5.0`` is
+    5, ``1.9`` is refused rather than truncated); with ``integral``
+    off (``wall_clock``) any finite number goes.  Strings and booleans
+    are not numbers, and the ``NaN`` / ``Infinity`` literals Python's
+    ``json`` accepts are not finite: a ``NaN`` budget would slip past
+    every ``>`` comparison, the session's wall-clock clamp included.
+    A bad budget in a hand-written or adversarial spec must surface
+    as a structured :class:`WireError` naming the knob -- which the
+    serve loop and the CLI turn into an error payload -- never as a
+    traceback from deep inside the runner.
     """
     def converter(value):
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise WireError(f"{key} must be a number, got {value!r}")
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise WireError(f"{key} must be finite, got {value!r}")
+            if integral and not value.is_integer():
+                raise WireError(f"{key} must be an integer, "
+                                f"got {value!r}")
         try:
-            converted = convert(value)
-        except (TypeError, ValueError):
-            raise WireError(f"{key} must be a number, got {value!r}") \
+            converted = int(value) if integral else float(value)
+        except OverflowError:
+            raise WireError(f"{key} must be finite, got {value!r}") \
                 from None
         if converted < minimum:
             raise WireError(f"{key} must be >= {minimum}, "
@@ -249,7 +262,7 @@ _KNOBS = (
     ("backend", lambda backend: backend, True),
     ("max_steps", spec_budget("max_steps"), True),
     ("max_facts", spec_budget("max_facts"), True),
-    ("wall_clock", spec_budget("wall_clock", convert=float), False),
+    ("wall_clock", spec_budget("wall_clock", integral=False), False),
     ("cycle_limit", spec_budget("cycle_limit"), True),
     ("max_k", spec_budget("max_k"), True),
     ("optimize", spec_bool("optimize"), True),

@@ -28,8 +28,6 @@ fact-insertion order on every backend.
 from __future__ import annotations
 
 import os
-from array import array
-from bisect import bisect_left
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple, Type)
 
@@ -51,99 +49,11 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 DEFAULT_BACKEND = "set"
 
 
-class PostingList:
-    """A sorted run of live row keys: the backend-neutral access path
-    of the column-at-a-time join kernels.
-
-    A posting list names the rows of one ``(relation, arity)`` table
-    that hold a given term id at a given position (or *all* live rows,
-    for :meth:`FactStore.row_universe`).  Row keys are backend-private
-    integers -- physical row indexes on :class:`ColumnStore`, permanent
-    fact ids on :class:`SetStore` -- that only have to satisfy two
-    contracts: they are **strictly increasing** within a list, and
-    :meth:`FactStore.batch_columns` can decode them back to argument
-    ids.  Everything the kernels do (galloping intersection, gathers)
-    works on that contract alone, which is what lets a future
-    disk-backed store (ROADMAP item 1) plug in by exposing covering
-    indexes as posting lists.
-
-    The wrapped sequence is shared with the store and must be treated
-    as read-only by callers.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[int]) -> None:
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"PostingList({len(self.rows)} rows)"
-
-    def materialize(self) -> Sequence[int]:
-        """An indexable snapshot of the row keys (read-only; may alias
-        the store's own array when that is already safe to share)."""
-        return self.rows
-
-    @staticmethod
-    def gallop(rows: Sequence[int], target: int, lo: int = 0) -> int:
-        """The first index ``>= lo`` with ``rows[index] >= target``.
-
-        Exponential (galloping) probe followed by a binary search of
-        the bracketed range -- O(log gap) instead of O(gap), the
-        classic skip primitive of sorted posting-list intersection.
-        """
-        hi = len(rows)
-        probe = lo
-        step = 1
-        while probe < hi and rows[probe] < target:
-            lo = probe + 1
-            probe += step
-            step <<= 1
-        return bisect_left(rows, target, lo, min(probe, hi))
-
-    def intersect(self, other: "PostingList") -> "PostingList":
-        """Sorted intersection, galloping through the longer list.
-
-        Iterates the shorter list and gallops for each key in the
-        longer one, so heavily skewed pairs (a selective filter against
-        a huge posting) cost O(small * log(large)).
-        """
-        a, b = self.rows, other.rows
-        if len(a) > len(b):
-            a, b = b, a
-        out = array("q")
-        append = out.append
-        gallop = PostingList.gallop
-        lo = 0
-        hi = len(b)
-        for value in a:
-            lo = gallop(b, value, lo)
-            if lo >= hi:
-                break
-            if b[lo] == value:
-                append(value)
-                lo += 1
-        return PostingList(out)
-
-
 class FactStore:
     """Abstract base class of the storage backends."""
 
     #: Registry-facing backend name; subclasses override.
     name = "abstract"
-
-    #: Does the backend serve the posting-list protocol *natively*
-    #: (sorted arrays, O(1) gathers)?  The batch execution mode of
-    #: :class:`repro.homomorphism.plan.JoinPlan` vectorizes only over
-    #: stores that set this; every backend must still *implement* the
-    #: protocol (emulation is fine) so kernels stay cross-checkable.
-    vectorized = False
 
     def __init__(self, terms: Optional[TermTable] = None) -> None:
         self._terms = terms if terms is not None else TermTable()
@@ -335,39 +245,6 @@ class FactStore:
                      ) -> int:
         """Upper bound on the number of facts of ``relation`` holding
         term ``tid`` at 0-based ``position`` (posting-list length)."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Posting-list protocol (column-at-a-time kernels)
-    # ------------------------------------------------------------------
-    def supports_batch(self) -> bool:
-        """Should :class:`~repro.homomorphism.plan.JoinPlan` prefer the
-        vectorized path on this store?  True exactly for backends that
-        serve the posting-list protocol natively."""
-        return self.vectorized
-
-    def posting_list(self, relation: str, arity: int,
-                     position: int, tid: TermId
-                     ) -> Optional[PostingList]:
-        """The sorted live row keys of ``relation``/``arity`` facts
-        holding ``tid`` at 0-based ``position`` -- None when the store
-        has no index that can answer without a full scan (the batch
-        path then falls back to :meth:`row_universe` plus a gather
-        filter).  Row keys follow the :class:`PostingList` contract."""
-        raise NotImplementedError
-
-    def row_universe(self, relation: str, arity: int) -> PostingList:
-        """All live row keys of the ``relation``/``arity`` table, as a
-        (possibly empty) posting list."""
-        raise NotImplementedError
-
-    def batch_columns(self, relation: str, arity: int,
-                      rows: Sequence[int], positions: Sequence[int]
-                      ) -> List[Sequence[TermId]]:
-        """Gather argument columns for a batch of row keys: one
-        sequence of interned term ids per requested 0-based position,
-        each aligned with ``rows``.  Row keys must come from this
-        store's own posting lists / row universes."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
 from repro.lang.atoms import Atom
 from repro.lang.terms import GroundTerm
 from repro.obs.metrics import OBS
-from repro.storage.base import FactId, FactStore, PostingList
+from repro.storage.base import FactId, FactStore
 from repro.storage.interning import TermId, TermTable
 
 #: Compaction triggers once a bucket holds more than this many dead
@@ -103,15 +103,11 @@ class _Bucket:
         self.row_of = row_of
         self.dead = 0
 
-    def row_ids(self, row: int) -> Tuple[TermId, ...]:
-        return tuple(column[row] for column in self.columns)
-
 
 class ColumnStore(FactStore):
     """Column-organized storage over interned term ids."""
 
     name = "column"
-    vectorized = True
 
     def __init__(self, terms: Optional[TermTable] = None) -> None:
         super().__init__(terms)
@@ -443,51 +439,3 @@ class ColumnStore(FactStore):
         return sum(len(bucket.postings.get((position, tid), ()))
                    for bucket in self._buckets.get(relation, ())
                    if position < bucket.arity)
-
-    # ------------------------------------------------------------------
-    # Posting-list protocol (native)
-    # ------------------------------------------------------------------
-    # Row keys are physical row indexes within the (relation, arity)
-    # bucket.  Postings are appended in row order and compaction
-    # rebuilds them in row order, so the stored arrays are already
-    # strictly increasing; the only live-ness work is filtering
-    # tombstones, and buckets without tombstones share their arrays
-    # with the kernels zero-copy.
-
-    def posting_list(self, relation: str, arity: int,
-                     position: int, tid: TermId
-                     ) -> Optional[PostingList]:
-        bucket = self._bucket(relation, arity)
-        if bucket is None or position >= bucket.arity:
-            return PostingList(array("q"))
-        posting = bucket.postings.get((position, tid))
-        if posting is None:
-            return PostingList(array("q"))
-        if not bucket.dead:
-            return PostingList(posting)
-        alive = bucket.alive
-        return PostingList(array("q", (row for row in posting
-                                       if alive[row])))
-
-    def row_universe(self, relation: str, arity: int) -> PostingList:
-        bucket = self._bucket(relation, arity)
-        if bucket is None:
-            return PostingList(array("q"))
-        if not bucket.dead:
-            return PostingList(range(len(bucket.alive)))
-        return PostingList(array("q", (row for row, live
-                                       in enumerate(bucket.alive)
-                                       if live)))
-
-    def batch_columns(self, relation: str, arity: int,
-                      rows: Sequence[int], positions: Sequence[int]
-                      ) -> List[Sequence[TermId]]:
-        bucket = self._bucket(relation, arity)
-        if bucket is None or not rows:
-            return [[] for _ in positions]
-        columns = bucket.columns
-        if len(rows) == 1:
-            row = rows[0]
-            return [[columns[position][row]] for position in positions]
-        picker = itemgetter(*rows)
-        return [picker(columns[position]) for position in positions]

@@ -17,14 +17,13 @@ so repeated scans do not re-intern arguments.
 
 from __future__ import annotations
 
-from array import array
 from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
 from repro.lang.atoms import Atom
 from repro.lang.terms import GroundTerm
 from repro.obs.metrics import OBS
-from repro.storage.base import FactId, FactStore, PostingList
+from repro.storage.base import FactId, FactStore
 from repro.storage.interning import TermId, TermTable
 
 
@@ -198,38 +197,3 @@ class SetStore(FactStore):
                      ) -> int:
         term = self._terms.term(tid)
         return len(self._by_term.get((relation, position, term), ()))
-
-    # ------------------------------------------------------------------
-    # Posting-list protocol (emulated)
-    # ------------------------------------------------------------------
-    # Row keys are permanent fact ids, sorted on demand from the hash
-    # buckets.  This is O(n log n) per request -- the point is protocol
-    # conformance (cross-backend kernel parity tests), not speed, which
-    # is why ``vectorized`` stays False and the batch path does not
-    # route here by default.
-
-    def _sorted_fids(self, facts, arity: int) -> PostingList:
-        fids = self._fids
-        rows = array("q", sorted(fids[fact] for fact in facts
-                                 if fact.arity == arity))
-        return PostingList(rows)
-
-    def posting_list(self, relation: str, arity: int,
-                     position: int, tid: TermId
-                     ) -> Optional[PostingList]:
-        term = self._terms.term(tid)
-        bucket = self._by_term.get((relation, position, term), ())
-        return self._sorted_fids(bucket, arity)
-
-    def row_universe(self, relation: str, arity: int) -> PostingList:
-        bucket = self._by_relation.get(relation, ())
-        return self._sorted_fids(bucket, arity)
-
-    def batch_columns(self, relation: str, arity: int,
-                      rows: Sequence[int], positions: Sequence[int]
-                      ) -> List[Sequence[TermId]]:
-        atoms = self._atoms
-        ids_of = self._ids_of
-        tuples = [ids_of(atoms[fid]) for fid in rows]
-        return [[ids[position] for ids in tuples]
-                for position in positions]

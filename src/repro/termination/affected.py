@@ -43,11 +43,3 @@ def affected_positions(sigma: Iterable[Constraint]) -> set[Position]:
                         affected |= new_positions
                         changed = True
     return affected
-
-
-def variable_only_in_affected(tgd: TGD, var, affected: set[Position]) -> bool:
-    """Does ``var`` occur in the body of ``tgd`` only at affected
-    positions?  (The guard used by the propagation graph and by the
-    weak-guardedness test of Section 5.)"""
-    body_positions = occurrences(tgd.body, var)
-    return bool(body_positions) and body_positions <= affected

@@ -59,11 +59,6 @@ def nontrivial_sccs(graph: nx.DiGraph) -> List[Set[Constraint]]:
     return out
 
 
-def simple_cycles_of(graph: nx.DiGraph) -> Iterable[List[Constraint]]:
-    """All simple cycles (delegates to networkx)."""
-    return nx.simple_cycles(graph)
-
-
 def topological_strata(graph: nx.DiGraph) -> List[List[Constraint]]:
     """The SCC quotient in topological order (Theorem 2's W'_1..W'_n).
 

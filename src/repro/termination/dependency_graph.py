@@ -87,12 +87,6 @@ def has_special_cycle(graph: nx.DiGraph) -> bool:
     return False
 
 
-def special_edges(graph: nx.DiGraph) -> set[tuple[Position, Position]]:
-    """The graph's special edges (existential propagation, Section 3.1)."""
-    return {(u, v) for u, v, data in graph.edges(data=True)
-            if data.get(SPECIAL)}
-
-
 def position_ranks(graph: nx.DiGraph) -> dict[Position, int]:
     """``rank(pi)``: the maximum number of special edges on any incoming
     path (finite iff no cycle through a special edge; used in the proof

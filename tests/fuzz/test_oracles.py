@@ -133,55 +133,3 @@ def test_violation_render_mentions_oracle_and_case():
     violation = Violation("backend_parity", "fuzz_s1_c2", "boom")
     assert "[backend_parity]" in violation.render()
     assert "fuzz_s1_c2" in violation.render()
-
-
-# ----------------------------------------------------------------------
-# kernel parity oracle: mutation seam
-# ----------------------------------------------------------------------
-def test_kernel_parity_catches_a_dropped_homomorphism(monkeypatch, ctx):
-    """The oracle is not vacuous: a batch path that silently drops one
-    result must be flagged."""
-    from repro.homomorphism.plan import JoinPlan
-
-    original = JoinPlan.execute_batch
-
-    def lying_batch(self, *args, **kwargs):
-        results = iter(original(self, *args, **kwargs))
-        next(results, None)          # swallow the first homomorphism
-        return results
-
-    monkeypatch.setattr(JoinPlan, "execute_batch", lying_batch)
-    case = make_case("a1: S(x) -> E(x, y)", "S(a). S(b). E(a, b).")
-    violations = run_oracle("kernel_parity", case, ctx)
-    assert violations and all(v.oracle == "kernel_parity"
-                              for v in violations)
-
-
-def test_kernel_parity_catches_a_duplicated_homomorphism(monkeypatch, ctx):
-    """Multiset comparison: duplicating a result is flagged even
-    though the distinct answer set is unchanged."""
-    from repro.homomorphism.plan import JoinPlan
-
-    original = JoinPlan.execute_batch
-
-    def stuttering_batch(self, *args, **kwargs):
-        first = None
-        for assignment in original(self, *args, **kwargs):
-            if first is None:
-                first = assignment
-                yield dict(assignment)
-            yield assignment
-
-    monkeypatch.setattr(JoinPlan, "execute_batch", stuttering_batch)
-    case = make_case("a1: S(x) -> E(x, y)", "S(a). S(b). E(a, b).")
-    violations = run_oracle("kernel_parity", case, ctx)
-    assert violations
-
-
-def test_engine_parity_includes_batch_column(ctx):
-    """The third parity column runs: a clean case memoizes both the
-    batch-enabled and the batch-disabled column chase."""
-    case = make_case("a1: S(x) -> E(x, y)", "S(a). S(b).")
-    assert run_oracle("engine_parity", case, ctx) == []
-    assert ("chase", "column", "round_robin", False, False) in ctx._memo
-    assert ("chase", "column", "round_robin", False, True) in ctx._memo

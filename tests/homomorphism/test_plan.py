@@ -6,6 +6,8 @@ storage backends -- the same discipline as the trigger index's
 naive/incremental cross-validation.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,7 +20,7 @@ from repro.homomorphism.reference import (
 from repro.lang.atoms import Atom
 from repro.lang.instance import Instance
 from repro.lang.parser import parse_instance
-from repro.lang.terms import Constant, Variable
+from repro.lang.terms import Constant, Null, Variable
 
 from tests.conftest import graph_instances
 
@@ -39,6 +41,15 @@ PATTERNS = [
 
 def _freeze(assignments):
     return {frozenset(h.items()) for h in assignments}
+
+
+def _multiset(assignments):
+    return Counter(frozenset(h.items()) for h in assignments)
+
+
+N1, N2 = Null(901), Null(902)
+NULL_HEAVY = [Atom("E", (N1, N2)), Atom("E", (N2, N1)), Atom("E", (N1, a)),
+              Atom("S", (N1,)), Atom("S", (a,))]
 
 
 class TestPlanMatchesReference:
@@ -67,6 +78,28 @@ class TestPlanMatchesReference:
                 actual = _freeze(find_homomorphisms_through(
                     pattern, instance, delta))
                 assert actual == expected, (backend, pattern)
+
+    @pytest.mark.parametrize("backend", ["set", "column"])
+    @pytest.mark.parametrize("facts, pattern", [
+        ("E(a,b). S(a)", [Atom("E", (c, y)), Atom("S", (x,))]),
+        ("S(a). S(b)", [Atom("E", (x, y)), Atom("S", (x,))]),
+        ("E(a,b). S(c)", [Atom("E", (a, b)), Atom("S", (c,))]),
+        ("E(a,b). S(c)", [Atom("E", (b, a)), Atom("S", (c,))]),
+        ("S(a). S(b). T(b). T(c)", [Atom("S", (x,)), Atom("T", (x,))]),
+    ], ids=["absent_constant", "empty_relation", "ground_present",
+            "ground_absent", "arity_one_join"])
+    def test_edge_shapes_agree(self, backend, facts, pattern):
+        inst = Instance(parse_instance(facts), backend=backend)
+        assert _multiset(find_homomorphisms(pattern, inst)) \
+            == _multiset(reference_find_homomorphisms(pattern, inst))
+
+    @pytest.mark.parametrize("backend", ["set", "column"])
+    def test_null_heavy_instance_agrees(self, backend):
+        inst = Instance(NULL_HEAVY, backend=backend)
+        for pattern in PATTERNS:
+            assert _multiset(find_homomorphisms(pattern, inst)) \
+                == _multiset(reference_find_homomorphisms(pattern, inst)), \
+                pattern
 
     def test_partial_binding_agrees(self):
         inst = parse_instance("E(a,b). E(b,c). E(a,c). S(a). S(b)")

@@ -52,6 +52,17 @@ def test_unknown_job_kind_raises_wire_error():
     ("max_steps", "lots"),
     ("wall_clock", "fast"),
     ("max_facts", True),
+    ("max_steps", float("inf")),
+    ("max_k", float("inf")),
+    ("max_facts", float("-inf")),
+    ("cycle_limit", float("nan")),
+    ("wall_clock", float("nan")),
+    ("wall_clock", float("inf")),
+    pytest.param("wall_clock", 10 ** 400, id="wall_clock-huge_int"),
+    ("max_steps", "12"),
+    ("wall_clock", "0.5"),
+    ("max_steps", 1.9),
+    ("max_facts", 0.5),
 ])
 def test_bad_budgets_raise_wire_error_on_chase_jobs(knob, bad):
     with pytest.raises(WireError, match=knob):
@@ -63,6 +74,10 @@ def test_bad_budgets_raise_wire_error_on_chase_jobs(knob, bad):
     ("depth_limit", -2),
     ("max_k", -1),
     ("optimize", "yes"),
+    ("depth_limit", float("inf")),
+    ("depth_limit", float("nan")),
+    ("depth_limit", "3"),
+    ("depth_limit", 2.5),
 ])
 def test_bad_budgets_raise_wire_error_on_query_jobs(knob, bad):
     with pytest.raises(WireError, match=knob):
@@ -73,6 +88,15 @@ def test_valid_budgets_still_parse():
     job = ChaseJob.from_dict({**GOOD, "max_steps": 5, "max_facts": 0,
                               "wall_clock": 0.0, "max_k": 0})
     assert (job.max_steps, job.max_facts, job.wall_clock) == (5, 0, 0.0)
+
+
+def test_integral_float_budgets_parse_as_integers():
+    job = ChaseJob.from_dict({**GOOD, "max_steps": 5.0, "max_k": 2.0,
+                              "wall_clock": 1})
+    assert (job.max_steps, job.max_k, job.wall_clock) == (5, 2, 1.0)
+    assert type(job.max_steps) is int and type(job.wall_clock) is float
+    assert job.fingerprint() == ChaseJob.from_dict(
+        {**GOOD, "max_steps": 5, "max_k": 2}).fingerprint()
 
 
 def test_duplicate_relation_arities_are_a_structured_error():

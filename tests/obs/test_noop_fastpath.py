@@ -3,7 +3,7 @@
 
 This is the mutation-style guarantee behind the <=5% overhead budget:
 with ``OBS.enabled`` False and no active tracer, a chase through the
-full stack (runner, triggers, plans, kernels, storage) must leave the
+full stack (runner, triggers, plans, storage) must leave the
 registry untouched -- not "roughly empty", *empty* -- and enabling
 observability must not perturb any verdict.
 """

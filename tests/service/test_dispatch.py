@@ -158,6 +158,24 @@ def test_request_wall_clock_clamps_only_looser_budgets(session):
     assert session.budgeted(tight).wall_clock == 0.5
 
 
+def test_nan_wall_clock_is_rejected_and_cannot_escape_the_clamp(session):
+    """Python's json decodes ``NaN``, and ``nan > budget`` is False: a
+    NaN wall clock that got past parsing would outlive the session's
+    per-request budget.  It is refused as an invalid spec, and a NaN
+    that reaches the clamp anyway is clamped."""
+    session.request_wall_clock = 0.05
+    line = json.dumps(spec("nan", constraints=DIVERGENT,
+                           wall_clock=float("nan")))
+    assert "NaN" in line
+    reply = session.handle_line(line)
+    assert reply["status"] == "error"
+    assert reply["error"] == "invalid_spec"
+    assert "wall_clock" in reply["failure_reason"]
+    job = session.parse_job(spec("nan2")).job
+    assert session.budgeted(
+        job.with_updates(wall_clock=float("nan"))).wall_clock == 0.05
+
+
 def test_wall_clock_clamp_is_cache_sound(session):
     """wall_clock is excluded from fingerprints, so the clamp cannot
     fork the cache key space."""

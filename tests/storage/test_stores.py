@@ -236,6 +236,37 @@ class TestFactIds:
         assert isinstance(Instance().store, SetStore)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestJoinStatistics:
+    """What join ordering reads from a store
+    (:meth:`repro.homomorphism.plan.JoinPlan.order_for`): the mutation
+    counter its order cache keys on, and the size estimates."""
+
+    def _store(self, backend):
+        facts = [Atom("E", (Constant(f"a{i % 4}"), Constant(f"b{i % 3}")))
+                 for i in range(12)]
+        facts += [Atom("S", (Constant("a1"),)), Atom("S", (Constant("z"),))]
+        return Instance(facts, backend=backend).store
+
+    def test_generation_counts_successful_mutations(self, backend):
+        store = self._store(backend)
+        start = store.generation
+        fact = Atom("E", (Constant("fresh"), Constant("fresh")))
+        assert store.add(fact) and store.generation == start + 1
+        assert not store.add(fact) and store.generation == start + 1
+        assert store.discard(fact) and store.generation == start + 2
+        assert not store.discard(fact) and store.generation == start + 2
+
+    def test_posting_size_bounds_matching(self, backend):
+        store = self._store(backend)
+        a1 = store.terms.id_of(Constant("a1"))
+        facts = store.matching("E", {0: Constant("a1")})
+        assert store.posting_size("E", 0, a1) == len(facts) == 3
+        store.discard(next(iter(facts)))
+        assert store.posting_size("E", 0, a1) >= 2
+        assert store.relation_size("E") == len(store.facts("E")) == 11
+
+
 # ----------------------------------------------------------------------
 # Randomized cross-validation: identical chase results on both backends
 # ----------------------------------------------------------------------
