@@ -11,8 +11,8 @@ test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow and not fuzz"
 
 # Seeded metamorphic smoke corpus: 200 generated constraint sets
-# through every oracle (hierarchy, termination, backend/engine parity,
-# core isomorphism, certain answers, service parity).  The report is a
+# through every oracle (hierarchy, termination, engine parity, core
+# isomorphism, certain answers, service parity).  The report is a
 # function of the seed: step and search-node counts bound the work,
 # never a clock.  Minimized repro specs for any violation land in
 # examples/repros/.  Finishes well under a minute.

@@ -11,14 +11,6 @@ index turns the per-step trigger search from "all homomorphisms" into
 "homomorphisms through the step's delta", which shows up as a
 super-linear speedup at the largest sizes.
 
-Since the storage-layer refactor it additionally measures the
-``ColumnStore`` backend plus compiled join plans against the
-reference path preserved from the incremental-index era
-(:func:`repro.homomorphism.engine.reference_engine` on the ``set``
-backend): on the cross-product workload family the columnar access
-paths compose with the lazy trigger expansion into a >=2x end-to-end
-speedup at the largest sizes.
-
 Since the service-layer PR it also measures **batch throughput**: a
 mixed batch of workload-family jobs through the
 :mod:`repro.service` scheduler with 1 vs. N workers and a cold vs.
@@ -42,15 +34,11 @@ import time
 import pytest
 
 from repro.chase import chase
-from repro.homomorphism.engine import (null_renaming_equivalent,
-                                       reference_engine)
 from repro.workloads.families import example9_instance, special_nodes_instance
 from repro.workloads.paper import (example8_beta, example10, example13,
                                    example2_gamma, figure2)
 from repro.lang.atoms import Atom
 from repro.lang.instance import Instance
-from repro.lang.parser import parse_constraints
-from repro.lang.terms import Constant
 
 SIZES = [int(s) for s in os.environ.get("REPRO_BENCH_SIZES",
                                         "4,8,16,32").split(",")
@@ -141,25 +129,6 @@ def test_incremental_trigger_index_speedup(benchmark):
             f"incremental path not faster than naive (x{speedup:.2f})")
 
 
-def _crossprod_family(n):
-    """The storage-layer workload: a divergent TGD with a
-    cross-product body over a wide side relation.
-
-    ``E(x, y), S(u) -> E(y, z)`` makes every chase step expand one
-    delta edge against the full (never-growing) ``S`` relation.  The
-    PR 1 engine snapshots (copies) ``S`` per scan and re-walks it on
-    every resumed enumeration; the columnar backend streams the scan
-    lazily and the compiled plan abandons it outright once the
-    frontier is known satisfied (``S`` binds no frontier variable) --
-    O(1) per selection instead of O(|S|).
-    """
-    sigma = parse_constraints("d: E(x,y), S(u) -> E(y,z)")
-    facts = [Atom("E", (Constant(f"c{i}"), Constant(f"c{i+1}")))
-             for i in range(n)]
-    facts += [Atom("S", (Constant(f"s{i}"),)) for i in range(8 * n)]
-    return sigma, facts
-
-
 def _best_of(fn, repeats=3):
     best = float("inf")
     for _ in range(repeats):
@@ -167,63 +136,6 @@ def _best_of(fn, repeats=3):
         fn()
         best = min(best, time.perf_counter() - start)
     return max(best, 1e-9)
-
-
-@pytest.mark.paper_artifact("storage layer")
-def test_column_store_backend_speedup(benchmark):
-    """ColumnStore + compiled join plans vs the PR 1 incremental path.
-
-    The baseline is the engine exactly as the incremental trigger
-    index shipped it (``reference_engine()``) on the ``set`` backend;
-    both sides run the same semi-naive chase and must agree on status
-    and length (full result cross-validation, including
-    ``null_renaming_equivalent``, lives in tests/storage/).
-    """
-    n = max(SIZES)
-    sigma, facts = _crossprod_family(n)
-    budget = 60 * n
-
-    def run_column():
-        return chase(Instance(facts, backend="column"), sigma,
-                     max_steps=budget)
-
-    def run_reference():
-        with reference_engine():
-            return chase(Instance(facts, backend="set"), sigma,
-                         max_steps=budget)
-
-    column = benchmark(run_column)
-    reference = run_reference()
-    assert column.status is reference.status
-    assert column.length == reference.length == budget
-    column_seconds = _best_of(run_column)
-    reference_seconds = _best_of(run_reference)
-    speedup = reference_seconds / column_seconds
-    print(f"\ncolumn backend: {column_seconds:.4f}s vs PR 1 path "
-          f"{reference_seconds:.4f}s at n={n} (x{speedup:.1f} speedup)")
-    if n >= 32:  # below that, timings are noise-dominated
-        assert speedup >= 2.0, (
-            f"column backend not >=2x over the PR 1 path (x{speedup:.2f})")
-
-
-@pytest.mark.paper_artifact("storage layer")
-def test_backends_agree_on_terminating_workload(benchmark):
-    """Cheap cross-check inside the bench: both backends chase the
-    safe workload to homomorphically equivalent results."""
-    factory, builder = example8_beta, example9_instance
-    facts = list(builder(max(SIZES)))
-
-    def run_both():
-        set_result = chase(Instance(facts, backend="set"), factory(),
-                           max_steps=2_000_000)
-        column_result = chase(Instance(facts, backend="column"), factory(),
-                              max_steps=2_000_000)
-        return set_result, column_result
-
-    set_result, column_result = benchmark(run_both)
-    assert set_result.terminated and column_result.terminated
-    assert null_renaming_equivalent(set_result.instance,
-                                    column_result.instance)
 
 
 @pytest.mark.paper_artifact("service layer")
@@ -302,18 +214,17 @@ def test_compiled_query_evaluation_speedup(benchmark):
     facts = sorted(random_graph_instance(1, n_nodes=n,
                                          edge_probability=0.3).facts(),
                    key=str)
-    column = Instance(facts, backend="column")
-    reference_instance = Instance(facts, backend="set")
+    instance = Instance(facts)
     query = parse_query(
         "q(a, d) <- E(a, b), E(b, c), E(c, d), S(a), S(d)")
 
-    compiled = benchmark(lambda: compiled_answers(query, column))
-    reference = reference_answers(query, reference_instance)
+    compiled = benchmark(lambda: compiled_answers(query, instance))
+    reference = reference_answers(query, instance)
     assert compiled == reference
 
-    compiled_seconds = _best_of(lambda: compiled_answers(query, column))
+    compiled_seconds = _best_of(lambda: compiled_answers(query, instance))
     reference_seconds = _best_of(
-        lambda: reference_answers(query, reference_instance))
+        lambda: reference_answers(query, instance))
     speedup = reference_seconds / compiled_seconds
     print(f"\ncompiled CQ evaluation: {compiled_seconds:.4f}s vs "
           f"reference {reference_seconds:.4f}s at n={n} "

@@ -5,10 +5,8 @@ The library provides:
 
 * a relational substrate (:mod:`repro.lang`) with TGDs/EGDs, instances
   and a text format;
-* a pluggable storage layer (:mod:`repro.storage`): term interning and
-  two interchangeable fact-store backends (``set`` reference layout,
-  ``column`` columnar/interned-id layout), selected via
-  ``Instance(backend=...)`` or ``REPRO_BACKEND``;
+* a storage layer (:mod:`repro.storage`): term interning and one
+  columnar fact store over interned term ids;
 * a chase engine (:mod:`repro.chase`) with standard and oblivious
   runners and pluggable application strategies;
 * every data-independent termination condition of the paper's Figure 1
@@ -50,8 +48,7 @@ from repro.lang import (Atom, Constant, EGD, Instance, Null, parse_constraint,
                         Position, Schema, TGD, Variable)
 from repro.service import (BatchScheduler, ChaseJob, JobResult, QueryJob,
                            ServiceCache, WorkerPool)
-from repro.storage import (ColumnStore, FactStore, SetStore, TermTable,
-                           backend_names)
+from repro.storage import FactStore, TermTable
 from repro.termination import (analyze, chase_strata, check,
                                is_c_stratified, is_inductively_restricted,
                                is_safe, is_stratified, is_weakly_acyclic,
@@ -74,7 +71,7 @@ __all__ = [
     "Schema", "TGD", "Variable", "analyze", "chase_strata", "check",
     "is_c_stratified", "is_inductively_restricted", "is_safe",
     "is_stratified", "is_weakly_acyclic", "stratified_strategy", "t_level",
-    "TerminationReport", "ColumnStore", "FactStore", "SetStore",
-    "TermTable", "backend_names", "BatchScheduler", "ChaseJob",
-    "JobResult", "QueryJob", "ServiceCache", "WorkerPool", "__version__",
+    "TerminationReport", "FactStore", "TermTable", "BatchScheduler",
+    "ChaseJob", "JobResult", "QueryJob", "ServiceCache", "WorkerPool",
+    "__version__",
 ]

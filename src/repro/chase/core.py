@@ -56,15 +56,14 @@ def _improving_endomorphism(instance: Instance,
 
 
 def core(instance: Instance) -> Instance:
-    """The core of ``instance`` (a fresh instance, same backend)."""
+    """The core of ``instance`` (a fresh instance)."""
     current = instance.copy()
     while True:
         mapping = _improving_endomorphism(current)
         if mapping is None:
             return current
-        current = Instance((atom.substitute(dict(mapping))
-                            for atom in current),
-                           backend=current.backend)
+        current = Instance(atom.substitute(dict(mapping))
+                           for atom in current)
 
 
 def is_core(instance: Instance) -> bool:

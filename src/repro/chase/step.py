@@ -89,8 +89,9 @@ def apply_egd_step(instance: Instance, egd: EGD, assignment: Assignment,
     else:
         # Named in the order of their canonical JSON text (the term
         # order of :mod:`repro.service.serialize`), not in the order
-        # the trigger bound them: on the set backend that order follows
-        # the string-hash seed, and the reason is part of the reply.
+        # the trigger bound them, which varies with the search (the
+        # reference engine's follows the string-hash seed): the reason
+        # is part of the reply.
         first, second = sorted(
             (left, right), key=lambda term: json.dumps(term.value,
                                                        default=repr))

@@ -33,8 +33,9 @@ datalog evaluation, kept *lazy* at homomorphism granularity:
 
 Every internal key is an interned integer id from the working
 instance's store: the delta queue and the per-constraint backlogs
-carry permanent *fact ids* (:meth:`repro.storage.base.FactStore
-.fact_id` -- stable across EGD remove/re-add cycles), and the fact ->
+carry permanent *fact ids* (:meth:`repro.storage.store.FactStore
+.fact_id` -- stable across EGD remove/re-add cycles, and handed to
+the index with each delta), and the fact ->
 pending-trigger reverse map is keyed on them.  Discovery stays at the
 id level up to the enqueue decision.  Each constraint has a
 :class:`_Layout`, derived once per index: the delta search projects
@@ -46,8 +47,7 @@ satisfied cache nor extended by one ``limit=1`` run of the head plan
 with that frontier pre-bound as ids; an active row's body image is
 re-validated with one id-level ``row_fid`` probe per atom.  Terms are
 decoded only for the triggers that are enqueued.  (The delta fact
-itself is still unified with the body atoms as an ``Atom``, and the
-``set`` backend's probes build atoms from ids internally.)
+itself is still unified with the body atoms as an ``Atom``.)
 
 Trigger identity is the frozen body assignment (the paper's
 ``(alpha, mu(x))`` naming of chase steps, Section 2), as interned
@@ -83,7 +83,7 @@ from repro.lang.constraints import Constraint, EGD, TGD
 from repro.lang.instance import Instance
 from repro.lang.terms import Variable
 from repro.obs.metrics import OBS
-from repro.storage.base import FactId
+from repro.storage.store import FactId
 from repro.storage.interning import TermTable
 
 #: Hashable identity of a trigger within one constraint: the frozen
@@ -260,8 +260,7 @@ class TriggerIndex:
         instance.add_listener(self)
         self._attached = True
         # Lazy seed: the input facts are simply the first deltas.
-        for fact in instance:
-            self.fact_added(fact)
+        self._events.extend(("+", fid) for fid in self._store.live_fids())
         # Empty-body TGDs (axioms) have the empty homomorphism as their
         # one body trigger; its image uses no fact, so delta discovery
         # would never surface it -- seed it explicitly.
@@ -281,17 +280,17 @@ class TriggerIndex:
     # ------------------------------------------------------------------
     # InstanceListener protocol: buffer deltas, processed on refresh()
     # ------------------------------------------------------------------
-    def fact_added(self, fact) -> None:
+    def fact_added(self, fact, fid: FactId) -> None:
         """Record an insertion delta (processed lazily by refresh)."""
-        self._events.append(("+", self._store.fact_id(fact)))
+        self._events.append(("+", fid))
 
-    def fact_removed(self, fact) -> None:
+    def fact_removed(self, fact, fid: FactId) -> None:
         """Record a removal delta (processed lazily by refresh).
 
         Fact ids are permanent (they survive removal), so the id still
         resolves when the event is drained.
         """
-        self._events.append(("-", self._store.fact_id(fact)))
+        self._events.append(("-", fid))
 
     def detach(self) -> None:
         """Stop listening to the instance (idempotent)."""

@@ -26,7 +26,7 @@ Commands
 ``fuzz --seed S --cases N``
     Adversarial metamorphic fuzzing (:mod:`repro.fuzz`): seeded random
     constraint sets/instances/queries checked against the Figure 1
-    hierarchy, backend/engine/service parity and answer invariance;
+    hierarchy, engine/service parity and answer invariance;
     failures are delta-debugged and written to ``examples/repros/`` as
     job specs replayable with ``repro batch``.
 ``stats FILE``
@@ -57,10 +57,8 @@ from repro.chase import chase, ChaseStatus
 from repro.cq import optimize
 from repro.datadep import monitored_chase
 from repro.lang.errors import NonTerminationBudget, ReproError
-from repro.lang.instance import Instance
 from repro.lang.parser import (parse_constraints, parse_instance,
                                parse_query)
-from repro.storage import backend_names
 from repro.termination import analyze
 from repro import viz
 
@@ -126,10 +124,6 @@ def cmd_analyze(args) -> int:
 def cmd_chase(args) -> int:
     sigma = _load_constraints(args.constraints)
     instance = parse_instance(Path(args.instance).read_text())
-    if args.backend:
-        # Rebuild on the requested fact-store backend (parse_instance
-        # honours REPRO_BACKEND; the flag wins over the environment).
-        instance = Instance(instance, backend=args.backend)
     with _Observability(args):
         if args.cycle_limit:
             result = monitored_chase(instance, sigma, args.cycle_limit,
@@ -270,7 +264,7 @@ def cmd_query(args) -> int:
         jobs = [ChaseJob(
             name=path.stem, sigma=tuple(_load_constraints(args.spec)),
             instance=instance, query=parse_query(args.query),
-            backend=args.backend, max_steps=args.max_steps,
+            max_steps=args.max_steps,
             cycle_limit=args.cycle_limit,
             optimize=not args.no_optimize, depth_limit=args.depth_limit)]
     return _run_jobs(args, jobs, "query")
@@ -427,9 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=10_000)
     p.add_argument("--cycle-limit", type=int, default=0,
                    help="arm the Section 4.2 monitor (0 = off)")
-    p.add_argument("--backend", choices=backend_names(), default=None,
-                   help="fact-store backend (default: $REPRO_BACKEND "
-                        "or 'set')")
     obs_options(p)
     p.set_defaults(func=cmd_chase)
 
@@ -542,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", default=None,
                    help="query text, e.g. 'q(x) <- E(x, y)' "
                         "(with a constraints-file spec)")
-    p.add_argument("--backend", choices=backend_names(), default=None)
     p.add_argument("--max-steps", type=int, default=10_000)
     p.add_argument("--cycle-limit", type=int, default=0,
                    help="arm the Section 4.2 monitor (0 = off)")

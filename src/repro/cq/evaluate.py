@@ -27,8 +27,8 @@ The PR 1 engine remains available as a cross-validation oracle:
 did, and :meth:`repro.cq.query.ConjunctiveQuery.evaluate` routes
 through it whenever a
 :func:`~repro.homomorphism.engine.reference_engine` context is active
-(``tests/cq/test_evaluate.py`` asserts identical answers on both
-storage backends across the workload families).
+(``tests/cq/test_evaluate.py`` asserts identical answers across the
+workload families).
 """
 
 from __future__ import annotations

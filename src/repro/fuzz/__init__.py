@@ -2,8 +2,8 @@
 
 The paper's termination conditions, chase runners, query answering and
 batch service all promise *universally quantified* properties -- every
-Figure 1 inclusion, every-backend agreement, answer invariance under
-optimization.  This package checks those promises on seeded random
+Figure 1 inclusion, agreement of every join engine, answer invariance
+under optimization.  This package checks those promises on seeded random
 inputs biased toward the termination-class boundaries:
 
 * :mod:`repro.fuzz.generate` -- deterministic case generation;

@@ -11,15 +11,14 @@ an implementation-level parity that follows from one) on a concrete
 * ``termination``     -- sets in an all-sequences class actually reach
   a fixpoint (Theorems 3/5/6/7); merely stratified sets terminate
   under Theorem 2's stratum order;
-* ``backend_parity``  -- SetStore and ColumnStore chases agree
-  (homomorphically equivalent results, same finite status);
 * ``engine_parity``   -- compiled join plans and the preserved
-  reference engine agree the same way;
+  reference engine agree (homomorphically equivalent results, same
+  finite status);
 * ``order_cores``     -- results of different chase orders are
   homomorphically equivalent and their cores isomorphic (the paper's
   uniqueness-up-to-core claim, after [21]);
 * ``certain_answers`` -- ``certain_answers`` is invariant under
-  ``optimize=``, backend and engine (Theorem 9 / Corollary 1: the
+  ``optimize=`` and engine (Theorem 9 / Corollary 1: the
   answer set depends only on the knowledge base);
 * ``service_parity``  -- the batch service returns byte-identical
   results to in-process execution, warm cache hits replay the cold
@@ -63,7 +62,6 @@ from repro.homomorphism.engine import (null_renaming_equivalent,
                                        reference_engine)
 from repro.kb.answering import certain_answers
 from repro.lang.errors import ReproError
-from repro.lang.instance import Instance
 from repro.lang.terms import NullFactory
 from repro.service.cache import ServiceCache
 from repro.service.jobs import ChaseJob, execute_any
@@ -158,8 +156,7 @@ class OracleContext:
         self.skips.append(f"[{oracle}] {case.label()}: {reason}")
 
     # -- memoized per-case runs -----------------------------------------
-    def run_chase(self, case: FuzzCase, backend: Optional[str] = None,
-                  strategy_key: str = "round_robin",
+    def run_chase(self, case: FuzzCase, strategy_key: str = "round_robin",
                   reference: bool = False) -> ChaseResult:
         """One budgeted chase of the case, memoized per configuration.
 
@@ -167,12 +164,10 @@ class OracleContext:
         at 1) so configurations are comparable label-for-label where
         execution order happens to agree.
         """
-        key = ("chase", backend, strategy_key, reference)
+        key = ("chase", strategy_key, reference)
         if key in self._memo:
             return self._memo[key]
         instance = case.instance
-        if backend is not None and instance.backend != backend:
-            instance = Instance(instance, backend=backend)
         if strategy_key == "round_robin":
             strategy = RoundRobinStrategy()
         elif strategy_key == "stratified":
@@ -302,19 +297,6 @@ def oracle_termination(case: FuzzCase, ctx: OracleContext) -> List[Violation]:
     return []
 
 
-def oracle_backend_parity(case: FuzzCase,
-                          ctx: OracleContext) -> List[Violation]:
-    """SetStore and ColumnStore chases agree on finite outcomes."""
-    left = ctx.run_chase(case, backend="set")
-    right = ctx.run_chase(case, backend="column")
-    if not both_finite(left, right):
-        ctx.skip(case, "backend_parity", "a run exceeded its budget")
-        return []
-    detail = compare_finite_runs(left, right, "set vs column backend")
-    return [Violation("backend_parity", case.label(), detail)] \
-        if detail else []
-
-
 def oracle_engine_parity(case: FuzzCase,
                          ctx: OracleContext) -> List[Violation]:
     """Compiled join plans agree with the reference engine."""
@@ -361,8 +343,8 @@ def oracle_order_cores(case: FuzzCase, ctx: OracleContext) -> List[Violation]:
 
 def oracle_certain_answers(case: FuzzCase,
                            ctx: OracleContext) -> List[Violation]:
-    """``certain_answers`` is invariant under optimize=, backend and
-    engine (the answer set depends only on the knowledge base)."""
+    """``certain_answers`` is invariant under optimize= and engine
+    (the answer set depends only on the knowledge base)."""
     base = ctx.run_chase(case)
     if base.status is not ChaseStatus.TERMINATED:
         ctx.skip(case, "certain_answers",
@@ -376,9 +358,6 @@ def oracle_certain_answers(case: FuzzCase,
             "optimize=True": certain_answers(
                 case.instance, case.sigma, case.query, max_steps=steps,
                 optimize=True),
-            "column backend": certain_answers(
-                Instance(case.instance, backend="column"), case.sigma,
-                case.query, max_steps=steps),
         }
         with reference_engine():
             variants["reference engine"] = certain_answers(
@@ -459,7 +438,6 @@ def oracle_service_parity(case: FuzzCase,
 ORACLES: "OrderedDict[str, Callable]" = OrderedDict([
     ("hierarchy", oracle_hierarchy),
     ("termination", oracle_termination),
-    ("backend_parity", oracle_backend_parity),
     ("engine_parity", oracle_engine_parity),
     ("order_cores", oracle_order_cores),
     ("certain_answers", oracle_certain_answers),

@@ -14,10 +14,10 @@ loop:
   atom)`` signature: a greedy most-constrained-first walk -- which
   positions are bound after each atom is a *static* property of the
   signature -- with ties broken by the selectivity statistics the
-  fact store exposes (:meth:`repro.storage.base.FactStore
+  fact store exposes (:meth:`repro.storage.store.FactStore
   .relation_size`);
 * execution runs over interned term ids against the store's
-  :meth:`~repro.storage.base.FactStore.scan` access path with a single
+  :meth:`~repro.storage.store.FactStore.scan` access path with a single
   mutable binding and trail-based undo, decoding ids back to terms
   only when a binding survives (at most one list index per bound
   variable) and copying the assignment only at yield.
@@ -47,7 +47,7 @@ from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
 from repro.lang.atoms import Atom
 from repro.lang.terms import GroundTerm, Variable
 from repro.obs.metrics import OBS
-from repro.storage.base import FactStore
+from repro.storage.store import FactStore
 
 #: A complete (or partial) homomorphism: variable -> ground term.
 Assignment = Dict[Variable, GroundTerm]
@@ -118,7 +118,7 @@ class JoinPlan:
         atom is placed, its variables count as bound for the rest.
 
         Cached orders carry the relation sizes they were decided on.
-        While the store's :attr:`~repro.storage.base.FactStore
+        While the store's :attr:`~repro.storage.store.FactStore
         .generation` is unchanged the cache hit is two comparisons;
         once it moves, the current sizes are compared against the
         *original* decision-time snapshot (no ratchet drift across
@@ -297,7 +297,7 @@ class JoinPlan:
         # Fully-bound fast path: every plan variable is already bound,
         # so the join degenerates into one id-level containment probe
         # per atom (the shape of head-extension checks on full
-        # frontiers -- O(1) row_of lookups on the columnar backend).
+        # frontiers -- O(1) row_of lookups in the fact store).
         if all(var in binding_ids for var in self.variables):
             for index, spec in enumerate(specs):
                 if index == pin_index:

@@ -1,23 +1,12 @@
-"""Database instances: finite sets of facts over a pluggable store.
+"""Database instances: finite sets of facts over a fact store.
 
 An instance is a finite set of atoms over constants and labeled nulls
-(Section 2).  Since the storage-layer refactor the ``Instance`` class
-is a thin facade: all physical concerns -- indexes, term interning,
-fact ids, the change-listener delta feed -- live in a
-:class:`repro.storage.base.FactStore` backend:
-
-* ``backend="set"`` (:class:`repro.storage.set_store.SetStore`) keeps
-  the reference dict-of-sets layout;
-* ``backend="column"``
-  (:class:`repro.storage.column_store.ColumnStore`) stores
-  per-relation columnar tuples of interned term ids with array-backed
-  posting lists -- the layout the compiled join plans of
-  :mod:`repro.homomorphism.plan` execute against.
-
-When ``backend`` is omitted the ``REPRO_BACKEND`` environment variable
-decides (default ``set``).  Both backends are interchangeable: the
-facade API, the listener event order, and the chase results are
-identical (cross-validated in ``tests/storage/test_stores.py``).
+(Section 2).  The ``Instance`` class is a thin facade: all physical
+concerns -- indexes, term interning, fact ids, the change-listener
+delta feed -- live in its :class:`repro.storage.store.FactStore`,
+which stores per-relation columns of interned term ids with
+array-backed posting lists, the layout the compiled join plans of
+:mod:`repro.homomorphism.plan` execute against.
 
 Instances support *change listeners*: objects registered via
 :meth:`Instance.add_listener` are told about every fact insertion and
@@ -27,13 +16,13 @@ index of :mod:`repro.chase.triggers`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Set, Union
+from typing import Iterable, Iterator, Mapping, Set
 
 from repro.lang.atoms import Atom, Position
 from repro.lang.schema import Schema
 from repro.lang.terms import Constant, GroundTerm, Null, Term
-from repro.storage.base import FactStore, make_store
 from repro.storage.interning import TermTable
+from repro.storage.store import FactId, FactStore
 
 
 class InstanceListener:
@@ -41,13 +30,14 @@ class InstanceListener:
 
     Subclass (or duck-type) and register with
     :meth:`Instance.add_listener`.  Listeners are invoked *after* the
-    backend indexes have been updated, in registration order.
+    store's indexes have been updated, in registration order, with the
+    fact's permanent id (:meth:`repro.storage.store.FactStore.fact_id`).
     """
 
-    def fact_added(self, fact: Atom) -> None:
+    def fact_added(self, fact: Atom, fid: FactId) -> None:
         """``fact`` was inserted (it was not present before)."""
 
-    def fact_removed(self, fact: Atom) -> None:
+    def fact_removed(self, fact: Atom, fid: FactId) -> None:
         """``fact`` was removed (it was present before)."""
 
 
@@ -56,25 +46,19 @@ class Instance:
 
     __slots__ = ("_store",)
 
-    def __init__(self, facts: Iterable[Atom] = (),
-                 backend: Union[str, FactStore, None] = None) -> None:
-        self._store = make_store(backend)
+    def __init__(self, facts: Iterable[Atom] = ()) -> None:
+        self._store = FactStore()
         add = self._store.add
         for fact in facts:
             add(fact)
 
     # ------------------------------------------------------------------
-    # Storage backend
+    # Storage
     # ------------------------------------------------------------------
     @property
     def store(self) -> FactStore:
-        """The active storage backend (id-level API for the engine)."""
+        """The fact store (id-level API for the engine)."""
         return self._store
-
-    @property
-    def backend(self) -> str:
-        """The active backend's registry name (``set`` / ``column``)."""
-        return self._store.name
 
     @property
     def term_table(self) -> TermTable:
@@ -106,8 +90,8 @@ class Instance:
     def discard(self, fact: Atom) -> bool:
         """Remove a fact if present.  Returns True if it was removed.
 
-        Empty index buckets are pruned so the backend never retains
-        keys for terms that no longer occur in the instance.
+        The store's term-position index drops terms that no longer
+        occur in the instance.
         """
         return self._store.discard(fact)
 
@@ -115,7 +99,7 @@ class Instance:
         """Replace every occurrence of ``old`` by ``new`` (EGD steps).
 
         Returns the list of facts that changed (their new versions).
-        Uses the backend's term reverse index, so the cost is
+        Uses the store's term reverse index, so the cost is
         proportional to the number of affected facts, not the instance
         size.
         """
@@ -134,7 +118,7 @@ class Instance:
         return len(self._store)
 
     def __eq__(self, other) -> bool:
-        # Set equality of the fact sets -- backends may differ.
+        # Set equality of the fact sets.
         return (isinstance(other, Instance)
                 and len(self._store) == len(other._store)
                 and all(fact in other._store for fact in self._store))
@@ -146,7 +130,7 @@ class Instance:
     def matching(self, relation: str, bindings: Mapping[int, GroundTerm]
                  ) -> Set[Atom]:
         """Facts of ``relation`` agreeing with ``bindings``
-        (0-based position index -> required term).  Uses the backend's
+        (0-based position index -> required term).  Uses the store's
         access paths.
         """
         return self._store.matching(relation, bindings)
@@ -176,9 +160,9 @@ class Instance:
     # Construction helpers
     # ------------------------------------------------------------------
     def copy(self) -> "Instance":
-        """A fresh instance with the same facts and backend kind
+        """A fresh instance with the same facts, in the same order
         (listeners are not copied)."""
-        return Instance(self._store, backend=self._store.name)
+        return Instance(self._store)
 
     def union(self, other: "Instance") -> "Instance":
         out = self.copy()

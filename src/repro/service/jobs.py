@@ -23,7 +23,8 @@ always faster than re-running).
 Execution (:func:`execute_job`) is deterministic per job: every run
 uses a private :class:`~repro.lang.terms.NullFactory` starting at 1,
 so the same job yields byte-identical encoded results no matter which
-worker process -- or how many sibling jobs -- ran it.
+worker process -- or how many sibling jobs, or which string-hash
+seed -- ran it.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def instance_fingerprint(instance: Instance) -> str:
     :class:`TermTable` in first-occurrence order, and the digest is
     taken over both the id-level fact rows *and* the id -> term
     decoding table -- so the fingerprint depends on exactly the
-    instance content, never on backend, insertion order or interning
-    history of the live store.
+    instance content, never on insertion order or interning history
+    of the live store.
     """
     table = TermTable()
     rows: List[list] = []
@@ -151,15 +152,13 @@ def resolve_strategy(spec: Optional[str],
                      f"(expected one of {_STRATEGY_NAMES})")
 
 
-def decode_spec_instance(raw_instance, backend: Optional[str]) -> Instance:
+def decode_spec_instance(raw_instance) -> Instance:
     """Decode a job spec's instance field: either instance text (bare
     identifiers are constants, ``?n7`` nulls) or the wire dict of
     :func:`repro.service.serialize.encode_instance`."""
     if isinstance(raw_instance, dict):
-        return Instance((decode_atom(fact) for fact in raw_instance["facts"]),
-                        backend=backend or raw_instance.get("backend"))
-    return Instance(parse_atoms(raw_instance, instance_mode=True),
-                    backend=backend)
+        return Instance(decode_atom(fact) for fact in raw_instance["facts"])
+    return Instance(parse_atoms(raw_instance, instance_mode=True))
 
 
 def check_spec_schema(sigma, instance: Instance, *extra_atoms) -> None:
@@ -259,7 +258,6 @@ def spec_kind(payload: dict):
 #: last two knobs exist on query jobs only.
 _KNOBS = (
     ("strategy", str, True),
-    ("backend", lambda backend: backend, True),
     ("max_steps", spec_budget("max_steps"), True),
     ("max_facts", spec_budget("max_facts"), True),
     ("wall_clock", spec_budget("wall_clock", integral=False), False),
@@ -277,7 +275,6 @@ class ChaseJob:
     certain-answer request.
 
     ``strategy`` is a spec string (see :func:`resolve_strategy`);
-    ``backend`` overrides the instance's fact-store backend;
     ``max_steps``/``max_facts``/``wall_clock`` are the budgets
     forwarded to the runner; ``cycle_limit`` > 0 arms the Section 4.2
     monitor; ``max_k`` bounds the termination probe used by ``auto``
@@ -298,7 +295,6 @@ class ChaseJob:
     sigma: Tuple[Constraint, ...]
     instance: Instance
     strategy: str = "auto"
-    backend: Optional[str] = None
     max_steps: int = DEFAULT_MAX_STEPS
     max_facts: Optional[int] = None
     wall_clock: Optional[float] = None
@@ -323,8 +319,7 @@ class ChaseJob:
         Constraints are digested in *listed order* (strategies iterate
         them in order, so order changes the executed sequence), the
         instance through :func:`instance_fingerprint`, the rendered
-        query, strategy, effective backend and the deterministic
-        budgets.  The job name and the wall-clock budget (timing-only,
+        query, strategy and the deterministic budgets.  The job name and the wall-clock budget (timing-only,
         see module docs) are excluded.
 
         The digest is memoized on the (frozen) job -- the scheduler,
@@ -338,7 +333,7 @@ class ChaseJob:
         # (constraint equality ignores them too), so the fingerprint
         # digests the label-free canonical bodies in listed order.
         payload = {
-            "v": 1,
+            "v": 2,
             "sigma": [_render_constraint_body(c) for c in self.sigma],
             "instance": instance_fingerprint(self.instance),
         }
@@ -347,8 +342,6 @@ class ChaseJob:
         for key, _, digested in self._knobs():
             if digested:
                 payload[key] = getattr(self, key)
-        # Digest the backend that runs, however it was chosen.
-        payload["backend"] = self.backend or self.instance.backend
         encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
         object.__setattr__(self, "_fingerprint", digest)
@@ -409,7 +402,7 @@ class ChaseJob:
         if is_query and not isinstance(query_text, str):
             raise WireError(f"query must be query text, got {query_text!r}")
         sigma = tuple(parse_constraints(constraints))
-        instance = decode_spec_instance(raw_instance, payload.get("backend"))
+        instance = decode_spec_instance(raw_instance)
         query = parse_query(query_text) if is_query else None
         check_spec_schema(sigma, instance, *(query.body if is_query else ()))
         knobs = {key: spec_value(payload, key, _DEFAULTS[key], convert)
@@ -582,16 +575,14 @@ def run_declared_chase(job: ChaseJob,
     """Run the chase a job spec declares; returns
     ``(result, instance, sigma)``.
 
-    The one place the spec knobs become a chase run -- backend
-    rebuild, strategy resolution, progress-observer wiring, private
+    The one place the spec knobs become a chase run -- strategy
+    resolution, progress-observer wiring, private
     :class:`NullFactory`, Section 4.2 monitor arming, budget
     passthrough -- so both job kinds get identical runner semantics
     for identical knobs.
     """
     sigma = list(job.sigma)
     instance = job.instance
-    if job.backend and instance.backend != job.backend:
-        instance = Instance(instance, backend=job.backend)
     strategy = resolve_strategy(job.strategy, sigma, max_k=job.max_k)
     observers = []
     if on_event is not None and progress_every > 0:
@@ -630,15 +621,11 @@ def execute_job(job: ChaseJob,
     answers instead.
 
     Deterministic by construction: a private null factory (labels
-    restart at 1 per job) plus seeded strategies mean the encoded
-    result depends only on the job content *within one process tree*
-    -- iteration orders (and hence which trigger gets which null
-    label) depend on the interpreter's string-hash seed, which is why
-    the worker pool forks its workers (inheriting the seed) instead of
-    spawning them.  Across different seeds, results for equal
-    fingerprints are still equal up to null renaming.  This is the
-    invariant behind both the fingerprint cache (in-memory, so never
-    shared across seeds) and the parallel-vs-sequential
+    restart at 1 per job), seeded strategies and a fact store that
+    scans in insertion order, never in hash order, mean the encoded
+    result depends only on the job content -- the same bytes in any
+    process and under any string-hash seed.  This is the invariant
+    behind both the fingerprint cache and the parallel-vs-sequential
     cross-validation tests.  Exceptions never propagate; they surface
     as ``status="error"`` results so one bad job cannot take down a
     batch (or a worker pool's collection loop).

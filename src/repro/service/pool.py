@@ -64,12 +64,11 @@ from repro.service.jobs import (ChaseJob, EventCallback, execute_any,
 _STOP = None
 
 # Workers are created with the ``fork`` start method where the
-# platform offers it: forked children inherit the parent's string-hash
-# seed, and the byte-identical-results invariant of
-# :func:`repro.service.jobs.execute_job` (iteration orders -> null
-# labels) holds across the whole process tree.  On spawn-only
-# platforms each worker draws its own hash seed, so results are only
-# guaranteed equal up to null renaming there.
+# platform offers it.  Results do not depend on it: the
+# byte-identical-results invariant of
+# :func:`repro.service.jobs.execute_job` holds under any string-hash
+# seed, so a spawned worker, which draws its own seed, returns the
+# same bytes as a forked one.
 try:
     _MP = multiprocessing.get_context("fork")
 except ValueError:  # pragma: no cover - spawn-only platform

@@ -17,7 +17,7 @@ of different Python types -- never collide::
     Null(3)        ->  ["n", 3]
 
 An atom is ``[relation, [term, ...]]``; an instance is a dict carrying
-its backend name and the sorted fact list; a chase result carries the
+its sorted fact list; a chase result carries the
 status, the final instance and summary statistics (the step sequence
 deliberately does not cross the wire -- it holds live constraint and
 assignment objects and is only consumed by in-process analyses).
@@ -185,18 +185,15 @@ def dumps(payload: dict) -> str:
 
 
 def encode_instance(instance: Instance) -> dict:
-    """A stable dict encoding of an instance (backend + sorted facts)."""
-    return {"backend": instance.backend,
-            "facts": json.loads(encode_facts(instance))}
+    """A stable dict encoding of an instance (its sorted facts)."""
+    return {"facts": json.loads(encode_facts(instance))}
 
 
-def decode_instance(payload: dict,
-                    backend: Optional[str] = None) -> Instance:
-    """Rebuild an instance; ``backend`` overrides the encoded one."""
+def decode_instance(payload: dict) -> Instance:
+    """Rebuild an instance from :func:`encode_instance`'s dict."""
     if not isinstance(payload, dict) or "facts" not in payload:
         raise WireError(f"malformed instance payload {payload!r}")
-    facts = [decode_atom(fact) for fact in payload["facts"]]
-    return Instance(facts, backend=backend or payload.get("backend"))
+    return Instance(decode_atom(fact) for fact in payload["facts"])
 
 
 def encode_result(result: ChaseResult) -> dict:

@@ -1,26 +1,12 @@
-"""Pluggable fact storage: term interning and store backends.
+"""Fact storage: term interning and the columnar fact store.
 
 The storage layer sits below :mod:`repro.lang.instance` -- an
-``Instance`` is a thin facade over one :class:`FactStore` backend:
-
-* :class:`SetStore` (``"set"``) -- the reference dict-of-sets layout;
-* :class:`ColumnStore` (``"column"``) -- columnar interned-id tuples
-  with array-backed posting lists, the fast path for compiled join
-  plans.
-
-Select per instance with ``Instance(backend="column")`` or globally
-with the ``REPRO_BACKEND`` environment variable.
+``Instance`` is a thin facade over one :class:`FactStore`, which keeps
+per-relation columns of interned term ids with array-backed posting
+lists, the access paths of the compiled join plans.
 """
 
-from repro.storage.base import (BACKEND_ENV_VAR, DEFAULT_BACKEND, FactId,
-                                FactStore, backend_names, make_store,
-                                resolve_backend_name)
-from repro.storage.column_store import ColumnStore
 from repro.storage.interning import TermId, TermTable
-from repro.storage.set_store import SetStore
+from repro.storage.store import FactId, FactStore
 
-__all__ = [
-    "BACKEND_ENV_VAR", "DEFAULT_BACKEND", "FactId", "FactStore",
-    "backend_names", "make_store", "resolve_backend_name",
-    "ColumnStore", "TermId", "TermTable", "SetStore",
-]
+__all__ = ["FactId", "FactStore", "TermId", "TermTable"]

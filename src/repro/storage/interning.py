@@ -3,7 +3,7 @@
 Every :class:`~repro.lang.terms.Constant` and
 :class:`~repro.lang.terms.Null` that enters a fact store is assigned a
 dense integer id by a :class:`TermTable`.  Downstream machinery -- the
-columnar backend's posting lists, the compiled join plans of
+fact store's posting lists, the compiled join plans of
 :mod:`repro.homomorphism.plan`, the trigger-key and
 satisfied-frontier caches of :class:`repro.chase.triggers.TriggerIndex`
 -- then works over plain ``int`` comparisons instead of hashing boxed

@@ -69,7 +69,8 @@ class TestEGDStep:
 
     def test_failure_names_constants_in_canonical_order(self):
         """The reason must not depend on which side the trigger bound
-        first (on the set backend that follows the string-hash seed)."""
+        first (the reference engine's order follows the string-hash
+        seed)."""
         egd = parse_constraint("e: E(u,v), E(u,w) -> v = w")
         c, seven = Constant("c"), Constant(7)
         for left, right in ((b, c), (c, b)):

@@ -87,13 +87,12 @@ def test_incremental_matches_naive(name, sigma, instance, strategy_factory):
         assert null_renaming_equivalent(incremental.instance, naive.instance)
 
 
-@pytest.mark.parametrize("backend", ["set", "column"])
 @pytest.mark.parametrize("engine", ["plan", "reference"])
-def test_key_egd_mapping_matches_naive(backend, engine):
-    """The id-level trigger path on both backends, and under the
-    reference search, against the naive path: one person per name."""
+def test_key_egd_mapping_matches_naive(engine):
+    """The id-level trigger path, and under the reference search,
+    against the naive path: one person per name."""
     sigma, source = KEY_EGD_AUTHORS
-    instance = Instance(source, backend=backend)
+    instance = Instance(source)
     with reference_engine() if engine == "reference" else nullcontext():
         for strategy_factory in (OrderedStrategy, RoundRobinStrategy):
             incremental = chase(instance, sigma,
@@ -265,8 +264,7 @@ class TestTriggerIndexUnit:
         from repro.storage.interning import TermTable
         sigma = parse_constraints("a: S(x) -> E(x,y);"
                                   "e: E(x,y), E(x,z) -> y = z")
-        inst = Instance(parse_instance("S(a). S(b). E(a,c). E(d,e). E(d,f)"),
-                        backend="column")
+        inst = parse_instance("S(a). S(b). E(a,c). E(d,e). E(d,f)")
         index = TriggerIndex(sigma, inst)
         decoded = []
         term = TermTable.term

@@ -3,9 +3,9 @@
 The acceptance bar of the query subsystem: :func:`compiled_answers`
 (id-level projection, dedup and null filtering pushed into the
 compiled join plan) must produce exactly the answers of
-:func:`reference_answers` (the pre-plan term-level loop) -- on both
-storage backends, on hand-written edge cases and on randomized
-generator workloads, with and without the constants-only filter.
+:func:`reference_answers` (the pre-plan term-level loop) -- on
+hand-written edge cases and on randomized generator workloads, with
+and without the constants-only filter.
 """
 
 import random
@@ -27,8 +27,6 @@ from repro.workloads.generators import (random_full_tgds,
                                         random_graph_instance,
                                         random_instance, random_schema)
 
-BACKENDS = ["set", "column"]
-
 QUERIES = [
     "q(x, z) <- E(x, y), E(y, z)",               # join
     "q(u) <- S(u), E(u, v)",                     # existential body var
@@ -41,55 +39,50 @@ QUERIES = [
 GRAPH = "E(a, b). E(b, c). E(c, a). E(a, ?n1). E(?n1, c). S(a). S(b). S(?n1)"
 
 
-def both(text):
-    facts = parse_instance(text).facts()
-    return [Instance(facts, backend=backend) for backend in BACKENDS]
-
-
 class TestParityHandwritten:
     @pytest.mark.parametrize("query_text", QUERIES)
     @pytest.mark.parametrize("constants_only", [True, False])
     def test_compiled_matches_reference(self, query_text, constants_only):
         query = parse_query(query_text)
-        for instance in both(GRAPH):
-            compiled = compiled_answers(query, instance, constants_only)
-            reference = reference_answers(query, instance, constants_only)
-            assert compiled == reference, (query_text, instance.backend)
+        instance = parse_instance(GRAPH)
+        compiled = compiled_answers(query, instance, constants_only)
+        reference = reference_answers(query, instance, constants_only)
+        assert compiled == reference, query_text
 
     def test_null_filtering_edge_cases(self):
         """Null heads are dropped by the id-level filter exactly when
         the term-level filter would drop them -- including answers
         whose join runs *through* a null but outputs constants."""
         query = parse_query("q(x, z) <- E(x, y), E(y, z)")
-        for instance in both(GRAPH):
-            with_nulls = compiled_answers(query, instance,
-                                          constants_only=False)
-            without = compiled_answers(query, instance)
-            assert without < with_nulls
-            assert all(not any(isinstance(t, Null) for t in row)
-                       for row in without)
-            # a -> ?n1 -> c joins through the null, outputs constants
-            assert (Constant("a"), Constant("c")) in without
-            dropped = with_nulls - without
-            assert dropped and all(any(isinstance(t, Null) for t in row)
-                                   for row in dropped)
+        instance = parse_instance(GRAPH)
+        with_nulls = compiled_answers(query, instance,
+                                      constants_only=False)
+        without = compiled_answers(query, instance)
+        assert without < with_nulls
+        assert all(not any(isinstance(t, Null) for t in row)
+                   for row in without)
+        # a -> ?n1 -> c joins through the null, outputs constants
+        assert (Constant("a"), Constant("c")) in without
+        dropped = with_nulls - without
+        assert dropped and all(any(isinstance(t, Null) for t in row)
+                               for row in dropped)
 
     def test_constant_head_terms_pass_through(self):
         query = ConjunctiveQuery(
             "q", (Constant("tag"), Variable("x")),
             parse_query("h(x) <- S(x)").body)
-        for instance in both(GRAPH):
-            assert (compiled_answers(query, instance)
-                    == reference_answers(query, instance))
-            assert all(row[0] == Constant("tag")
-                       for row in compiled_answers(query, instance))
+        instance = parse_instance(GRAPH)
+        assert (compiled_answers(query, instance)
+                == reference_answers(query, instance))
+        assert all(row[0] == Constant("tag")
+                   for row in compiled_answers(query, instance))
 
     def test_boolean_query(self):
         boolean = ConjunctiveQuery("q", (),
                                    parse_query("h(x) <- S(x), E(x, y)").body)
-        for instance in both(GRAPH):
-            assert boolean.holds_in(instance)
-            assert compiled_answers(boolean, instance) == {()}
+        instance = parse_instance(GRAPH)
+        assert boolean.holds_in(instance)
+        assert compiled_answers(boolean, instance) == {()}
         empty = Instance()
         assert not boolean.holds_in(empty)
         assert compiled_answers(boolean, empty) == set()
@@ -98,10 +91,10 @@ class TestParityHandwritten:
         """Inside reference_engine() the facade evaluates via the
         oracle -- and still agrees with the compiled path."""
         query = parse_query(QUERIES[0])
-        for instance in both(GRAPH):
-            fast = query.evaluate(instance)
-            with reference_engine():
-                assert query.evaluate(instance) == fast
+        instance = parse_instance(GRAPH)
+        fast = query.evaluate(instance)
+        with reference_engine():
+            assert query.evaluate(instance) == fast
 
     def test_compiled_query_is_cached(self):
         left = parse_query(QUERIES[0])
@@ -112,10 +105,8 @@ class TestParityHandwritten:
 class TestParityOnChasedInstances:
     """Queries over instances the chase filled with labeled nulls."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_safe_workload_answers_agree(self, backend):
-        result = chase(Instance(example9_instance(8).facts(),
-                                backend=backend),
+    def test_safe_workload_answers_agree(self):
+        result = chase(Instance(example9_instance(8).facts()),
                        example8_beta(), max_steps=100_000)
         assert result.terminated
         for query_text in ("q(x1, x3) <- R(x1, x2, x3), S(x3)",
@@ -151,33 +142,32 @@ class TestRandomizedCrossValidation:
     @pytest.mark.parametrize("seed", range(10))
     def test_generator_workloads_agree(self, seed):
         """Random queries over chased random instances: compiled and
-        reference answers identical on both backends (and across the
-        backends, which pins the store access paths too)."""
+        reference answers identical, and equal to the answers over the
+        naive chase's result (full TGDs invent no nulls, so the chase
+        result is unique; this pins the store access paths too)."""
         rng = random.Random(seed)
         schema = random_schema(rng)
         sigma = random_full_tgds(seed, size=3)
         facts = sorted(random_instance(seed, schema, n_facts=14).facts(),
                        key=str)
         queries = [_random_query(rng, schema) for _ in range(4)]
-        per_backend = []
-        for backend in BACKENDS:
-            result = chase(Instance(facts, backend=backend), sigma,
-                           max_steps=5_000)
+        per_run = []
+        for naive in (False, True):
+            result = chase(Instance(facts), sigma, max_steps=5_000,
+                           naive=naive)
             assert result.terminated
             answers = []
             for query in queries:
                 compiled = compiled_answers(query, result.instance)
                 assert compiled == reference_answers(query, result.instance)
                 answers.append(compiled)
-            per_backend.append(answers)
-        assert per_backend[0] == per_backend[1]
+            per_run.append(answers)
+        assert per_run[0] == per_run[1]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_graph_workloads_agree(self, seed):
         instance = random_graph_instance(seed, n_nodes=7)
-        for backend in BACKENDS:
-            rebuilt = Instance(instance.facts(), backend=backend)
-            for query_text in QUERIES:
-                query = parse_query(query_text)
-                assert (compiled_answers(query, rebuilt)
-                        == reference_answers(query, rebuilt)), query_text
+        for query_text in QUERIES:
+            query = parse_query(query_text)
+            assert (compiled_answers(query, instance)
+                    == reference_answers(query, instance)), query_text

@@ -137,7 +137,7 @@ def test_exhausted_probes_become_hierarchy_skips_not_verdicts(monkeypatch):
 def test_write_repro_spec_shapes(tmp_path):
     case = generate_case(3, 1)
     chase_path = write_repro_spec(case, Violation(
-        oracle="backend_parity", case_label=case.label(), detail="d"),
+        oracle="engine_parity", case_label=case.label(), detail="d"),
         tmp_path)
     query_path = write_repro_spec(case, Violation(
         oracle="certain_answers", case_label=case.label(), detail="d"),
@@ -146,7 +146,7 @@ def test_write_repro_spec_shapes(tmp_path):
     query_spec = json.loads(query_path.read_text())
     assert chase_spec["kind"] == "chase" and "query" not in chase_spec
     assert query_spec["kind"] == "query" and query_spec["query"]
-    assert chase_path.name == f"{case.label()}_backend_parity.json"
+    assert chase_path.name == f"{case.label()}_engine_parity.json"
     # Both parse as ordinary batch jobs (the fuzz key is ignored).
     from repro.service.jobs import job_from_dict
     assert job_from_dict(chase_spec).kind == "chase"

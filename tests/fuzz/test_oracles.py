@@ -102,7 +102,7 @@ def test_run_chase_is_memoized_per_configuration(ctx):
     ctx.start_case(WEAKLY_ACYCLIC)
     first = ctx.run_chase(WEAKLY_ACYCLIC)
     assert ctx.run_chase(WEAKLY_ACYCLIC) is first
-    assert ctx.run_chase(WEAKLY_ACYCLIC, backend="column") is not first
+    assert ctx.run_chase(WEAKLY_ACYCLIC, reference=True) is not first
     ctx.start_case(DIVERGENT)
     assert ctx.run_chase(DIVERGENT) is not first
 
@@ -125,11 +125,11 @@ def test_skips_are_recorded_not_raised(ctx):
         case = make_case("a1: S(x) -> E(x, y)",
                          "S(a). S(b). S(c). S(d). S(e).")
         tight.start_case(case)
-        assert ORACLES["backend_parity"](case, tight) == []
-        assert any("backend_parity" in line for line in tight.skips)
+        assert ORACLES["engine_parity"](case, tight) == []
+        assert any("engine_parity" in line for line in tight.skips)
 
 
 def test_violation_render_mentions_oracle_and_case():
-    violation = Violation("backend_parity", "fuzz_s1_c2", "boom")
-    assert "[backend_parity]" in violation.render()
+    violation = Violation("engine_parity", "fuzz_s1_c2", "boom")
+    assert "[engine_parity]" in violation.render()
     assert "fuzz_s1_c2" in violation.render()

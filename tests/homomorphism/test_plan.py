@@ -1,9 +1,9 @@
 """Compiled join plans: unit behaviour + reference cross-validation.
 
 The plan executor must enumerate exactly the assignments of the
-preserved PR 1 search (:mod:`repro.homomorphism.reference`) on both
-storage backends -- the same discipline as the trigger index's
-naive/incremental cross-validation.
+preserved PR 1 search (:mod:`repro.homomorphism.reference`) -- the
+same discipline as the trigger index's naive/incremental
+cross-validation.
 """
 
 from collections import Counter
@@ -57,29 +57,26 @@ class TestPlanMatchesReference:
     @settings(max_examples=30, deadline=None)
     def test_find_homomorphisms_agrees(self, inst):
         facts = sorted(inst.facts(), key=str)
-        for backend in ("set", "column"):
-            instance = Instance(facts, backend=backend)
-            for pattern in PATTERNS:
-                expected = _freeze(
-                    reference_find_homomorphisms(pattern, instance))
-                actual = _freeze(find_homomorphisms(pattern, instance))
-                assert actual == expected, (backend, pattern)
+        instance = Instance(facts)
+        for pattern in PATTERNS:
+            expected = _freeze(
+                reference_find_homomorphisms(pattern, instance))
+            actual = _freeze(find_homomorphisms(pattern, instance))
+            assert actual == expected, pattern
 
     @given(graph_instances())
     @settings(max_examples=30, deadline=None)
     def test_delta_search_agrees(self, inst):
         facts = sorted(inst.facts(), key=str)
-        for backend in ("set", "column"):
-            instance = Instance(facts, backend=backend)
-            delta = facts[0]
-            for pattern in PATTERNS:
-                expected = _freeze(reference_find_homomorphisms_through(
-                    pattern, instance, delta))
-                actual = _freeze(find_homomorphisms_through(
-                    pattern, instance, delta))
-                assert actual == expected, (backend, pattern)
+        instance = Instance(facts)
+        delta = facts[0]
+        for pattern in PATTERNS:
+            expected = _freeze(reference_find_homomorphisms_through(
+                pattern, instance, delta))
+            actual = _freeze(find_homomorphisms_through(
+                pattern, instance, delta))
+            assert actual == expected, pattern
 
-    @pytest.mark.parametrize("backend", ["set", "column"])
     @pytest.mark.parametrize("facts, pattern", [
         ("E(a,b). S(a)", [Atom("E", (c, y)), Atom("S", (x,))]),
         ("S(a). S(b)", [Atom("E", (x, y)), Atom("S", (x,))]),
@@ -88,14 +85,13 @@ class TestPlanMatchesReference:
         ("S(a). S(b). T(b). T(c)", [Atom("S", (x,)), Atom("T", (x,))]),
     ], ids=["absent_constant", "empty_relation", "ground_present",
             "ground_absent", "arity_one_join"])
-    def test_edge_shapes_agree(self, backend, facts, pattern):
-        inst = Instance(parse_instance(facts), backend=backend)
+    def test_edge_shapes_agree(self, facts, pattern):
+        inst = parse_instance(facts)
         assert _multiset(find_homomorphisms(pattern, inst)) \
             == _multiset(reference_find_homomorphisms(pattern, inst))
 
-    @pytest.mark.parametrize("backend", ["set", "column"])
-    def test_null_heavy_instance_agrees(self, backend):
-        inst = Instance(NULL_HEAVY, backend=backend)
+    def test_null_heavy_instance_agrees(self):
+        inst = Instance(NULL_HEAVY)
         for pattern in PATTERNS:
             assert _multiset(find_homomorphisms(pattern, inst)) \
                 == _multiset(reference_find_homomorphisms(pattern, inst)), \
@@ -182,42 +178,39 @@ class TestPlanUnits:
         delta = facts[0]
         variables = compile_plan(tuple(pattern)).variable_order
         assert variables == (a1, a2, n)
-        for backend in ("set", "column"):
-            inst = Instance(facts, backend=backend)
-            ids = inst.store.terms.intern
-            expected = sorted((ids(h[a1]), ids(h[a2]), ids(h[n]))
-                              for h in reference_find_homomorphisms_through(
-                                  pattern, inst, delta))
-            assert len(expected) == 3
-            rows = list(find_homomorphisms_through(pattern, inst, delta,
-                                                   project=variables))
-            assert sorted(rows) == expected and len(set(rows)) == 3
-            with reference_engine():
-                assert sorted(find_homomorphisms_through(
-                    pattern, inst, delta, project=variables)) == expected
-            # A narrower projection still has one row per homomorphism.
-            assert list(find_homomorphisms_through(
-                pattern, inst, delta, project=(n,))) == [(ids(ann),)] * 3
+        inst = Instance(facts)
+        ids = inst.store.terms.intern
+        expected = sorted((ids(h[a1]), ids(h[a2]), ids(h[n]))
+                          for h in reference_find_homomorphisms_through(
+                              pattern, inst, delta))
+        assert len(expected) == 3
+        rows = list(find_homomorphisms_through(pattern, inst, delta,
+                                               project=variables))
+        assert sorted(rows) == expected and len(set(rows)) == 3
+        with reference_engine():
+            assert sorted(find_homomorphisms_through(
+                pattern, inst, delta, project=variables)) == expected
+        # A narrower projection still has one row per homomorphism.
+        assert list(find_homomorphisms_through(
+            pattern, inst, delta, project=(n,))) == [(ids(ann),)] * 3
 
     def test_finished_search_leaves_no_cyclic_garbage(self):
         """The join walks its order without a self-referencing closure,
         so a search frees everything by reference counting alone."""
         import gc
         pattern = [Atom("E", (x, y)), Atom("E", (y, z))]
-        for backend in ("set", "column"):
-            inst = Instance(parse_instance("E(a,b). E(b,c). E(c,a)"),
-                            backend=backend)
-            list(find_homomorphisms(pattern, inst))
-            gc.collect()
-            gc.disable()
-            try:
-                assert len(list(find_homomorphisms(pattern, inst))) == 3
-                abandoned = find_homomorphisms(pattern, inst)
-                next(abandoned)
-                del abandoned
-                assert gc.collect() == 0
-            finally:
-                gc.enable()
+        inst = parse_instance("E(a,b). E(b,c). E(c,a)")
+        list(find_homomorphisms(pattern, inst))
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(list(find_homomorphisms(pattern, inst))) == 3
+            abandoned = find_homomorphisms(pattern, inst)
+            next(abandoned)
+            del abandoned
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_limit_respected_on_all_paths(self):
         inst = parse_instance("E(a,b). E(b,c). E(c,a). S(a). S(b). S(c)")

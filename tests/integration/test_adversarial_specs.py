@@ -135,6 +135,32 @@ def test_serve_negative_budget_error_names_the_knob(monkeypatch, capsys):
     assert "max_facts" in replies[0]["failure_reason"]
 
 
+@pytest.mark.parametrize("value", [
+    5, ["set"], {"x": 1}, "set", "SET", "column", " column ",
+], ids=["int", "list", "dict", "set", "SET", "column", "padded"])
+def test_serve_ignores_a_backend_key(monkeypatch, capsys, value):
+    """There is one fact store: a ``backend`` key is an unknown key,
+    whatever its value, so it changes neither the reply nor the
+    fingerprint (and never splits one job over several cache
+    entries)."""
+    spec = {**GOOD, "constraints": "S(x) -> E(x, y); E(x, y) -> S(y)",
+            "max_steps": 5, "name": "same"}
+
+    def reply(payload):
+        [answer] = serve_lines(monkeypatch, capsys,
+                               [json.dumps(payload), "quit"])
+        answer.pop("elapsed")
+        answer.pop("worker")
+        return answer
+
+    plain = reply(spec)
+    assert plain["status"] == "exceeded_budget" and plain["facts"]
+    # The reply carries the planned job's fingerprint.
+    assert reply({**spec, "backend": value}) == plain
+    assert job_from_dict({**spec, "backend": value}).fingerprint() \
+        == job_from_dict(spec).fingerprint()
+
+
 # ----------------------------------------------------------------------
 # repro batch / repro query: bad spec files exit 2 with a clean error
 # ----------------------------------------------------------------------

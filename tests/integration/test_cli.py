@@ -70,11 +70,10 @@ def test_chase_budget_exit_code(constraint_file, instance_file, capsys):
     assert "exceeded_budget (20 steps)" in capsys.readouterr().out
 
 
-def test_chase_with_monitor_and_backend(constraint_file, instance_file,
-                                        capsys):
+def test_chase_with_monitor(constraint_file, instance_file, capsys):
     code = main(["chase", constraint_file(DIVERGENT),
                  "--instance", instance_file, "--cycle-limit", "3",
-                 "--backend", "column", "--max-steps", "100000"])
+                 "--max-steps", "100000"])
     assert code == 1
     assert "aborted_by_monitor" in capsys.readouterr().out
 

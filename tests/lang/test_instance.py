@@ -75,10 +75,11 @@ class TestQueries:
 
 class TestConstruction:
     def test_copy_is_independent(self):
-        inst = parse_instance("E(a,b)")
+        inst = parse_instance("E(a,b). S(b)")
         clone = inst.copy()
+        assert clone == inst and list(clone) == list(inst)
         clone.add(Atom("S", (a,)))
-        assert len(inst) == 1 and len(clone) == 2
+        assert len(inst) == 2 and len(clone) == 3 and clone != inst
 
     def test_union(self):
         left = parse_instance("E(a,b)")
@@ -87,7 +88,11 @@ class TestConstruction:
         assert len(merged) == 2 and len(left) == 1
 
     def test_equality_is_set_equality(self):
-        assert parse_instance("E(a,b). S(a)") == parse_instance("S(a). E(a,b)")
+        left = parse_instance("E(a,b). S(a)")
+        right = parse_instance("S(a). E(a,b)")
+        assert left == right
+        right.discard(Atom("S", (a,)))
+        assert left != right
 
     def test_render_deterministic(self):
         inst = parse_instance("S(b). S(a)")
@@ -99,10 +104,10 @@ class TestListeners:
         def __init__(self):
             self.added, self.removed = [], []
 
-        def fact_added(self, fact):
+        def fact_added(self, fact, fid):
             self.added.append(fact)
 
-        def fact_removed(self, fact):
+        def fact_removed(self, fact, fid):
             self.removed.append(fact)
 
     def test_add_and_discard_notify(self):
@@ -148,54 +153,25 @@ class TestListeners:
 
 class TestIndexHygiene:
     def test_discard_prunes_empty_buckets(self):
-        inst = Instance([Atom("E", (a, b))], backend="set")
+        inst = Instance([Atom("E", (a, b)), Atom("S", (a,))])
         inst.discard(Atom("E", (a, b)))
-        assert inst.store._by_term == {}
-        assert inst.store._by_relation == {}
-        assert inst.store._term_positions == {}
+        # b's entry goes; a keeps only the position it still holds.
+        table = inst.store.terms
+        assert inst.store._term_pos == {table.id_of(a): {("S", 0): 1}}
+        inst.discard(Atom("S", (a,)))
+        assert inst.store._term_pos == {}
+        assert inst.relations() == set()
 
     def test_substitute_leaves_no_stale_term_entries(self):
-        inst = Instance([Atom("E", (a, n1)), Atom("E", (n1, b))],
-                        backend="set")
+        inst = Instance([Atom("E", (a, n1)), Atom("E", (n1, b))])
         inst.substitute_term(n1, c)
-        assert n1 not in inst.store._term_positions
-        assert all(key[2] != n1 for key in inst.store._by_term)
+        table = inst.store.terms
+        assert table.id_of(n1) not in inst.store._term_pos
+        assert inst.store._term_pos[table.id_of(c)] == \
+            {("E", 0): 1, ("E", 1): 1}
         assert inst.positions_of(n1) == set()
 
     def test_domain_reflects_live_terms_only(self):
         inst = Instance([Atom("E", (a, b)), Atom("S", (c,))])
         inst.discard(Atom("S", (c,)))
         assert inst.domain() == {a, b}
-
-
-class TestBackendSelection:
-    def test_default_backend_is_set(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert Instance().backend == "set"
-
-    def test_explicit_backend(self):
-        inst = Instance([Atom("E", (a, b))], backend="column")
-        assert inst.backend == "column"
-        assert Atom("E", (a, b)) in inst
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "column")
-        assert Instance().backend == "column"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SchemaError):
-            Instance(backend="btree")
-
-    def test_copy_preserves_backend(self):
-        inst = Instance([Atom("E", (a, b))], backend="column")
-        clone = inst.copy()
-        assert clone.backend == "column" and clone == inst
-
-    def test_equality_across_backends(self):
-        left = Instance([Atom("E", (a, b)), Atom("S", (c,))],
-                        backend="set")
-        right = Instance([Atom("S", (c,)), Atom("E", (a, b))],
-                         backend="column")
-        assert left == right
-        right.discard(Atom("S", (c,)))
-        assert left != right

@@ -31,12 +31,11 @@ def make_job(constraints=TERMINATING, instance="S(a). S(b).", **kw):
 # ----------------------------------------------------------------------
 # fingerprints
 # ----------------------------------------------------------------------
-def test_instance_fingerprint_ignores_insertion_order_and_backend():
+def test_instance_fingerprint_ignores_insertion_order():
     facts = [Atom("E", (Constant(f"c{i}"), Constant(f"c{i+1}")))
              for i in range(5)]
     fp = instance_fingerprint(Instance(facts))
     assert fp == instance_fingerprint(Instance(list(reversed(facts))))
-    assert fp == instance_fingerprint(Instance(facts, backend="column"))
 
 
 def test_instance_fingerprint_separates_content():
@@ -111,29 +110,29 @@ def test_from_dict_honours_explicit_zero_budgets():
 
 
 def test_wire_roundtrip_preserves_fingerprint():
-    job = make_job(backend="column", max_facts=50, cycle_limit=2)
+    job = make_job(max_facts=50, cycle_limit=2)
     clone = ChaseJob.from_dict(job.to_dict())
     assert clone.fingerprint() == job.fingerprint()
 
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
-#: Fingerprints of the shipped chase and query specs, backend pinned
-#: to ``set``.  Fingerprints key every warm cache, so a change to any
-#: of these digests must come with a bump of the digested ``"v"``.
+#: Fingerprints of the shipped chase and query specs.  Fingerprints
+#: key every warm cache, so a change to any of these digests must come
+#: with a bump of the digested ``"v"``.
 PINNED_FINGERPRINTS = {
     "jobs/divergent_guarded":
-        "d8b370cd440d273ab0a1d87cc4b5378b44effdf30e29568c3d7a954977ed65bb",
+        "5f2d8ae20f38378d3494f0de77b84faa2c62c2b803712e2fad8ff09318dd6aec",
     "jobs/safe_nulls":
-        "cdf5d8c6a485e7fc4390cda69ef0554cfff8f7d76b46678a946e6d5ae7490793",
+        "025dfe026d76ba1d2d98bf3809ce57129c1282eed408913b14ecb95602eb2bc6",
     "jobs/terminating_chain":
-        "204caf09b440ec1adf3529865aa066573bbd432b918f8aa59491c19fe0e6d4ef",
+        "43265c812c41c4ea8cb12930dc601c689390326665d75a55d417029344d3799d",
     "queries/depth_bounded_guarded":
-        "125dd92fddb60f9e3ceec4371aace3d514ff0eea18e875810725da50a4bae797",
+        "1c165d687f668bacf6d50ee978a51f970d23d0b0eda6d9602326e8101d2d5e5a",
     "queries/stratified_only":
-        "095047b06b789f0708eb37dcb4baac8a6c9924b2cebe4e66a15fb87d1d4b3420",
+        "06429451c3edb16bcd39137da0d5c849d721799d3c19651dabbf1cddafade8eb",
     "queries/terminating_join":
-        "cb8898dab60c599431f899c2abaf0a7396ebe956d683c52b954eb620c2411d18",
+        "7cfffc3417ae368f97fc3cd3adbc079d4f74f3ff52f96448b26a3a9c86886340",
 }
 
 
@@ -142,9 +141,7 @@ PINNED_FINGERPRINTS = {
     + sorted(EXAMPLES.glob("queries/*.json")),
     ids=lambda path: f"{path.parent.name}/{path.stem}")
 def test_shipped_spec_fingerprints_are_pinned(path):
-    payload = json.loads(path.read_text())
-    payload["backend"] = "set"
-    job = job_from_dict(payload, name=path.stem)
+    job = job_from_dict(json.loads(path.read_text()), name=path.stem)
     assert job.fingerprint() \
         == PINNED_FINGERPRINTS[f"{path.parent.name}/{path.stem}"]
 
@@ -155,17 +152,17 @@ def test_shipped_spec_fingerprints_are_pinned(path):
 #: so these pin that lazy reports plan exactly as full ones did.
 PINNED_PLANNED_FINGERPRINTS = {
     "jobs/divergent_guarded":
-        "94996dad8e025aef11854b88d95dd65df903afa3417b822b1ab9061f60b14c54",
+        "e3926e8aa76e96e1898bdf06e10095ed0fb957e3687b1ac6ca108bcd22ec6336",
     "jobs/safe_nulls":
-        "2dd83c72e99f5b7468a8100c3ba89f8e7cd2097b7b3eb3efb3f8973b731d9512",
+        "c4d1201e520fd5a2f8b22bd9defaaeeea65a2f79a5a022fd1fa0319798990c51",
     "jobs/terminating_chain":
-        "36d9cd831d2f5caf0ce6b7f7aa23c2042825a84725f02e8d9e89b0059c6482e6",
+        "d7efa972510f5fb32989c73e9c60a159374894dbe6901a18760f4169d7c3cad6",
     "queries/depth_bounded_guarded":
-        "05c20878ab15166f64db88d7a1eb07e96124d8569116778466c313b815d0d530",
+        "bc5ec26f0df2f01ed42dc12f06730cb8bdf3b50995e9b346bd87331550b14bf1",
     "queries/stratified_only":
-        "b8a7de6cf43b7fd92e142cfd4756cf12098d19dcb0686e77f6f353a19d0cfadc",
+        "dacf1e957888e8e3262466a84303003892c3de4192df34e4cefd3b697545b367",
     "queries/terminating_join":
-        "b3839b4901c19b5353a7047dd8e3f3b677bf1ba8e3937bde2d4d5b0a371b662c",
+        "ce77c6ee59ce3c0181d65f3cd4bfd9e2d0d0b199b8d53c3a07879d22c7a21410",
 }
 
 
@@ -174,9 +171,7 @@ PINNED_PLANNED_FINGERPRINTS = {
     + sorted(EXAMPLES.glob("queries/*.json")),
     ids=lambda path: f"{path.parent.name}/{path.stem}")
 def test_shipped_spec_planned_fingerprints_are_pinned(path):
-    payload = json.loads(path.read_text())
-    payload["backend"] = "set"
-    job = job_from_dict(payload, name=path.stem)
+    job = job_from_dict(json.loads(path.read_text()), name=path.stem)
     with BatchScheduler(workers=1, force_inprocess=True) as scheduler:
         planned = scheduler.plan_job(job).job
     assert planned.fingerprint() \

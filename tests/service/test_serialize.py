@@ -31,16 +31,13 @@ def test_atom_roundtrip():
     assert decode_atom(encode_atom(fact)) == fact
 
 
-def test_instance_roundtrip_and_backend():
+def test_instance_roundtrip():
     facts = [Atom("E", (Constant("a"), Constant("b"))),
              Atom("S", (Null(1),))]
-    instance = Instance(facts, backend="column")
+    instance = Instance(facts)
     payload = encode_instance(instance)
-    decoded = decode_instance(payload)
-    assert decoded == instance
-    assert decoded.backend == "column"
-    # The override wins over the encoded backend.
-    assert decode_instance(payload, backend="set").backend == "set"
+    assert set(payload) == {"facts"}
+    assert decode_instance(payload) == instance
 
 
 def test_encoding_is_stable_across_insertion_order():

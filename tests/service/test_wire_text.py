@@ -85,9 +85,8 @@ def test_null_labels_sort_as_strings():
     assert text == '[["R", [["n", 10]]], ["R", [["n", 9]]]]'
 
 
-@pytest.mark.parametrize("backend", ["set", "column"])
-def test_instances_encode_and_fingerprint_like_the_oracle(backend):
-    instance = Instance(tricky_facts(), backend=backend)
+def test_instances_encode_and_fingerprint_like_the_oracle():
+    instance = Instance(tricky_facts())
     assert encode_facts(instance) == wire_oracle.facts_text(instance)
     assert instance_fingerprint(instance) == \
         wire_oracle.instance_fingerprint(instance)

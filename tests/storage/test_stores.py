@@ -1,22 +1,33 @@
-"""Storage-backend tests: SetStore/ColumnStore parity.
+"""Fact-store tests: the store against a brute-force model.
 
-The set backend is the reference semantics; the columnar backend must
-be observationally identical through the ``Instance`` facade -- same
-query answers, same listener event sequences, and (the acceptance bar)
-identical chase results over randomized generator workloads.
+The model is a plain Python set of atoms plus the bookkeeping the
+store promises on top of set semantics: first-insertion fact ids,
+last-insertion row order (the order ``scan`` yields in) and the
+listener events each mutation must emit.  Seeded sequences of
+``add``, ``discard`` and ``substitute_term`` drive store and model
+alike, with enough removals to compact buckets, and every query of
+the store is compared with what the set answers.  The chase itself is
+cross-validated against the naive chase and the reference engine.
 """
+
+import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 
 from repro.chase import chase, ChaseStatus, oblivious_chase, OrderedStrategy
-from repro.homomorphism.engine import null_renaming_equivalent
+from repro.homomorphism.engine import (find_homomorphisms,
+                                       null_renaming_equivalent,
+                                       reference_engine)
 from repro.homomorphism.extend import all_satisfied
 from repro.lang.atoms import Atom, Position
+from repro.lang.errors import SchemaError
 from repro.lang.instance import Instance
-from repro.lang.parser import parse_instance
-from repro.lang.terms import Constant, Null
-from repro.storage import ColumnStore, SetStore, make_store
+from repro.lang.parser import parse_constraints, parse_instance
+from repro.lang.terms import Constant, Null, Variable
+from repro.storage import FactStore
+from repro.storage.store import _Bucket, _COMPACT_MIN_DEAD
 from repro.workloads.generators import (random_constraint_set,
                                         random_full_tgds,
                                         random_graph_instance,
@@ -24,68 +35,264 @@ from repro.workloads.generators import (random_constraint_set,
 
 from tests.conftest import graph_instances
 
-BACKENDS = ["set", "column"]
-
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 n1, n2 = Null(901), Null(902)
 
 
-def both(facts):
-    return (Instance(facts, backend="set"),
-            Instance(facts, backend="column"))
+# ----------------------------------------------------------------------
+# The brute-force model
+# ----------------------------------------------------------------------
+class SetModel:
+    """What the store must answer, computed from a set of atoms."""
+
+    def __init__(self):
+        #: live facts, in last-insertion order (a dict keeps it)
+        self.live = {}
+        #: fact -> id, assigned at first insertion and never dropped
+        self.ids = {}
+        self.events = []
+        self.generation = 0
+
+    def add(self, fact):
+        if fact in self.live:
+            return False
+        self.live[fact] = None
+        fid = self.ids.setdefault(fact, len(self.ids))
+        self.events.append(("+", fact, fid))
+        self.generation += 1
+        return True
+
+    def discard(self, fact):
+        if fact not in self.live:
+            return False
+        del self.live[fact]
+        self.events.append(("-", fact, self.ids[fact]))
+        self.generation += 1
+        return True
+
+    def substitute(self, old, new):
+        if old == new:
+            return []
+        changed = []
+        for fact in self.with_term(old):
+            self.discard(fact)
+            rewritten = fact.substitute({old: new})
+            if self.add(rewritten):
+                changed.append(rewritten)
+        return changed
+
+    def in_id_order(self):
+        return sorted(self.live, key=self.ids.__getitem__)
+
+    def with_term(self, term):
+        return [fact for fact in self.in_id_order() if term in fact.args]
+
+    def matching(self, relation, bindings):
+        return {fact for fact in self.live if fact.relation == relation
+                and all(position < fact.arity and fact.args[position] == term
+                        for position, term in bindings.items())}
+
+    def scan(self, relation, arity, bindings):
+        return [fact.args for fact in self.live
+                if fact.relation == relation and fact.arity == arity
+                and all(fact.args[position] == term
+                        for position, term in bindings.items())]
+
+    def positions(self, term):
+        return {(fact.relation, index) for fact in self.live
+                for index, arg in enumerate(fact.args) if arg == term}
+
+    def domain(self):
+        return {arg for fact in self.live for arg in fact.args}
+
+
+class EventLog:
+    def __init__(self):
+        self.events = []
+
+    def fact_added(self, fact, fid):
+        self.events.append(("+", fact, fid))
+
+    def fact_removed(self, fact, fid):
+        self.events.append(("-", fact, fid))
+
+
+#: Relations by arity; ``R`` is stored at two arities (two buckets).
+SHAPES = (("E", 2), ("S", 1), ("P", 0), ("R", 1), ("R", 2), ("T", 3))
+
+
+def check_store(store, model, terms):
+    """Every store query against the model."""
+    assert len(store) == len(model.live)
+    assert list(store) == model.in_id_order()
+    assert store.generation == model.generation
+    assert store.relations() == {fact.relation for fact in model.live}
+    assert store.domain() == model.domain()
+    for relation in {name for name, _ in SHAPES}:
+        live = {fact for fact in model.live if fact.relation == relation}
+        assert store.facts(relation) == live
+        assert store.relation_size(relation) == len(live)
+    id_of = store.terms.id_of
+    for term in terms:
+        assert store.term_positions(term) == model.positions(term)
+        assert store.facts_with_term(term) == model.with_term(term)
+        assert store.matching("E", {0: term}) == model.matching("E", {0: term})
+        tid = id_of(term)
+        for relation, arity in SHAPES:
+            for position in range(arity):
+                count = len(model.matching(relation, {position: term}))
+                if tid is None:
+                    assert count == 0
+                else:
+                    assert store.posting_size(relation, position,
+                                              tid) >= count
+    for fact, fid in model.ids.items():
+        assert store.fact_id(fact) == fid
+        assert store.fact_of(fid) == fact
+        live = fact in model.live
+        assert store.alive(fid) is live
+        assert (fact in store) is live
+        ids = tuple(id_of(term) for term in fact.args)
+        assert store.has_row(fact.relation, fact.arity, ids) is live
+        assert store.row_fid(fact.relation, fact.arity, ids) == \
+            (fid if live else None)
+        assert store.matching(fact.relation, dict(enumerate(fact.args))) == \
+            model.matching(fact.relation, dict(enumerate(fact.args)))
+    assert list(store.live_fids()) == [model.ids[fact]
+                                       for fact in model.in_id_order()]
+
+
+def check_scans(store, model, rng, terms):
+    """Decoded scans, with zero, one and every position bound, in row
+    order."""
+    term_of = store.terms.term
+    id_of = store.terms.id_of
+    for relation, arity in SHAPES:
+        patterns = [{}]
+        patterns += [{position: rng.choice(terms)}
+                     for position in range(arity)]
+        patterns.append({position: rng.choice(terms)
+                         for position in range(arity)})
+        patterns += [dict(enumerate(fact.args)) for fact in model.live
+                     if fact.relation == relation and fact.arity == arity][:3]
+        for bindings in patterns:
+            expected = model.scan(relation, arity, bindings)
+            bound = [(position, id_of(term))
+                     for position, term in bindings.items()]
+            if any(tid is None for _, tid in bound):
+                assert expected == []
+                continue
+            decoded = [tuple(term_of(tid) for tid in row)
+                       for row in store.scan(relation, arity, bound)]
+            assert decoded == expected, (relation, bindings)
+
+
+def random_fact(rng, terms):
+    relation, arity = rng.choice(SHAPES)
+    return Atom(relation, tuple(rng.choice(terms) for _ in range(arity)))
+
+
+def drive(seed, steps=900):
+    """A seeded add/discard/substitute sequence on store and model:
+    a fill phase, a drain phase that crosses the compaction threshold,
+    then a mixed phase.  Yields after every step."""
+    rng = random.Random(seed)
+    terms = [Constant(f"c{i}") for i in range(10)] + \
+        [Null(i) for i in range(1, 7)] + [Constant(7)]
+    store, model, log = FactStore(), SetModel(), EventLog()
+    store.add_listener(log)
+    for step in range(steps):
+        phase = step * 3 // steps
+        roll = rng.random()
+        if roll < 0.06:
+            old, new = rng.choice(terms), rng.choice(terms)
+            assert store.substitute_term(old, new) == \
+                model.substitute(old, new)
+        elif roll < (0.85, 0.2, 0.5)[phase]:
+            fact = random_fact(rng, terms)
+            assert store.add(fact) == model.add(fact)
+        else:
+            live = list(model.live)
+            fact = (rng.choice(live) if live and rng.random() < 0.9
+                    else random_fact(rng, terms))
+            assert store.discard(fact) == model.discard(fact)
+        assert log.events == model.events
+        yield store, model, terms
+
+
+class TestModelSequences:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sequences_match_model(self, seed, monkeypatch):
+        compactions = []
+        compact = _Bucket.compact
+        monkeypatch.setattr(
+            _Bucket, "compact",
+            lambda bucket: compactions.append(bucket.dead)
+            or compact(bucket))
+        for step, (store, model, terms) in enumerate(drive(seed)):
+            if step % 25 == 0:
+                check_store(store, model, terms)
+                check_scans(store, model, random.Random(step), terms)
+        check_store(store, model, terms)
+        check_scans(store, model, random.Random(seed), terms)
+        assert compactions and min(compactions) > _COMPACT_MIN_DEAD
+
+    def test_removed_facts_keep_their_ids_through_compaction(self):
+        store = FactStore()
+        facts = [Atom("E", (Constant(i), Constant(i + 1)))
+                 for i in range(3 * _COMPACT_MIN_DEAD)]
+        for fact in facts:
+            store.add(fact)
+        ids = [store.fact_id(fact) for fact in facts]
+        for fact in facts[:-1]:
+            store.discard(fact)
+        for fact in facts:
+            store.add(fact)
+        assert [store.fact_id(fact) for fact in facts] == ids
+        # Re-inserted rows come after the survivor, in insertion order.
+        term_of = store.terms.term
+        assert [Atom("E", tuple(term_of(tid) for tid in row))
+                for row in store.scan("E", 2, [])] == \
+            facts[-1:] + facts[:-1]
+        assert list(store) == facts
 
 
 # ----------------------------------------------------------------------
-# Facade parity on the query API
+# The query API on hand-written and generated instances
 # ----------------------------------------------------------------------
 class TestQueryParity:
     @given(graph_instances())
     @settings(max_examples=30, deadline=None)
     def test_queries_agree(self, inst):
-        facts = sorted(inst.facts(), key=str)
-        left, right = both(facts)
-        assert left == right
-        assert left.facts("E") == right.facts("E")
-        assert left.domain() == right.domain()
-        assert left.relations() == right.relations()
-        for term in left.domain():
-            assert left.positions_of(term) == right.positions_of(term)
-        for fact in facts:
-            bindings = dict(enumerate(fact.args))
-            assert (left.matching(fact.relation, bindings)
-                    == right.matching(fact.relation, bindings))
-            assert (left.matching(fact.relation, {0: fact.args[0]})
-                    == right.matching(fact.relation, {0: fact.args[0]}))
-        assert left.matching("E", {}) == right.matching("E", {})
+        model = SetModel()
+        for fact in inst:
+            model.add(fact)
+        check_store(inst.store, model, sorted(inst.domain(), key=str))
+        assert inst.matching("E", {}) == model.matching("E", {})
 
     @given(graph_instances())
     @settings(max_examples=20, deadline=None)
     def test_scan_agrees(self, inst):
-        facts = sorted(inst.facts(), key=str)
-        left, right = both(facts)
-        for relation, arity in (("E", 2), ("S", 1)):
-            decoded = []
-            for instance in (left, right):
-                store = instance.store
-                term_of = store.terms.term
-                decoded.append({tuple(term_of(tid) for tid in row)
-                                for row in store.scan(relation, arity, [])})
-            assert decoded[0] == decoded[1]
+        model = SetModel()
+        for fact in inst:
+            model.add(fact)
+        check_scans(inst.store, model, random.Random(0),
+                    sorted(inst.domain(), key=str))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mutation_semantics(self, backend):
-        inst = Instance(backend=backend)
+    def test_mutation_semantics(self):
+        inst = Instance()
         fact = Atom("E", (a, b))
         assert inst.add(fact) and not inst.add(fact)
         assert len(inst) == 1 and fact in inst
         assert inst.discard(fact) and not inst.discard(fact)
         assert len(inst) == 0 and inst.matching("E", {0: a}) == set()
         assert inst.domain() == set()
+        with pytest.raises(SchemaError):
+            inst.add(Atom("E", (a, Variable("x"))))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_substitute_merges_and_reindexes(self, backend):
+    def test_substitute_merges_and_reindexes(self):
         inst = Instance([Atom("E", (a, n1)), Atom("E", (n1, b)),
-                         Atom("E", (a, b))], backend=backend)
+                         Atom("E", (a, b))])
         changed = inst.substitute_term(n1, b)
         # E(a, n1) merges onto the existing E(a, b).
         assert len(inst) == 2
@@ -94,87 +301,52 @@ class TestQueryParity:
         assert inst.positions_of(n1) == set()
         assert n1 not in inst.domain()
 
-    def test_nullary_relations_scan_on_both_backends(self):
+    def test_nullary_relations_scan(self):
         """Regression: zip() over zero columns yields nothing, so the
-        column backend used to lose arity-0 facts from scans."""
-        from repro.homomorphism.engine import find_homomorphisms
-        from repro.lang.terms import Variable
+        store used to lose arity-0 facts from scans."""
         x = Variable("x")
         facts = [Atom("P", ()), Atom("Q", (a,))]
         pattern = [Atom("P", ()), Atom("Q", (x,))]
-        expected = [{x: a}]
-        for backend in BACKENDS:
-            inst = Instance(facts, backend=backend)
-            assert list(find_homomorphisms(pattern, inst)) == expected
-            store = inst.store
-            assert list(store.scan("P", 0, [])) == [()]
-            inst.discard(Atom("P", ()))
-            assert list(store.scan("P", 0, [])) == []
+        inst = Instance(facts)
+        assert list(find_homomorphisms(pattern, inst)) == [{x: a}]
+        store = inst.store
+        assert list(store.scan("P", 0, [])) == [()]
+        inst.discard(Atom("P", ()))
+        assert list(store.scan("P", 0, [])) == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_positions_of_after_discard(self, backend):
-        inst = Instance([Atom("E", (a, n1)), Atom("S", (n1,))],
-                        backend=backend)
+    def test_positions_of_after_discard(self):
+        inst = Instance([Atom("E", (a, n1)), Atom("S", (n1,))])
         inst.discard(Atom("S", (n1,)))
         assert inst.positions_of(n1) == {Position("E", 2)}
 
 
 # ----------------------------------------------------------------------
-# Listener event sequences (identical on every backend)
+# Listener event sequences
 # ----------------------------------------------------------------------
-class Recorder:
-    def __init__(self):
-        self.events = []
-
-    def fact_added(self, fact):
-        self.events.append(("+", fact))
-
-    def fact_removed(self, fact):
-        self.events.append(("-", fact))
-
-
 class TestListenerOrdering:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_substitute_removal_precedes_addition_per_fact(self, backend):
-        inst = Instance([Atom("E", (a, n1)), Atom("E", (n1, b))],
-                        backend=backend)
-        recorder = Recorder()
-        inst.add_listener(recorder)
+    def test_substitute_removal_precedes_addition_per_fact(self):
+        inst = Instance([Atom("E", (a, n1)), Atom("E", (n1, b))])
+        log = EventLog()
+        inst.add_listener(log)
         inst.substitute_term(n1, c)
-        # Rewritten in insertion order, removal before the rewrite.
-        assert recorder.events == [
-            ("-", Atom("E", (a, n1))), ("+", Atom("E", (a, c))),
-            ("-", Atom("E", (n1, b))), ("+", Atom("E", (c, b)))]
+        # Rewritten in fact-id order, removal before the rewrite.
+        assert log.events == [
+            ("-", Atom("E", (a, n1)), 0), ("+", Atom("E", (a, c)), 2),
+            ("-", Atom("E", (n1, b)), 1), ("+", Atom("E", (c, b)), 3)]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_merge_produces_no_addition_event(self, backend):
-        inst = Instance([Atom("E", (a, n1)), Atom("E", (a, b))],
-                        backend=backend)
-        recorder = Recorder()
-        inst.add_listener(recorder)
+    def test_merge_produces_no_addition_event(self):
+        inst = Instance([Atom("E", (a, n1)), Atom("E", (a, b))])
+        log = EventLog()
+        inst.add_listener(log)
         inst.substitute_term(n1, b)
-        assert recorder.events == [("-", Atom("E", (a, n1)))]
+        assert log.events == [("-", Atom("E", (a, n1)), 0)]
 
-    def test_sequences_identical_across_backends(self):
-        facts = [Atom("E", (a, n1)), Atom("E", (n1, n2)),
-                 Atom("S", (n1,)), Atom("E", (b, c))]
-        sequences = []
-        for backend in BACKENDS:
-            inst = Instance(facts, backend=backend)
-            recorder = Recorder()
-            inst.add_listener(recorder)
-            inst.substitute_term(n1, a)
-            inst.substitute_term(n2, b)
-            sequences.append(recorder.events)
-        assert sequences[0] == sequences[1]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_listeners_fire_in_registration_order(self, backend):
-        inst = Instance(backend=backend)
+    def test_listeners_fire_in_registration_order(self):
+        inst = Instance()
         order = []
-        first, second = Recorder(), Recorder()
-        first.fact_added = lambda fact: order.append("first")
-        second.fact_added = lambda fact: order.append("second")
+        first, second = EventLog(), EventLog()
+        first.fact_added = lambda fact, fid: order.append("first")
+        second.fact_added = lambda fact, fid: order.append("second")
         inst.add_listener(first)
         inst.add_listener(second)
         inst.add(Atom("S", (a,)))
@@ -182,12 +354,11 @@ class TestListenerOrdering:
 
 
 # ----------------------------------------------------------------------
-# Fact ids and columnar internals
+# Fact ids and compaction
 # ----------------------------------------------------------------------
 class TestFactIds:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_ids_survive_removal_and_reinsertion(self, backend):
-        store = make_store(backend)
+    def test_ids_survive_removal_and_reinsertion(self):
+        store = FactStore()
         fact = Atom("E", (a, b))
         store.add(fact)
         fid = store.fact_id(fact)
@@ -198,9 +369,8 @@ class TestFactIds:
         store.add(Atom("E", (a, b)))
         assert store.fact_id(fact) == fid and store.alive(fid)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_row_fid_matches_fact_id(self, backend):
-        store = make_store(backend)
+    def test_row_fid_matches_fact_id(self):
+        store = FactStore()
         fact = Atom("E", (a, b))
         store.add(fact)
         ids = tuple(store.terms.id_of(term) for term in fact.args)
@@ -211,7 +381,7 @@ class TestFactIds:
         assert not store.has_row("E", 2, ids)
 
     def test_column_store_compaction_preserves_answers(self):
-        store = ColumnStore()
+        store = FactStore()
         facts = [Atom("E", (Constant(f"v{i}"), Constant(f"v{i+1}")))
                  for i in range(200)]
         for fact in facts:
@@ -220,36 +390,31 @@ class TestFactIds:
         for fact in facts:
             if fact not in keep:
                 store.discard(fact)  # tombstones, then compaction
-        bucket = store._bucket("E", 2)
+        bucket = store._buckets[("E", 2)]
         assert bucket.dead < len(facts)  # compaction ran at some point
         assert store.facts("E") == set(keep)
         for fact in keep:
             fid = store.fact_id(fact)
             assert store.alive(fid) and store.fact_of(fid) == fact
             assert store.matching("E", {0: fact.args[0]}) == {fact}
-        decoded = {tuple(store.terms.term(tid) for tid in row)
-                   for row in store.scan("E", 2, [])}
-        assert decoded == {fact.args for fact in keep}
-
-    def test_set_store_is_default_reference(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert isinstance(Instance().store, SetStore)
+        decoded = [tuple(store.terms.term(tid) for tid in row)
+                   for row in store.scan("E", 2, [])]
+        assert decoded == [fact.args for fact in keep]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestJoinStatistics:
     """What join ordering reads from a store
     (:meth:`repro.homomorphism.plan.JoinPlan.order_for`): the mutation
     counter its order cache keys on, and the size estimates."""
 
-    def _store(self, backend):
+    def _store(self):
         facts = [Atom("E", (Constant(f"a{i % 4}"), Constant(f"b{i % 3}")))
                  for i in range(12)]
         facts += [Atom("S", (Constant("a1"),)), Atom("S", (Constant("z"),))]
-        return Instance(facts, backend=backend).store
+        return Instance(facts).store
 
-    def test_generation_counts_successful_mutations(self, backend):
-        store = self._store(backend)
+    def test_generation_counts_successful_mutations(self):
+        store = self._store()
         start = store.generation
         fact = Atom("E", (Constant("fresh"), Constant("fresh")))
         assert store.add(fact) and store.generation == start + 1
@@ -257,8 +422,8 @@ class TestJoinStatistics:
         assert store.discard(fact) and store.generation == start + 2
         assert not store.discard(fact) and store.generation == start + 2
 
-    def test_posting_size_bounds_matching(self, backend):
-        store = self._store(backend)
+    def test_posting_size_bounds_matching(self):
+        store = self._store()
         a1 = store.terms.id_of(Constant("a1"))
         facts = store.matching("E", {0: Constant("a1")})
         assert store.posting_size("E", 0, a1) == len(facts) == 3
@@ -268,27 +433,41 @@ class TestJoinStatistics:
 
 
 # ----------------------------------------------------------------------
-# Randomized cross-validation: identical chase results on both backends
+# Randomized cross-validation: the chase against its oracles
 # ----------------------------------------------------------------------
-def _chase_on(backend, sigma, facts, **kw):
-    return chase(Instance(facts, backend=backend), sigma,
-                 strategy=OrderedStrategy(), **kw)
+def _runs(sigma, facts, run=chase, **kw):
+    """The chase on the store, the naive chase and the chase under the
+    reference engine, all with the same strategy and budget."""
+    out = []
+    for naive, engine in ((False, nullcontext), (True, nullcontext),
+                          (False, reference_engine)):
+        if run is chase:
+            kw["strategy"] = OrderedStrategy()
+        with engine():
+            out.append(run(Instance(facts), sigma, naive=naive, **kw))
+    return out
+
+
+def assert_runs_agree(results):
+    first = results[0]
+    for other in results[1:]:
+        assert other.status is first.status
+        if first.status is ChaseStatus.TERMINATED:
+            assert null_renaming_equivalent(first.instance, other.instance)
 
 
 class TestChaseCrossValidation:
     @pytest.mark.parametrize("seed", range(8))
     def test_full_tgd_generator_workloads_agree(self, seed):
-        """Full TGDs always terminate: both backends must reach
+        """Full TGDs always terminate: every run must reach
         null-renaming-equivalent results."""
         sigma = random_full_tgds(seed, size=4)
-        schema = random_schema(__import__("random").Random(seed))
+        schema = random_schema(random.Random(seed))
         facts = sorted(random_instance(seed, schema, n_facts=12).facts(),
                        key=str)
-        results = [_chase_on(backend, sigma, facts, max_steps=5000)
-                   for backend in BACKENDS]
-        assert all(r.status is ChaseStatus.TERMINATED for r in results)
-        assert null_renaming_equivalent(results[0].instance,
-                                        results[1].instance)
+        results = _runs(sigma, facts, max_steps=5000)
+        assert results[0].status is ChaseStatus.TERMINATED
+        assert_runs_agree(results)
         for result in results:
             assert all_satisfied(sigma, result.instance)
 
@@ -300,12 +479,7 @@ class TestChaseCrossValidation:
                                       existential_probability=0.5)
         facts = sorted(random_graph_instance(seed, n_nodes=5).facts(),
                        key=str)
-        results = [_chase_on(backend, sigma, facts, max_steps=300)
-                   for backend in BACKENDS]
-        assert results[0].status is results[1].status
-        if results[0].status is ChaseStatus.TERMINATED:
-            assert null_renaming_equivalent(results[0].instance,
-                                            results[1].instance)
+        assert_runs_agree(_runs(sigma, facts, max_steps=300))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_egd_generator_workloads_agree(self, seed):
@@ -314,39 +488,24 @@ class TestChaseCrossValidation:
                                       egd_probability=0.5)
         facts = sorted(random_graph_instance(seed + 100, n_nodes=4).facts(),
                        key=str)
-        results = [_chase_on(backend, sigma, facts, max_steps=300)
-                   for backend in BACKENDS]
-        assert results[0].status is results[1].status
-        if results[0].status is ChaseStatus.TERMINATED:
-            assert null_renaming_equivalent(results[0].instance,
-                                            results[1].instance)
+        assert_runs_agree(_runs(sigma, facts, max_steps=300))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_oblivious_chase_agrees(self, seed):
         sigma = random_full_tgds(seed, size=3)
-        schema = random_schema(__import__("random").Random(seed))
+        schema = random_schema(random.Random(seed))
         facts = sorted(random_instance(seed, schema, n_facts=8).facts(),
                        key=str)
-        results = [oblivious_chase(Instance(facts, backend=backend), sigma,
-                                   max_steps=4000)
-                   for backend in BACKENDS]
-        assert results[0].status is results[1].status
+        results = _runs(sigma, facts, run=oblivious_chase, max_steps=4000)
+        assert_runs_agree(results)
         if results[0].status is ChaseStatus.TERMINATED:
-            assert results[0].length == results[1].length
-            assert null_renaming_equivalent(results[0].instance,
-                                            results[1].instance)
+            assert len({result.length for result in results}) == 1
 
     def test_egd_failure_and_merge_families(self):
         for text, instance_text in [
             ("E(x,y), E(x,z) -> y = z", "E(a,b). E(a,c)"),
             ("E(x,y), E(x,z) -> y = z", "E(a,b). E(a,?n1). E(?n1,c)"),
         ]:
-            from repro.lang.parser import parse_constraints
             sigma = parse_constraints(text)
             facts = sorted(parse_instance(instance_text).facts(), key=str)
-            results = [_chase_on(backend, sigma, facts, max_steps=100)
-                       for backend in BACKENDS]
-            assert results[0].status is results[1].status
-            if results[0].status is ChaseStatus.TERMINATED:
-                assert null_renaming_equivalent(results[0].instance,
-                                                results[1].instance)
+            assert_runs_agree(_runs(sigma, facts, max_steps=100))
