@@ -19,11 +19,10 @@ test-fast:
 fuzz-smoke:
 	$(PYTHON) -m repro fuzz --seed 0 --cases 200 --repro-dir examples/repros
 
-# Service-layer smoke: worker pool (2 workers), budget kills, cache,
-# batch/serve CLI -- plus a real `repro batch` over the example jobs.
+# Service-layer smoke: a real `repro batch` over the example jobs on
+# 2 workers.  The service, CLI and budget tests run in tier-1 (`make
+# test`), not again here.
 test-service:
-	$(PYTHON) -m pytest tests/service tests/integration/test_cli.py \
-	    tests/chase/test_budgets.py -q
 	$(PYTHON) -m repro batch examples/jobs --workers 2 --events
 
 # Query-service smoke: the shipped certain-answer specs (terminating,
@@ -32,11 +31,11 @@ test-service:
 query-smoke:
 	$(PYTHON) -m repro query examples/queries --workers 2 --events
 
-# Observability smoke: the obs test package, then a real instrumented
-# 2-worker batch -- merged fleet-wide metrics on stderr, an NDJSON
-# trace validated against the span schema by tools/check_trace.py.
+# Observability smoke: a real instrumented 2-worker batch -- merged
+# fleet-wide metrics on stderr, an NDJSON trace validated against the
+# span schema by tools/check_trace.py.  The obs test package runs in
+# tier-1 (`make test`), not again here.
 obs-smoke:
-	$(PYTHON) -m pytest tests/obs -q
 	$(PYTHON) -m repro batch examples/jobs --workers 2 \
 	    --metrics --metrics-json OBS_smoke.json --trace OBS_smoke.ndjson
 	$(PYTHON) tools/check_trace.py OBS_smoke.ndjson
@@ -59,10 +58,14 @@ bench-smoke:
 
 # Fails on broken intra-repo markdown links and on references to
 # nonexistent files from docs or docstrings (the class of rot where a
-# module keeps pointing at a long-deleted design document).
+# module keeps pointing at a long-deleted design document), and on any
+# shipped example script that does not run to completion.
 docs-check:
 	@test -f docs/ARCHITECTURE.md || { echo "docs/ARCHITECTURE.md missing"; exit 1; }
 	@test -f docs/PAPER_MAP.md || { echo "docs/PAPER_MAP.md missing"; exit 1; }
 	$(PYTHON) tools/check_docs.py
-	$(PYTHON) examples/quickstart.py > /dev/null
+	@for example in examples/*.py; do \
+	    echo "$(PYTHON) $$example"; \
+	    $(PYTHON) $$example > /dev/null || exit 1; \
+	done
 	@echo "docs ok"

@@ -1,4 +1,4 @@
-"""Chase runners: the standard chase and the oblivious chase.
+"""Chase runners: one loop for the standard and the oblivious chase.
 
 ``chase`` repeatedly fires active triggers until either the instance
 satisfies the constraint set (``TERMINATED``), an EGD fails
@@ -6,21 +6,39 @@ satisfies the constraint set (``TERMINATED``), an EGD fails
 (``EXCEEDED_BUDGET``), the wall-clock budget is exhausted
 (``EXCEEDED_WALL_CLOCK``) or an observer aborts the run
 (``ABORTED_BY_MONITOR``; see Section 4.2 of the paper and
-:mod:`repro.datadep.monitored_chase`).  Every budget abort surfaces as
-a :class:`~repro.chase.result.ChaseResult` carrying the partial run --
+:mod:`repro.datadep.monitored_chase`).
+
+One loop, :func:`_run`, steps every chase run (only the precedence
+search of :mod:`repro.termination.precedence` replays short step
+sequences of its own); the variants differ only in the selection rule
+(a :class:`~repro.chase.strategies.Strategy`) it consults for the next
+trigger:
+
+* ``chase`` -- the caller's strategy (round-robin by default) over a
+  standard :class:`repro.chase.triggers.TriggerIndex` (semi-naive
+  evaluation: seed once, then only delta-restricted searches per
+  step);
+* ``oblivious_chase`` -- every (constraint, body-homomorphism) pair
+  fires exactly once regardless of satisfaction, the variant
+  underlying the corrected stratification condition of Section 3.3:
+  constraint order over an ``oblivious=True`` index;
+* :func:`repro.kb.answering.depth_bounded_chase` -- ``chase`` with a
+  selection rule that skips triggers creating too-deep nulls, and an
+  observer recording null depths.
+
+Budgets follow one rule.  A run with no active trigger left is
+``TERMINATED``, whatever its budgets; otherwise the step cap, then the
+fact budget, then the wall clock cut it short, checked in that order
+before each step.  Every budget abort surfaces as a
+:class:`~repro.chase.result.ChaseResult` carrying the partial run --
 budgets never raise, so a divergent chase can be bounded and its
 prefix inspected (the operational face of the paper's termination
 guarantees; the batch service of :mod:`repro.service` relies on it).
 
-``oblivious_chase`` fires every (constraint, body-homomorphism) pair
-exactly once regardless of satisfaction -- the variant underlying the
-corrected stratification condition of Section 3.3.
-
-Both runners discover triggers incrementally through a
-:class:`repro.chase.triggers.TriggerIndex` (semi-naive evaluation:
-seed once, then only delta-restricted searches per step).  Pass
-``naive=True`` to restore full re-enumeration on every step -- the
-reference path used by the cross-validation tests.
+``naive=True`` disables the index -- the reference paths used by the
+cross-validation tests: the standard chase re-enumerates every body
+homomorphism on each selection, and the oblivious chase restarts its
+enumeration after every step, skipping the triggers it already fired.
 """
 
 from __future__ import annotations
@@ -30,7 +48,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.chase.result import ChaseResult, ChaseStatus
 from repro.chase.step import ChaseStep, apply_step
-from repro.chase.strategies import RoundRobinStrategy, Strategy
+from repro.chase.strategies import (OrderedStrategy, RoundRobinStrategy,
+                                    Selection, Strategy)
 from repro.chase.triggers import TriggerIndex
 from repro.homomorphism.engine import find_homomorphisms
 from repro.homomorphism.extend import freeze_assignment_ids
@@ -90,27 +109,33 @@ def _guard_fresh_nulls(working: Instance, nulls: NullFactory) -> None:
 
 
 class _Budget:
-    """Shared per-run budget bookkeeping (facts + wall clock).
+    """One run's budgets and the one rule that applies them.
 
-    ``check`` returns the abort result to hand back, or None to keep
-    going.  The step budget stays with the runner loops themselves
-    (their iteration counters double as step indices)."""
+    ``check`` runs once an active trigger has been selected -- a run
+    with none left is ``TERMINATED`` whatever its budgets -- and cuts
+    the run short on the step cap, then the fact budget, then the wall
+    clock.  It returns the abort result to hand back, or None to fire
+    the trigger."""
 
-    __slots__ = ("max_facts", "wall_clock", "deadline")
+    __slots__ = ("max_steps", "max_facts", "wall_clock", "deadline")
 
-    def __init__(self, max_facts: Optional[int],
+    def __init__(self, max_steps: int, max_facts: Optional[int],
                  wall_clock: Optional[float]) -> None:
         if max_facts is not None and max_facts < 0:
             raise ValueError("max_facts must be non-negative")
         if wall_clock is not None and wall_clock < 0:
             raise ValueError("wall_clock must be non-negative")
+        self.max_steps = max_steps
         self.max_facts = max_facts
         self.wall_clock = wall_clock
         self.deadline = (None if wall_clock is None
                          else time.monotonic() + wall_clock)
 
-    def check(self, working: Instance, sequence: list,
-              steps: int) -> Optional[ChaseResult]:
+    def check(self, working: Instance,
+              sequence: list) -> Optional[ChaseResult]:
+        steps = len(sequence)
+        if steps >= self.max_steps:
+            return ChaseResult(ChaseStatus.EXCEEDED_BUDGET, working, sequence)
         if self.max_facts is not None and len(working) > self.max_facts:
             return ChaseResult(
                 ChaseStatus.EXCEEDED_BUDGET, working, sequence,
@@ -122,6 +147,101 @@ class _Budget:
                 failure_reason=(f"wall-clock budget of {self.wall_clock:g}s "
                                 f"exhausted after {steps} steps"))
         return None
+
+
+def _run(instance: Instance, sigma: Iterable[Constraint],
+         strategy: Strategy, max_steps: int, copy: bool,
+         nulls: NullFactory, observers: Sequence[Observer], naive: bool,
+         max_facts: Optional[int], wall_clock: Optional[float],
+         oblivious: bool = False) -> ChaseResult:
+    """The chase loop: fire the trigger ``strategy`` selects until it
+    selects none or :class:`_Budget` cuts the run short.
+
+    ``oblivious`` builds the index in oblivious mode and marks the
+    steps oblivious; the selection rule is entirely the strategy's.
+    """
+    sigma = list(sigma)
+    budget = _Budget(max_steps, max_facts, wall_clock)
+    working = instance.copy() if copy else instance
+    _guard_fresh_nulls(working, nulls)
+    # start() keeps its historical two-argument shape, and the attach
+    # hook is optional, so pre-index strategy objects (duck-typed or
+    # subclassed) still work -- they just enumerate naively, and no
+    # index is built (or fed deltas) for them at all.
+    attach = getattr(strategy, "attach_triggers", None)
+    triggers = (None if naive or attach is None
+                else TriggerIndex(sigma, working, oblivious=oblivious))
+    tracer = _trace.active()
+    run_span = (tracer.start("chase", constraints=len(sigma),
+                             max_steps=max_steps)
+                if tracer is not None else None)
+
+    def done(result: ChaseResult,
+             step_span: Optional[_trace.Span] = None) -> ChaseResult:
+        if step_span is not None:
+            # The span of the selection that ended the run: written, so
+            # its search span's parent exists in the trace.
+            tracer.finish(step_span, terminal=True)
+        if OBS.enabled:
+            _record_run(result, max_steps)
+        if run_span is not None:
+            tracer.finish(run_span, status=result.status.value,
+                          steps=len(result.sequence))
+        return result
+
+    try:
+        strategy.start(sigma, working)
+        if attach is not None:
+            attach(triggers)
+        sequence: list[ChaseStep] = []
+        while True:
+            index = len(sequence)
+            if tracer is not None and tracer.sampled(index):
+                step_span = tracer.start("step", index=index)
+                search_span = tracer.start("homomorphism_search")
+                selection = strategy.select(working)
+                tracer.finish(search_span)
+            else:
+                step_span = None
+                selection = strategy.select(working)
+            if selection is None:
+                return done(ChaseResult(ChaseStatus.TERMINATED, working,
+                                        sequence), step_span)
+            aborted = budget.check(working, sequence)
+            if aborted is not None:
+                return done(aborted, step_span)
+            constraint, assignment = selection
+            try:
+                step = apply_step(working, constraint, assignment,
+                                  index=index, oblivious=oblivious,
+                                  nulls=nulls)
+            except ChaseFailure as failure:
+                return done(ChaseResult(ChaseStatus.FAILED, working,
+                                        sequence,
+                                        failure_reason=str(failure)),
+                            step_span)
+            if triggers is not None:
+                triggers.mark_fired(constraint, assignment)
+            sequence.append(step)
+            if step_span is not None:
+                tracer.finish(step_span,
+                              constraint=constraint.display_name(),
+                              new_facts=len(step.new_facts))
+            try:
+                for observer in observers:
+                    observer(step, working)
+            except AbortChase as abort:
+                return done(ChaseResult(ChaseStatus.ABORTED_BY_MONITOR,
+                                        working, sequence,
+                                        failure_reason=abort.reason))
+    finally:
+        if triggers is not None:
+            triggers.detach()
+        if attach is not None:
+            # Release the run-local index so a reused strategy falls
+            # back to naive enumeration instead of consulting a dead
+            # index bound to this run's working instance.
+            attach(None)
 
 
 def chase(instance: Instance, sigma: Iterable[Constraint],
@@ -145,90 +265,40 @@ def chase(instance: Instance, sigma: Iterable[Constraint],
     the elapsed seconds (abort status ``EXCEEDED_WALL_CLOCK``).  Both
     return the partial run instead of raising.
     """
-    sigma = list(sigma)
-    working = instance.copy() if copy else instance
-    _guard_fresh_nulls(working, nulls)
-    if strategy is None:
-        strategy = RoundRobinStrategy()
-    # start() keeps its historical two-argument shape, and the attach
-    # hook is optional, so pre-index strategy objects (duck-typed or
-    # subclassed) still work -- they just enumerate naively, and no
-    # index is built (or fed deltas) for them at all.
-    attach = getattr(strategy, "attach_triggers", None)
-    triggers = (None if naive or attach is None
-                else TriggerIndex(sigma, working))
-    tracer = _trace.active()
-    run_span = (tracer.start("chase", constraints=len(sigma),
-                             max_steps=max_steps)
-                if tracer is not None else None)
+    return _run(instance, sigma,
+                RoundRobinStrategy() if strategy is None else strategy,
+                max_steps, copy, nulls, observers, naive, max_facts,
+                wall_clock)
 
-    def done(result: ChaseResult) -> ChaseResult:
-        if OBS.enabled:
-            _record_run(result, max_steps)
-        if run_span is not None:
-            tracer.finish(run_span, status=result.status.value,
-                          steps=len(result.sequence))
-        return result
 
-    try:
-        strategy.start(sigma, working)
-        if attach is not None:
-            attach(triggers)
-        budget = _Budget(max_facts, wall_clock)
-        sequence: list[ChaseStep] = []
-        for index in range(max_steps):
-            if tracer is not None and index % tracer.sample == 0:
-                step_span = tracer.start("step", index=index)
-                search_span = tracer.start("homomorphism_search")
-                selection = strategy.select(working)
-                tracer.finish(search_span)
-            else:
-                step_span = None
-                selection = strategy.select(working)
-            if selection is None:
-                if step_span is not None:
-                    tracer.finish(step_span, terminal=True)
-                return done(ChaseResult(ChaseStatus.TERMINATED, working,
-                                        sequence))
-            # Budgets are checked only once an active trigger exists:
-            # an instance that already reached its fixpoint is
-            # TERMINATED no matter how large it is or how long the
-            # final satisfaction check took.
-            aborted = budget.check(working, sequence, index)
-            if aborted is not None:
-                return done(aborted)
-            constraint, assignment = selection
-            try:
-                step = apply_step(working, constraint, assignment,
-                                  index=index, nulls=nulls)
-            except ChaseFailure as failure:
-                return done(ChaseResult(ChaseStatus.FAILED, working,
-                                        sequence,
-                                        failure_reason=str(failure)))
-            if triggers is not None:
-                triggers.mark_fired(constraint, assignment)
-            sequence.append(step)
-            if step_span is not None:
-                tracer.finish(step_span,
-                              constraint=constraint.display_name(),
-                              new_facts=len(step.new_facts))
-            try:
-                for observer in observers:
-                    observer(step, working)
-            except AbortChase as abort:
-                return done(ChaseResult(ChaseStatus.ABORTED_BY_MONITOR,
-                                        working, sequence,
-                                        failure_reason=abort.reason))
-        return done(ChaseResult(ChaseStatus.EXCEEDED_BUDGET, working,
-                                sequence))
-    finally:
-        if triggers is not None:
-            triggers.detach()
-        if attach is not None:
-            # Release the run-local index so a reused strategy falls
-            # back to naive enumeration instead of consulting a dead
-            # index bound to this run's working instance.
-            attach(None)
+class _UnfiredTriggers(Strategy):
+    """The naive oblivious selection rule: restart the enumeration in
+    constraint order and take the first body homomorphism not fired
+    yet (trivial EGD triggers never fire).
+
+    Fired-trigger keys are (constraint, interned assignment) pairs --
+    like the trigger index, the set never hashes a boxed term.  A key
+    is recorded on selection: the loop fires every trigger it is
+    handed, or ends the run."""
+
+    def start(self, sigma: Sequence[Constraint], instance: Instance) -> None:
+        super().start(sigma, instance)
+        self._table = instance.term_table
+        self._fired: set[tuple] = set()
+
+    def select(self, instance: Instance) -> Selection:
+        for constraint in self._sigma:
+            for assignment in find_homomorphisms(list(constraint.body),
+                                                 instance):
+                key = (constraint,
+                       freeze_assignment_ids(assignment, self._table))
+                if key in self._fired:
+                    continue
+                self._fired.add(key)
+                if not (constraint.is_egd and assignment[constraint.lhs]
+                        == assignment[constraint.rhs]):  # type: ignore
+                    return constraint, assignment
+        return None
 
 
 def oblivious_chase(instance: Instance, sigma: Iterable[Constraint],
@@ -244,131 +314,18 @@ def oblivious_chase(instance: Instance, sigma: Iterable[Constraint],
 
     Triggers are identified by (constraint, body image); new facts
     create new triggers, so the run terminates only when no unfired
-    trigger remains or a budget (steps, facts or wall clock) runs out.
-    The incremental path consumes the trigger queue directly -- the
-    naive restart-enumeration loop (``naive=True``) re-scans all
-    homomorphisms after every step.
+    trigger remains.  The selection rule is constraint order: the
+    first unfired trigger of the first constraint that has one, drawn
+    from an ``oblivious=True`` trigger index -- or, with
+    ``naive=True``, by restarting the full enumeration after every
+    step and skipping the triggers already fired.
     """
-    if naive:
-        return _oblivious_chase_naive(instance, sigma, max_steps, copy,
-                                      nulls, observers, max_facts,
-                                      wall_clock)
-    sigma = list(sigma)
-    working = instance.copy() if copy else instance
-    _guard_fresh_nulls(working, nulls)
-    triggers = TriggerIndex(sigma, working, oblivious=True)
-
-    def done(result: ChaseResult) -> ChaseResult:
-        if OBS.enabled:
-            OBS.inc("chase.oblivious_runs")
-            _record_run(result, max_steps)
-        return result
-
-    try:
-        budget = _Budget(max_facts, wall_clock)
-        sequence: list[ChaseStep] = []
-        index = 0
-        while True:
-            selection = triggers.pop_unfired()
-            if selection is None:
-                return done(ChaseResult(ChaseStatus.TERMINATED, working,
-                                        sequence))
-            # As in the standard chase: a drained trigger queue is
-            # TERMINATED; budgets only cut short runs with work left.
-            aborted = budget.check(working, sequence, index)
-            if aborted is not None:
-                return done(aborted)
-            constraint, assignment = selection
-            if index >= max_steps:
-                return done(ChaseResult(ChaseStatus.EXCEEDED_BUDGET,
-                                        working, sequence))
-            triggers.mark_fired(constraint, assignment)
-            try:
-                step = apply_step(working, constraint, assignment,
-                                  index=index, oblivious=True, nulls=nulls)
-            except ChaseFailure as failure:
-                return done(ChaseResult(ChaseStatus.FAILED, working,
-                                        sequence,
-                                        failure_reason=str(failure)))
-            index += 1
-            sequence.append(step)
-            try:
-                for observer in observers:
-                    observer(step, working)
-            except AbortChase as abort:
-                return done(ChaseResult(ChaseStatus.ABORTED_BY_MONITOR,
-                                        working, sequence,
-                                        failure_reason=abort.reason))
-    finally:
-        triggers.detach()
-
-
-def _oblivious_chase_naive(instance: Instance, sigma: Iterable[Constraint],
-                           max_steps: int = DEFAULT_MAX_STEPS,
-                           copy: bool = True,
-                           nulls: NullFactory = NULLS,
-                           observers: Sequence[Observer] = (),
-                           max_facts: Optional[int] = None,
-                           wall_clock: Optional[float] = None) -> ChaseResult:
-    """Reference oblivious chase: restart full enumeration per step."""
-    sigma = list(sigma)
-    working = instance.copy() if copy else instance
-    _guard_fresh_nulls(working, nulls)
-    # Fired-trigger keys are (constraint, interned assignment) pairs --
-    # like the trigger index, the cache never hashes a boxed term.
-    table = working.term_table
-    budget = _Budget(max_facts, wall_clock)
-    fired: set[tuple] = set()
-    sequence: list[ChaseStep] = []
-    index = 0
-    progress = True
-    while progress:
-        progress = False
-        for constraint in sigma:
-            for assignment in find_homomorphisms(list(constraint.body),
-                                                 working):
-                key = (constraint, freeze_assignment_ids(assignment, table))
-                if key in fired:
-                    continue
-                fired.add(key)
-                if constraint.is_egd:
-                    left = assignment[constraint.lhs]      # type: ignore[attr-defined]
-                    right = assignment[constraint.rhs]     # type: ignore[attr-defined]
-                    if left == right:
-                        continue
-                if index >= max_steps:
-                    return ChaseResult(ChaseStatus.EXCEEDED_BUDGET, working,
-                                       sequence)
-                # A trigger is about to fire: budgets apply now (a
-                # drained enumeration instead falls through to
-                # TERMINATED regardless of instance size or time).
-                aborted = budget.check(working, sequence, index)
-                if aborted is not None:
-                    return aborted
-                try:
-                    step = apply_step(working, constraint, assignment,
-                                      index=index, oblivious=True,
-                                      nulls=nulls)
-                except ChaseFailure as failure:
-                    return ChaseResult(ChaseStatus.FAILED, working, sequence,
-                                       failure_reason=str(failure))
-                index += 1
-                sequence.append(step)
-                progress = True
-                try:
-                    for observer in observers:
-                        observer(step, working)
-                except AbortChase as abort:
-                    return ChaseResult(ChaseStatus.ABORTED_BY_MONITOR,
-                                       working, sequence,
-                                       failure_reason=abort.reason)
-                # Restart enumeration: the instance (and hence the
-                # trigger set) changed under our feet.
-                break
-            else:
-                continue
-            break
-    return ChaseResult(ChaseStatus.TERMINATED, working, sequence)
+    if OBS.enabled:
+        OBS.inc("chase.oblivious_runs")
+    return _run(instance, sigma,
+                _UnfiredTriggers() if naive else OrderedStrategy(),
+                max_steps, copy, nulls, observers, naive, max_facts,
+                wall_clock, oblivious=True)
 
 
 def chase_with_budget_probe(instance: Instance, sigma: Iterable[Constraint],

@@ -64,7 +64,9 @@ against the live instance.
 
 The oblivious mode (Section 3.3's chase variant) keeps every pending
 body homomorphism eligible regardless of head satisfaction and relies
-on :meth:`TriggerIndex.mark_fired` to consume each exactly once.
+on :meth:`TriggerIndex.mark_fired` to consume each exactly once; the
+oblivious chase selects with :meth:`TriggerIndex.next_active` in
+constraint order, like any strategy.
 """
 
 from __future__ import annotations
@@ -505,14 +507,6 @@ class TriggerIndex:
         """
         found = self.active_triggers(constraint, cap=1)
         return found[0] if found else None
-
-    def pop_unfired(self) -> Optional[Tuple[Constraint, Assignment]]:
-        """The next unfired trigger in constraint order (oblivious runs)."""
-        for constraint in self._sigma:
-            assignment = self.next_active(constraint)
-            if assignment is not None:
-                return constraint, assignment
-        return None
 
     def mark_fired(self, constraint: Constraint,
                    assignment: Assignment) -> None:

@@ -11,11 +11,10 @@ from repro.homomorphism.engine import (Assignment, apply_assignment,
                                        reference_engine)
 from repro.homomorphism.extend import (all_satisfied,
                                        constraint_satisfied_for,
-                                       find_oblivious_trigger, find_trigger,
                                        freeze_assignment,
                                        freeze_assignment_ids,
                                        head_extends, is_satisfied,
-                                       trigger_key, violation)
+                                       violation)
 from repro.homomorphism.plan import JoinPlan, compile_plan
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "has_homomorphism", "homomorphism_between", "instance_maps_into",
     "is_endomorphism_proper", "null_renaming_equivalent",
     "reference_engine", "all_satisfied", "constraint_satisfied_for",
-    "find_oblivious_trigger", "find_trigger", "freeze_assignment",
-    "freeze_assignment_ids", "head_extends", "is_satisfied",
-    "trigger_key", "violation", "JoinPlan", "compile_plan",
+    "freeze_assignment", "freeze_assignment_ids", "head_extends",
+    "is_satisfied", "violation", "JoinPlan", "compile_plan",
 ]

@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from repro.homomorphism.engine import (Assignment, apply_assignment,
-                                       find_homomorphism, find_homomorphisms,
-                                       has_homomorphism)
+                                       find_homomorphisms, has_homomorphism)
 from repro.lang.constraints import Constraint, EGD, TGD
 from repro.lang.instance import Instance
 from repro.lang.terms import GroundTerm, Variable
@@ -84,25 +83,6 @@ def all_satisfied(sigma, instance: Instance) -> bool:
     return all(is_satisfied(constraint, instance) for constraint in sigma)
 
 
-def find_trigger(constraint: Constraint, instance: Instance
-                 ) -> Optional[Assignment]:
-    """Alias of :func:`violation` under the chase's terminology."""
-    return violation(constraint, instance)
-
-
-def find_oblivious_trigger(constraint: Constraint, instance: Instance,
-                           exclude=None) -> Optional[Assignment]:
-    """A body homomorphism regardless of satisfaction (oblivious chase),
-    optionally skipping assignments whose key is in ``exclude``."""
-    for assignment in find_homomorphisms(list(constraint.body), instance):
-        if exclude is not None:
-            key = trigger_key(constraint, assignment)
-            if key in exclude:
-                continue
-        return assignment
-    return None
-
-
 def freeze_assignment(assignment: Mapping[Variable, GroundTerm]) -> tuple:
     """The canonical hashable form of a body assignment ``mu`` --
     sorted (variable-name, value) pairs.  Used where the key must be
@@ -124,10 +104,3 @@ def freeze_assignment_ids(assignment: Mapping[Variable, GroundTerm],
     intern = table.intern
     return tuple(sorted(
         (var.name, intern(value)) for var, value in assignment.items()))
-
-
-def trigger_key(constraint: Constraint, assignment: Mapping[Variable, GroundTerm]
-                ) -> tuple:
-    """A hashable identity for (constraint, body image) pairs, used by
-    the oblivious chase to fire each trigger exactly once."""
-    return (constraint, freeze_assignment(assignment))

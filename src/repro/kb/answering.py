@@ -14,6 +14,12 @@ decidability mechanism (finite-treewidth prefixes) without
 re-implementing [5]'s alternating algorithm; the full rationale lives
 in ``docs/PAPER_MAP.md`` ("Deviations from the paper").
 
+The depth-bounded chase owns no loop: it runs
+:func:`repro.chase.runner.chase` with a selection rule that restarts
+the enumeration in constraint order and skips the triggers that would
+create too-deep nulls, and an observer that records each new null's
+depth.  Its budgets are therefore the runner's, under the same rule.
+
 Queries are evaluated through the compiled id-level path of
 :mod:`repro.cq.evaluate`, and :func:`optimize_query` wires Section 4's
 semantic optimization in front of answering: chase the frozen query
@@ -24,20 +30,20 @@ core.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
-from repro.chase.result import ChaseResult, ChaseStatus
+from repro.chase.result import ChaseStatus
 from repro.chase.runner import chase
-from repro.chase.step import apply_step
+from repro.chase.step import ChaseStep
+from repro.chase.strategies import Selection, Strategy
 from repro.cq.query import ConjunctiveQuery, unfreeze
 from repro.homomorphism.engine import find_homomorphisms
 from repro.homomorphism.extend import head_extends
-from repro.lang.constraints import Constraint, EGD, TGD
+from repro.lang.constraints import Constraint, EGD
 from repro.lang.errors import ChaseFailure, SchemaError
 from repro.lang.instance import Instance
-from repro.lang.terms import GroundTerm, Null, NULLS
+from repro.lang.terms import GroundTerm, Null
 
 
 @dataclass
@@ -49,6 +55,54 @@ class BoundedChaseResult:
     truncated: bool          # True when the prefix was cut short
     steps: int
     null_depths: Dict[Null, int]
+
+
+class _DepthBoundedRule(Strategy):
+    """The depth-bounded chase's selection rule and null-depth observer.
+
+    :meth:`select` restarts the enumeration in constraint order and
+    returns the first active trigger, skipping (and noting, in
+    :attr:`truncated`) the TGD triggers whose nulls would lie deeper
+    than the limit; :meth:`observe` records the depth of every null a
+    step creates."""
+
+    def __init__(self, depth_limit: int) -> None:
+        self.depth_limit = depth_limit
+
+    def start(self, sigma: Sequence[Constraint], instance: Instance) -> None:
+        super().start(sigma, instance)
+        self.depths: Dict[Null, int] = {null: 0 for null in instance.nulls()}
+        self.truncated = False
+
+    def _depth(self, values: Iterable[GroundTerm]) -> int:
+        """A trigger's depth: the deepest null it binds (0 for none)."""
+        return max((self.depths.get(value, 0) for value in values
+                    if isinstance(value, Null)), default=0)
+
+    def select(self, instance: Instance) -> Selection:
+        for constraint in self._sigma:
+            for assignment in find_homomorphisms(list(constraint.body),
+                                                 instance):
+                if isinstance(constraint, EGD):
+                    if (assignment[constraint.lhs]
+                            != assignment[constraint.rhs]):
+                        return constraint, assignment
+                    continue
+                if head_extends(constraint, instance, assignment):
+                    continue
+                if (constraint.existential_variables()
+                        and self._depth(assignment.values()) + 1
+                        > self.depth_limit):
+                    self.truncated = True
+                    continue
+                return constraint, assignment
+        return None
+
+    def observe(self, step: ChaseStep, _working: Instance) -> None:
+        if step.new_nulls:
+            depth = self._depth(value for _, value in step.assignment) + 1
+            for null in step.new_nulls:
+                self.depths[null] = depth
 
 
 def depth_bounded_chase(instance: Instance, sigma: Iterable[Constraint],
@@ -66,68 +120,28 @@ def depth_bounded_chase(instance: Instance, sigma: Iterable[Constraint],
     c-chase graphs / k-restriction systems bound data-independently
     (proofs of Theorems 3 and 7, citing [11]).
 
-    ``max_facts`` / ``wall_clock`` bound the prefix like the runner's
-    budgets bound a chase: exhausting either simply truncates earlier
-    (``truncated=True``) -- every prefix is sound for constants-only
-    answers, so a budget cut costs completeness, never soundness.
-    A wall-clock cut makes the prefix timing-dependent; callers that
-    cache results must not cache those (the query service already
-    carries the non-cacheable ``EXCEEDED_WALL_CLOCK`` status whenever
-    a wall clock was the reason it fell back here).
+    The run is :func:`~repro.chase.runner.chase` with a selection rule
+    of its own, so its budgets follow the runner's rule: a prefix with
+    no active trigger left is complete (not ``truncated``), and
+    ``max_steps`` / ``max_facts`` / ``wall_clock`` otherwise cut it
+    short (``truncated=True``) -- every prefix is sound for
+    constants-only answers, so a budget cut costs completeness, never
+    soundness.  A wall-clock cut makes the prefix timing-dependent;
+    callers that cache results must not cache those (the query service
+    already carries the non-cacheable ``EXCEEDED_WALL_CLOCK`` status
+    whenever a wall clock was the reason it fell back here).  An EGD
+    equating two constants raises :class:`ChaseFailure`.
     """
-    sigma = list(sigma)
-    working = instance.copy()
-    NULLS.advance_past(max((null.label for null in working.nulls()),
-                           default=0))
-    depths: Dict[Null, int] = {null: 0 for null in working.nulls()}
-    truncated = False
-    steps = 0
-    progress = True
-    deadline = (None if wall_clock is None
-                else time.monotonic() + wall_clock)
-    while progress and steps < max_steps:
-        if max_facts is not None and len(working) >= max_facts:
-            truncated = True
-            break
-        if deadline is not None and time.monotonic() > deadline:
-            truncated = True
-            break
-        progress = False
-        for constraint in sigma:
-            fired = False
-            for assignment in find_homomorphisms(list(constraint.body),
-                                                 working):
-                if isinstance(constraint, TGD):
-                    if head_extends(constraint, working, assignment):
-                        continue
-                    trigger_depth = max(
-                        (depths.get(v, 0) for v in assignment.values()
-                         if isinstance(v, Null)), default=0)
-                    if (constraint.existential_variables()
-                            and trigger_depth + 1 > depth_limit):
-                        truncated = True
-                        continue
-                    step = apply_step(working, constraint, assignment,
-                                      index=steps)
-                    for null in step.new_nulls:
-                        depths[null] = trigger_depth + 1
-                else:
-                    assert isinstance(constraint, EGD)
-                    left = assignment[constraint.lhs]
-                    right = assignment[constraint.rhs]
-                    if left == right:
-                        continue
-                    step = apply_step(working, constraint, assignment,
-                                      index=steps)  # may raise ChaseFailure
-                steps += 1
-                fired = True
-                progress = True
-                break
-            if fired:
-                break
-    return BoundedChaseResult(instance=working, depth_limit=depth_limit,
-                              truncated=truncated, steps=steps,
-                              null_depths=depths)
+    rule = _DepthBoundedRule(depth_limit)
+    result = chase(instance, sigma, strategy=rule, max_steps=max_steps,
+                   observers=(rule.observe,), naive=True,
+                   max_facts=max_facts, wall_clock=wall_clock)
+    if result.status is ChaseStatus.FAILED:
+        raise ChaseFailure(result.failure_reason)
+    return BoundedChaseResult(
+        instance=result.instance, depth_limit=depth_limit,
+        truncated=rule.truncated or not result.terminated,
+        steps=result.length, null_depths=rule.depths)
 
 
 def default_depth(query: ConjunctiveQuery,

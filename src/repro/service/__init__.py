@@ -53,8 +53,7 @@ from repro.service.pool import WorkerPool
 from repro.service.query import QueryJob
 from repro.service.scheduler import BatchScheduler
 from repro.service.serialize import (decode_atom, decode_instance,
-                                     decode_result, encode_facts,
-                                     encode_instance, encode_result)
+                                     encode_facts, encode_instance)
 
 __all__ = [
     "BatchScheduler", "ChaseJob", "error_payload", "execute_any",
@@ -63,5 +62,5 @@ __all__ = [
     "ProgressEvent", "QueryJob", "request_kind", "RequestError",
     "resolve_strategy", "ServiceCache", "ServiceSession", "STATUS_ERROR",
     "STATUS_KILLED", "WorkerPool", "decode_atom", "decode_instance",
-    "decode_result", "encode_facts", "encode_instance", "encode_result",
+    "encode_facts", "encode_instance",
 ]

@@ -1,4 +1,4 @@
-"""Stable wire encoding of terms, facts, instances and chase results.
+"""Stable wire encoding of terms, facts, instances and answer rows.
 
 Everything that crosses a process boundary in the service layer does
 so as plain JSON-able data produced here -- worker processes never
@@ -17,10 +17,10 @@ of different Python types -- never collide::
     Null(3)        ->  ["n", 3]
 
 An atom is ``[relation, [term, ...]]``; an instance is a dict carrying
-its sorted fact list; a chase result carries the
-status, the final instance and summary statistics (the step sequence
-deliberately does not cross the wire -- it holds live constraint and
-assignment objects and is only consumed by in-process analyses).
+its sorted fact list.  A chase result crosses the wire only as a
+:class:`repro.service.jobs.JobResult` (the step sequence deliberately
+never does -- it holds live constraint and assignment objects and is
+only consumed by in-process analyses).
 
 Job results are encoded once, as JSON text.  :func:`encode_facts`
 builds each fact's text ``["R", [["c", "a"], ["n", 1]]]`` from one
@@ -41,7 +41,6 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, List, Optional, Sequence
 
-from repro.chase.result import ChaseResult, ChaseStatus
 from repro.lang.atoms import Atom
 from repro.lang.errors import ReproError
 from repro.lang.instance import Instance
@@ -194,24 +193,3 @@ def decode_instance(payload: dict) -> Instance:
     if not isinstance(payload, dict) or "facts" not in payload:
         raise WireError(f"malformed instance payload {payload!r}")
     return Instance(decode_atom(fact) for fact in payload["facts"])
-
-
-def encode_result(result: ChaseResult) -> dict:
-    """Summary encoding of a chase result (no step sequence)."""
-    return {
-        "status": result.status.value,
-        "steps": result.length,
-        "new_nulls": result.new_null_count(),
-        "failure_reason": result.failure_reason,
-        "instance": encode_instance(result.instance),
-    }
-
-
-def decode_result(payload: dict) -> ChaseResult:
-    """Rebuild a (sequence-free) chase result from its encoding."""
-    if not isinstance(payload, dict) or "status" not in payload:
-        raise WireError(f"malformed result payload {payload!r}")
-    return ChaseResult(ChaseStatus(payload["status"]),
-                       decode_instance(payload["instance"]),
-                       sequence=(),
-                       failure_reason=payload.get("failure_reason"))

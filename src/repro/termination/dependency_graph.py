@@ -15,7 +15,7 @@ EGDs contribute no edges.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 import networkx as nx
 
@@ -71,8 +71,9 @@ def _add_edge(graph: nx.DiGraph, source: Position, target: Position,
     graph.add_edge(source, target, **{SPECIAL: special, "normal_too": False})
 
 
-def has_special_cycle(graph: nx.DiGraph) -> bool:
-    """Does the graph contain a cycle going through a special edge?
+def special_cycle_edge(graph: nx.DiGraph) -> Optional[tuple]:
+    """The first special edge ``(source, target)`` lying on a cycle,
+    or None when no cycle goes through a special edge.
 
     A special edge lies on a cycle iff its endpoints belong to the same
     strongly connected component.
@@ -83,8 +84,13 @@ def has_special_cycle(graph: nx.DiGraph) -> bool:
             component_of[node] = i
     for source, target, data in graph.edges(data=True):
         if data.get(SPECIAL) and component_of[source] == component_of[target]:
-            return True
-    return False
+            return (source, target)
+    return None
+
+
+def has_special_cycle(graph: nx.DiGraph) -> bool:
+    """Does the graph contain a cycle going through a special edge?"""
+    return special_cycle_edge(graph) is not None
 
 
 def position_ranks(graph: nx.DiGraph) -> dict[Position, int]:

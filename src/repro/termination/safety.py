@@ -22,8 +22,9 @@ import networkx as nx
 from repro.lang.atoms import Position, occurrences
 from repro.lang.constraints import Constraint, TGD
 from repro.termination.affected import affected_positions
-from repro.termination.dependency_graph import (SPECIAL, _add_edge,
-                                                has_special_cycle)
+from repro.termination.dependency_graph import (_add_edge,
+                                                has_special_cycle,
+                                                special_cycle_edge)
 
 
 def propagation_graph(sigma: Iterable[Constraint]) -> nx.DiGraph:
@@ -65,12 +66,4 @@ def is_safe(sigma: Iterable[Constraint]) -> bool:
 
 def safety_witness(sigma: Iterable[Constraint]):
     """A special edge on a cycle of ``prop(Sigma)``, or None if safe."""
-    graph = propagation_graph(sigma)
-    component_of = {}
-    for i, component in enumerate(nx.strongly_connected_components(graph)):
-        for node in component:
-            component_of[node] = i
-    for source, target, data in graph.edges(data=True):
-        if data.get(SPECIAL) and component_of[source] == component_of[target]:
-            return (source, target)
-    return None
+    return special_cycle_edge(propagation_graph(sigma))

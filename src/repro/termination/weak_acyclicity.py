@@ -12,7 +12,8 @@ from typing import Iterable
 
 from repro.lang.constraints import Constraint
 from repro.termination.dependency_graph import (dependency_graph,
-                                                has_special_cycle)
+                                                has_special_cycle,
+                                                special_cycle_edge)
 
 
 def is_weakly_acyclic(sigma: Iterable[Constraint]) -> bool:
@@ -27,14 +28,4 @@ def weak_acyclicity_witness(sigma: Iterable[Constraint]):
     Useful for error messages and for rendering the paper's Figure 3
     (the ``fly^2 ->* fly^2`` self-loop of Example 1).
     """
-    import networkx as nx
-
-    graph = dependency_graph(sigma)
-    component_of = {}
-    for i, component in enumerate(nx.strongly_connected_components(graph)):
-        for node in component:
-            component_of[node] = i
-    for source, target, data in graph.edges(data=True):
-        if data.get("special") and component_of[source] == component_of[target]:
-            return (source, target)
-    return None
+    return special_cycle_edge(dependency_graph(sigma))

@@ -9,7 +9,10 @@ a run stops, not *what* it computes).
 
 import pytest
 
-from repro.chase import chase, ChaseStatus, oblivious_chase
+from repro.chase import (chase, ChaseStatus, oblivious_chase,
+                         OrderedStrategy, RandomStrategy,
+                         RoundRobinStrategy, StratifiedStrategy)
+from repro.datadep import monitored_chase
 from repro.lang.parser import parse_constraints, parse_instance
 from repro.lang.terms import NullFactory
 from repro.workloads.families import special_nodes_instance
@@ -63,10 +66,36 @@ def test_fact_budget_aborts_with_budget_status():
     assert result.length < 100
 
 
+def step_capped_runners(sigma):
+    """Every chase runner, as ``(name, run(instance, max_steps))``."""
+    strategies = [("ordered", OrderedStrategy), ("round_robin",
+                                                 RoundRobinStrategy),
+                  ("random", RandomStrategy),
+                  ("stratified", lambda: StratifiedStrategy([sigma]))]
+    runners = [(f"chase/{name}",
+                lambda inst, n, make=make: chase(inst, sigma,
+                                                 strategy=make(),
+                                                 max_steps=n))
+               for name, make in strategies]
+    runners += [
+        ("monitored_chase",
+         lambda inst, n: monitored_chase(inst, sigma, cycle_limit=3,
+                                         max_steps=n).result),
+        ("oblivious_chase",
+         lambda inst, n: oblivious_chase(inst, sigma, max_steps=n)),
+        ("oblivious_chase/naive",
+         lambda inst, n: oblivious_chase(inst, sigma, max_steps=n,
+                                         naive=True)),
+    ]
+    return runners
+
+
 def test_fixpoint_wins_over_every_budget():
     """An instance that already satisfies sigma is TERMINATED, however
-    large it is and however tight the clock -- budgets only cut short
-    runs that still have an active trigger."""
+    large it is, however tight the clock and however few steps it may
+    take -- budgets only cut short runs that still have an active
+    trigger.  So is a run that reaches its fixpoint in exactly
+    ``max_steps`` steps."""
     sigma = parse_constraints("a: S(x) -> T(x)")
     satisfied = parse_instance("S(a). T(a). S(b). T(b).")
     assert chase(satisfied, sigma,
@@ -77,6 +106,15 @@ def test_fixpoint_wins_over_every_budget():
                            max_facts=0).status is ChaseStatus.TERMINATED
     assert oblivious_chase(parse_instance("T(a)."), sigma, max_facts=0,
                            naive=True).status is ChaseStatus.TERMINATED
+    # (instance, step cap): no trigger at all (not even an oblivious
+    # one), and a fixpoint two steps away.
+    for instance, max_steps in ((parse_instance("T(a). T(b)."), 0),
+                                (parse_instance("S(a). S(b)."), 2)):
+        for name, run in step_capped_runners(sigma):
+            result = run(instance, max_steps)
+            assert result.status is ChaseStatus.TERMINATED, (name,
+                                                             max_steps)
+            assert result.length == max_steps, name
 
 
 def test_fact_budget_does_not_fire_below_the_bound():
@@ -98,6 +136,20 @@ def test_oblivious_chase_honours_wall_clock_and_fact_budgets():
     naive = oblivious_chase(instance, sigma, max_steps=100_000_000,
                             max_facts=25, naive=True)
     assert naive.status is ChaseStatus.EXCEEDED_BUDGET
+
+
+def test_step_cap_comes_before_the_fact_budget():
+    """Three steps reach 7 facts: when the step cap and the fact
+    budget run out together, every runner reports the step cap."""
+    sigma = parse_constraints("a2: S(x) -> E(x, y), S(y)")
+    instance = parse_instance("S(a).")
+    for naive in (False, True):
+        for run in (chase, oblivious_chase):
+            result = run(instance, sigma, max_steps=3, max_facts=6,
+                         naive=naive)
+            assert result.status is ChaseStatus.EXCEEDED_BUDGET
+            assert result.length == 3 and len(result.instance) == 7
+            assert result.failure_reason is None, (run, naive)
 
 
 def test_zero_wall_clock_aborts_immediately_but_cleanly():
@@ -128,7 +180,6 @@ def test_status_helper_properties():
 
 
 def test_monitored_chase_forwards_budgets_and_observers():
-    from repro.datadep import monitored_chase
     sigma = parse_constraints("a2: S(x) -> E(x, y), S(y)")
     instance = parse_instance("S(a).")
     seen = []

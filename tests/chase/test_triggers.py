@@ -237,24 +237,24 @@ class TestTriggerIndexUnit:
         sigma = parse_constraints("a: E(x,y) -> E(y,x)")
         inst = parse_instance("E(a,b)")
         index = TriggerIndex(sigma, inst, oblivious=True)
-        constraint, assignment = index.pop_unfired()
-        index.mark_fired(constraint, assignment)
+        assignment = index.next_active(sigma[0])
+        index.mark_fired(sigma[0], assignment)
         # Re-adding nothing: the fired trigger must not reappear.
-        assert index.pop_unfired() is None
+        assert index.next_active(sigma[0]) is None
         index.detach()
 
     def test_oblivious_mode_keeps_satisfied_tgd_triggers(self):
         sigma = parse_constraints("a: S(x) -> E(x,y)")
         inst = parse_instance("S(a). E(a,b)")  # head already satisfied
         index = TriggerIndex(sigma, inst, oblivious=True)
-        assert index.pop_unfired() is not None
+        assert index.next_active(sigma[0]) is not None
         index.detach()
 
     def test_oblivious_mode_skips_trivial_egd_triggers(self):
         sigma = parse_constraints("a: E(x,y), E(y,x) -> x = y")
         inst = parse_instance("E(a,a)")
         index = TriggerIndex(sigma, inst, oblivious=True)
-        assert index.pop_unfired() is None
+        assert index.next_active(sigma[0]) is None
         index.detach()
 
     def test_expansion_decodes_only_enqueued_triggers(self, monkeypatch):

@@ -2,8 +2,8 @@
 
 from repro.homomorphism.extend import (all_satisfied,
                                        constraint_satisfied_for,
-                                       find_oblivious_trigger, head_extends,
-                                       is_satisfied, trigger_key, violation)
+                                       head_extends, is_satisfied,
+                                       violation)
 from repro.lang.parser import (parse_constraint, parse_constraints,
                                parse_instance)
 from repro.lang.terms import Constant, Variable
@@ -70,24 +70,3 @@ class TestSatisfactionForParameters:
                    egd.rhs: Constant("c")}
         binding[Variable("x")] = a
         assert not constraint_satisfied_for(egd, inst, binding)
-
-
-class TestObliviousTriggers:
-    def test_fires_even_when_satisfied(self):
-        tgd = parse_constraint("S(x) -> E(x,y)")
-        inst = parse_instance("S(a). E(a,b)")
-        assert violation(tgd, inst) is None
-        assert find_oblivious_trigger(tgd, inst) == {x: a}
-
-    def test_exclude_set(self):
-        tgd = parse_constraint("S(x) -> E(x,y)")
-        inst = parse_instance("S(a). S(b)")
-        first = find_oblivious_trigger(tgd, inst)
-        key = trigger_key(tgd, first)
-        second = find_oblivious_trigger(tgd, inst, exclude={key})
-        assert second is not None and second != first
-
-    def test_trigger_key_is_stable(self):
-        tgd = parse_constraint("S(x) -> E(x,y)")
-        assert trigger_key(tgd, {x: a}) == trigger_key(tgd, {x: a})
-        assert trigger_key(tgd, {x: a}) != trigger_key(tgd, {x: b})

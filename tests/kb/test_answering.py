@@ -45,6 +45,23 @@ class TestDepthBoundedChase:
                                      max_facts=5)
         assert capped.truncated and len(capped.instance) <= 7
 
+    def test_step_cap_truncates(self):
+        sigma = parse_constraints("S(x) -> E(x,y), S(y)")
+        capped = depth_bounded_chase(parse_instance("S(a)"), sigma,
+                                     depth_limit=50, max_steps=3)
+        assert capped.steps == 3 and capped.truncated
+
+    def test_fixpoint_at_the_budgets_is_not_truncated(self):
+        """Budgets only cut short a prefix that still has an active
+        trigger: two steps reach the fixpoint at four facts."""
+        sigma = parse_constraints("S(x) -> T(x)")
+        inst = parse_instance("S(a). S(b)")
+        for budgets in ({"max_facts": 4}, {"max_steps": 2}):
+            bounded = depth_bounded_chase(inst, sigma, depth_limit=5,
+                                          **budgets)
+            assert not bounded.truncated, budgets
+            assert bounded.steps == 2 and len(bounded.instance) == 4
+
     def test_wall_clock_budget_truncates(self):
         sigma = parse_constraints("S(x) -> E(x,y), S(y)")
         inst = parse_instance("S(a)")

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.chase import chase
+from repro.lang.parser import parse_constraints, parse_instance
 from repro.obs import trace
 from repro.obs.trace import (ndjson_writer, NO_TRACE, Tracer, tracing)
 
@@ -186,6 +188,24 @@ class TestNdjsonAndChecker:
         path = tmp_path / "orphan.ndjson"
         path.write_text(json.dumps(record) + "\n")
         assert check_trace.main([str(path)]) == 1
+
+    @pytest.mark.parametrize("sigma,instance,budgets", [
+        ("a: S(x) -> T(x)", "S(a).", {}),
+        ("a: S(x) -> E(x, y), S(y)", "S(a).", {"max_steps": 3}),
+        ("a: S(x) -> E(x, y), S(y)", "S(a).", {"max_facts": 4}),
+        ("e: E(x, y), E(x, z) -> y = z", "E(a, b). E(a, c).", {}),
+    ], ids=["terminated", "step_cap", "fact_budget", "egd_failure"])
+    def test_check_trace_accepts_every_chase_outcome(self, tmp_path, sigma,
+                                                     instance, budgets):
+        """However a run ends, the step span its last selection opened
+        is written, so no search span names a parent never written."""
+        handle = io.StringIO()
+        with tracing(Tracer(ndjson_writer(handle))):
+            chase(parse_instance(instance), parse_constraints(sigma),
+                  **budgets)
+        path = tmp_path / "chase.ndjson"
+        path.write_text(handle.getvalue())
+        assert load_check_trace().main([str(path)]) == 0
 
     def test_check_trace_min_spans(self, tmp_path):
         check_trace = load_check_trace()

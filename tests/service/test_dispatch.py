@@ -119,6 +119,22 @@ def test_handle_line_serves_jobs_and_stats(session):
     assert "metrics" in reply and "cache" in reply
 
 
+def test_a_fixpoint_reached_at_the_step_cap_is_served_as_terminated(
+        session):
+    """Two steps reach the fixpoint: a two-step cap must not turn that
+    into a budget abort, and the cached reply must not say so either."""
+    def reply(max_steps):
+        payload = session.handle_line(json.dumps(
+            {"constraints": "S(x) -> T(x)", "instance": "S(a). S(b).",
+             "max_steps": max_steps}))
+        return {key: payload[key] for key in ("status", "steps", "facts")}
+
+    capped = reply(2)
+    assert capped == reply(3)
+    assert capped["status"] == "terminated" and capped["steps"] == 2
+    assert reply(2) == capped                    # the cached replay
+
+
 # ----------------------------------------------------------------------
 # parse_job / budgets / cached_result (the HTTP gateway surface)
 # ----------------------------------------------------------------------

@@ -4,14 +4,11 @@ import json
 
 import pytest
 
-from repro.chase import chase
 from repro.lang.atoms import Atom
 from repro.lang.instance import Instance
-from repro.lang.parser import parse_constraints
 from repro.lang.terms import Constant, Null, Variable
 from repro.service.serialize import (decode_atom, decode_instance,
-                                     decode_result, decode_term,
-                                     encode_instance, encode_result,
+                                     decode_term, encode_instance,
                                      encode_term, WireError)
 from wire_oracle import atom_sort_key, encode_atom
 
@@ -56,17 +53,6 @@ def test_atom_sort_key_is_injective_on_tricky_constants():
     assert atom_sort_key(left) != atom_sort_key(right)
 
 
-def test_result_roundtrip_carries_status_and_instance():
-    sigma = parse_constraints("a1: S(x) -> E(x, y)")
-    instance = Instance([Atom("S", (Constant("a"),))])
-    result = chase(instance, sigma)
-    payload = encode_result(result)
-    decoded = decode_result(payload)
-    assert decoded.status is result.status
-    assert decoded.instance == result.instance
-    assert payload["steps"] == result.length
-
-
 def test_malformed_payloads_raise_wire_error():
     with pytest.raises(WireError):
         decode_term(["x", 1])
@@ -80,8 +66,6 @@ def test_malformed_payloads_raise_wire_error():
         decode_atom({"relation": "S"})
     with pytest.raises(WireError):
         decode_instance(["not", "a", "dict"])
-    with pytest.raises(WireError):
-        decode_result({"no": "status"})
     with pytest.raises(WireError):
         encode_term(Variable("x"))
     with pytest.raises(WireError):
