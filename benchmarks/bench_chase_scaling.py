@@ -169,8 +169,7 @@ def test_batch_throughput_workers_and_cache(benchmark):
 
     results = benchmark(lambda: run_cold(workers))
     reference = [(r.job, r.status, r.facts)
-                 for r in BatchScheduler(
-                     workers=1, force_inprocess=True).run_batch(jobs())]
+                 for r in BatchScheduler(workers=1).run_batch(jobs())]
     assert [(r.job, r.status, r.facts) for r in results] == reference
 
     serial_seconds = _best_of(lambda: run_cold(1))
@@ -206,7 +205,8 @@ def test_compiled_query_evaluation_speedup(benchmark):
     Answers must be identical; at the largest size the compiled path
     must be at least 2x faster (typically ~5x).
     """
-    from repro.cq.evaluate import compiled_answers, reference_answers
+    from repro.cq.evaluate import compiled_answers
+    from repro.homomorphism.reference import reference_answers
     from repro.lang.parser import parse_query
     from repro.workloads.generators import random_graph_instance
 
@@ -257,16 +257,14 @@ def test_query_service_throughput_and_cache(benchmark):
         return [job_from_dict(spec) for spec in specs]
 
     def run_cold():
-        with BatchScheduler(workers=1,
-                            force_inprocess=True) as scheduler:
+        with BatchScheduler(workers=1) as scheduler:
             return scheduler.run_batch(jobs())
 
     results = benchmark(run_cold)
     assert all(result.ok for result in results)
 
     cold_seconds = _best_of(run_cold)
-    warm_scheduler = BatchScheduler(workers=1, cache=ServiceCache(),
-                                    force_inprocess=True)
+    warm_scheduler = BatchScheduler(workers=1, cache=ServiceCache())
     reference = warm_scheduler.run_batch(jobs())        # prime the cache
     assert ([(r.job, r.status, r.answers) for r in results]
             == [(r.job, r.status, r.answers) for r in reference])

@@ -107,14 +107,17 @@ class RoundRobinStrategy(Strategy):
 
 
 class RandomStrategy(Strategy):
-    """Pick a uniformly random active trigger (seeded).
+    """Pick a uniformly random active trigger (seeded) among the first
+    :attr:`TRIGGER_CAP` of each constraint.
 
     Used to exercise the classical order-independence of terminating
     chase results (homomorphically equivalent, Section 2)."""
 
-    def __init__(self, seed: int = 0, trigger_cap: int = 16) -> None:
+    #: active triggers drawn per constraint and selection
+    TRIGGER_CAP = 16
+
+    def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
-        self._trigger_cap = trigger_cap
 
     def _naive_candidates(self, constraint: Constraint, instance: Instance
                           ) -> List[Assignment]:
@@ -129,7 +132,7 @@ class RandomStrategy(Strategy):
                           != assignment[constraint.rhs])
             if active:
                 candidates.append(assignment)
-                if len(candidates) >= self._trigger_cap:
+                if len(candidates) >= self.TRIGGER_CAP:
                     break
         return candidates
 
@@ -140,7 +143,7 @@ class RandomStrategy(Strategy):
             if (self._triggers is not None
                     and self._triggers.tracks(constraint)):
                 assignments = self._triggers.active_triggers(
-                    constraint, cap=self._trigger_cap)
+                    constraint, cap=self.TRIGGER_CAP)
             else:
                 assignments = self._naive_candidates(constraint, instance)
             candidates.extend((constraint, assignment)

@@ -76,9 +76,7 @@ from operator import itemgetter
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple)
 
-from repro.homomorphism.engine import (Assignment, find_homomorphisms_through,
-                                       has_homomorphism,
-                                       reference_mode_active)
+from repro.homomorphism.engine import Assignment, find_homomorphisms_through
 from repro.homomorphism.extend import freeze_assignment_ids
 from repro.homomorphism.plan import compile_plan
 from repro.lang.constraints import Constraint, EGD, TGD
@@ -168,9 +166,9 @@ class _Layout:
         #: sound to cache because satisfaction is permanent (module
         #: docstring)
         self.satisfied: Set[tuple] = set()
-        self.prune = self._prune_for(table.intern, oblivious)
+        self.prune = self._prune_for(oblivious)
 
-    def _prune_for(self, intern, oblivious: bool):
+    def _prune_for(self, oblivious: bool):
         """A search-pruning predicate for the delta enumeration.
 
         Prunes subtrees guaranteed to yield only settled homomorphisms:
@@ -180,10 +178,8 @@ class _Layout:
         Sound in the standard chase only -- the oblivious chase must
         fire satisfied TGD triggers, so there no pruning happens.
 
-        The predicates accept both binding flavours: the plan engine
-        calls them with interned ids (int equality, direct cache
-        lookups), the reference engine with ground terms (interned on
-        the fly for the frontier cache).
+        The plan executor calls them with the id-level binding: int
+        equality for an EGD, a direct cache lookup for a TGD.
         """
         if self.sides is not None:
             lhs, rhs = (self.variables[side] for side in self.sides)
@@ -204,11 +200,7 @@ class _Layout:
 
         def prune_tgd(binding):
             values = tuple(map(binding.get, frontier_vars))
-            if None in values:
-                return False
-            if values and type(values[0]) is not int:
-                values = tuple(map(intern, values))
-            return values in cache
+            return None not in values and values in cache
         prune_tgd.depends_on = frozenset(frontier_vars)
         return prune_tgd
 
@@ -359,15 +351,8 @@ class TriggerIndex:
 
     def _head_extends(self, layout: _Layout, frontier: tuple) -> bool:
         """Does the TGD head map with its frontier bound to the ids
-        ``frontier``?  One ``limit=1`` run of the head plan; under
-        :func:`~repro.homomorphism.engine.reference_engine` the frontier
-        is decoded for the reference search instead."""
+        ``frontier``?  One ``limit=1`` run of the head plan."""
         binding = dict(zip(layout.head_frontier, frontier))
-        if reference_mode_active():
-            term_of = self._table.term
-            return has_homomorphism(
-                layout.head.atoms, self._instance,
-                {var: term_of(tid) for var, tid in binding.items()})
         for _ in layout.head.execute(self._store, partial_ids=binding,
                                      limit=1, project=()):
             return True

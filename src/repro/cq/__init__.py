@@ -2,8 +2,7 @@
 optimization."""
 
 from repro.cq.containment import contained_in, equivalent
-from repro.cq.evaluate import (compile_query, CompiledQuery,
-                               compiled_answers, reference_answers)
+from repro.cq.evaluate import compile_query, CompiledQuery, compiled_answers
 from repro.cq.optimize import (minimize_query, optimize,
                                OptimizationResult, universal_plan)
 from repro.cq.query import ConjunctiveQuery, unfreeze
@@ -11,6 +10,6 @@ from repro.cq.query import ConjunctiveQuery, unfreeze
 __all__ = [
     "compile_query", "CompiledQuery", "compiled_answers",
     "contained_in", "equivalent", "minimize_query", "optimize",
-    "OptimizationResult", "reference_answers", "universal_plan",
+    "OptimizationResult", "universal_plan",
     "ConjunctiveQuery", "unfreeze",
 ]

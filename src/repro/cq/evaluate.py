@@ -21,14 +21,10 @@ on, and pushes the head projection *into* the plan:
   semantics (answers range over ``Delta``) drops null ids before
   decoding, and only surviving distinct rows are decoded to terms.
 
-The PR 1 engine remains available as a cross-validation oracle:
-:func:`reference_answers` evaluates through
-:mod:`repro.homomorphism.reference` exactly the way the pre-plan code
-did, and :meth:`repro.cq.query.ConjunctiveQuery.evaluate` routes
-through it whenever a
-:func:`~repro.homomorphism.engine.reference_engine` context is active
-(``tests/cq/test_evaluate.py`` asserts identical answers across the
-workload families).
+The pre-plan evaluation loop is kept as a cross-validation oracle,
+:func:`repro.homomorphism.reference.reference_answers`, which
+``tests/cq/test_evaluate.py`` and the fuzzer's ``certain_answers``
+oracle compare against this module across the workload families.
 """
 
 from __future__ import annotations
@@ -37,12 +33,11 @@ from functools import lru_cache
 from typing import List, Set, Tuple
 
 from repro.homomorphism.plan import compile_plan, JoinPlan
-from repro.homomorphism.reference import reference_find_homomorphisms
 from repro.lang.instance import Instance
 from repro.lang.terms import GroundTerm, Null, Variable
 
 __all__ = ["CompiledQuery", "compile_query", "compiled_answers",
-           "compiled_holds_in", "reference_answers"]
+           "compiled_holds_in"]
 
 
 class CompiledQuery:
@@ -132,29 +127,3 @@ def compiled_answers(query, instance: Instance,
 def compiled_holds_in(query, instance: Instance) -> bool:
     return compile_query(query).holds_in(instance)
 
-
-def reference_answers(query, instance: Instance,
-                      constants_only: bool = True
-                      ) -> Set[Tuple[GroundTerm, ...]]:
-    """The pre-plan evaluation loop, verbatim: enumerate every body
-    homomorphism through :mod:`repro.homomorphism.reference`, build
-    the head image at the term level, filter nulls per tuple.
-
-    The oracle for the compiled path -- deliberately independent of
-    :func:`compiled_answers` (different search algorithm, different
-    filtering level), so agreement between the two is meaningful.
-    """
-    answers: Set[Tuple[GroundTerm, ...]] = set()
-    for assignment in reference_find_homomorphisms(list(query.body),
-                                                   instance):
-        row: List[GroundTerm] = []
-        for term in query.head:
-            if isinstance(term, Variable):
-                row.append(assignment[term])
-            else:
-                row.append(term)
-        tup = tuple(row)
-        if constants_only and any(isinstance(t, Null) for t in tup):
-            continue
-        answers.add(tup)
-    return answers

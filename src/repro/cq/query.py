@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.homomorphism.engine import (find_homomorphisms,
-                                       reference_mode_active)
+from repro.cq.evaluate import compiled_answers, compiled_holds_in
 from repro.lang.atoms import Atom, atoms_variables
 from repro.lang.errors import SchemaError
 from repro.lang.instance import Instance
@@ -64,23 +63,12 @@ class ConjunctiveQuery:
         Evaluation runs through the compiled id-level path of
         :mod:`repro.cq.evaluate` (projection pushed into the body's
         :class:`~repro.homomorphism.plan.JoinPlan`, dedup and null
-        filtering on interned ids); inside a
-        :func:`~repro.homomorphism.engine.reference_engine` context the
-        pre-plan oracle evaluates instead.
+        filtering on interned ids).
         """
-        from repro.cq.evaluate import compiled_answers, reference_answers
-        if reference_mode_active():
-            return reference_answers(self, instance, constants_only)
         return compiled_answers(self, instance, constants_only)
 
     def holds_in(self, instance: Instance) -> bool:
         """Boolean-query satisfaction (existence of a body match)."""
-        if reference_mode_active():
-            for _ in find_homomorphisms(list(self.body), instance,
-                                        limit=1):
-                return True
-            return False
-        from repro.cq.evaluate import compiled_holds_in
         return compiled_holds_in(self, instance)
 
     # ------------------------------------------------------------------

@@ -11,15 +11,18 @@ an implementation-level parity that follows from one) on a concrete
 * ``termination``     -- sets in an all-sequences class actually reach
   a fixpoint (Theorems 3/5/6/7); merely stratified sets terminate
   under Theorem 2's stratum order;
-* ``engine_parity``   -- compiled join plans and the preserved
-  reference engine agree (homomorphically equivalent results, same
-  finite status);
+* ``engine_parity``   -- the indexed chase agrees with the naive chase
+  (same finite status, homomorphically equivalent results), and the
+  join-plan executor finds the same assignments as the reference
+  search of :mod:`repro.homomorphism.reference` on the case's input
+  instance and the result of a finite chase;
 * ``order_cores``     -- results of different chase orders are
   homomorphically equivalent and their cores isomorphic (the paper's
   uniqueness-up-to-core claim, after [21]);
 * ``certain_answers`` -- ``certain_answers`` is invariant under
-  ``optimize=`` and engine (Theorem 9 / Corollary 1: the
-  answer set depends only on the knowledge base);
+  ``optimize=`` and equals the reference evaluation of the query on
+  the terminated chase (Theorem 9 / Corollary 1: the answer set
+  depends only on the knowledge base);
 * ``service_parity``  -- the batch service returns byte-identical
   results to in-process execution, warm cache hits replay the cold
   run, and (sampled) a real worker pool agrees with both.
@@ -49,19 +52,25 @@ the corpus must catch it).
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.chase.core import core
 from repro.chase.result import ChaseResult, ChaseStatus
 from repro.chase.runner import chase
 from repro.chase.strategies import RandomStrategy, RoundRobinStrategy
 from repro.fuzz.generate import FuzzCase
-from repro.homomorphism.engine import (null_renaming_equivalent,
-                                       reference_engine)
+from repro.homomorphism.engine import (find_homomorphisms,
+                                       find_homomorphisms_through,
+                                       null_renaming_equivalent)
+from repro.homomorphism.reference import (
+    reference_answers, reference_find_homomorphisms,
+    reference_find_homomorphisms_through)
 from repro.kb.answering import certain_answers
+from repro.lang.constraints import TGD
 from repro.lang.errors import ReproError
+from repro.lang.instance import Instance
 from repro.lang.terms import NullFactory
 from repro.service.cache import ServiceCache
 from repro.service.jobs import ChaseJob, execute_any
@@ -157,14 +166,15 @@ class OracleContext:
 
     # -- memoized per-case runs -----------------------------------------
     def run_chase(self, case: FuzzCase, strategy_key: str = "round_robin",
-                  reference: bool = False) -> ChaseResult:
-        """One budgeted chase of the case, memoized per configuration.
+                  naive: bool = False) -> ChaseResult:
+        """One budgeted chase of the case, memoized per configuration
+        (``naive=True`` runs without the trigger index).
 
         Every run uses a private :class:`NullFactory` (labels restart
         at 1) so configurations are comparable label-for-label where
         execution order happens to agree.
         """
-        key = ("chase", strategy_key, reference)
+        key = ("chase", strategy_key, naive)
         if key in self._memo:
             return self._memo[key]
         instance = case.instance
@@ -174,13 +184,9 @@ class OracleContext:
             strategy = stratified_strategy(case.sigma)
         else:
             strategy = RandomStrategy(seed=int(strategy_key))
-        kwargs = dict(strategy=strategy, max_steps=self.max_steps,
-                      nulls=NullFactory())
-        if reference:
-            with reference_engine():
-                result = chase(instance, list(case.sigma), **kwargs)
-        else:
-            result = chase(instance, list(case.sigma), **kwargs)
+        result = chase(instance, list(case.sigma), strategy=strategy,
+                       max_steps=self.max_steps, nulls=NullFactory(),
+                       naive=naive)
         self._memo[key] = result
         return result
 
@@ -217,7 +223,7 @@ class OracleContext:
     def inproc_scheduler(self) -> BatchScheduler:
         if self._inproc is None:
             self._inproc = BatchScheduler(
-                workers=1, force_inprocess=True,
+                workers=1,
                 cache=ServiceCache(result_size=64, report_size=64),
                 unknown_step_cap=None)
         return self._inproc
@@ -256,6 +262,56 @@ def compare_finite_runs(left: ChaseResult, right: ChaseResult,
 
 def both_finite(left: ChaseResult, right: ChaseResult) -> bool:
     return left.status in _FINITE and right.status in _FINITE
+
+
+def _assignments(found: Iterable[dict]) -> Counter:
+    return Counter(frozenset(assignment.items()) for assignment in found)
+
+
+def search_mismatches(case: FuzzCase, instance: Instance) -> List[str]:
+    """Where the join-plan executor and the reference search find
+    different assignments on ``instance``; empty when they agree.
+
+    Covers every constraint body and the query body, each as a full
+    search and as the delta search through each input fact the
+    instance holds, and each TGD head with every frontier binding of
+    its body bound.  One line per kind of search that disagrees, in a
+    fixed order, so the report does not depend on the hash seed.
+    """
+    out: List[str] = []
+
+    def check(what: str, pairs: list) -> None:
+        wrong = sum(_assignments(plan) != _assignments(reference)
+                    for plan, reference in pairs)
+        if wrong:
+            out.append(f"{what}: {wrong} of {len(pairs)} searches find "
+                       "other assignments than the reference search")
+
+    deltas = [fact for fact in case.instance if fact in instance]
+    bodies = [(constraint.display_name(), list(constraint.body))
+              for constraint in case.sigma]
+    bodies.append(("the query", list(case.query.body)))
+    for name, atoms in bodies:
+        check(f"body of {name}",
+              [(find_homomorphisms(atoms, instance),
+                reference_find_homomorphisms(atoms, instance))])
+        check(f"delta searches of {name}",
+              [(find_homomorphisms_through(atoms, instance, fact),
+                reference_find_homomorphisms_through(atoms, instance, fact))
+               for fact in deltas])
+    for constraint in case.sigma:
+        if not isinstance(constraint, TGD):
+            continue
+        frontier = constraint.frontier_variables()
+        bindings = {frozenset((var, assignment[var]) for var in frontier)
+                    for assignment in reference_find_homomorphisms(
+                        list(constraint.body), instance)}
+        head = list(constraint.head)
+        check(f"head of {constraint.display_name()} with its frontier bound",
+              [(find_homomorphisms(head, instance, dict(binding)),
+                reference_find_homomorphisms(head, instance, dict(binding)))
+               for binding in bindings])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -299,15 +355,35 @@ def oracle_termination(case: FuzzCase, ctx: OracleContext) -> List[Violation]:
 
 def oracle_engine_parity(case: FuzzCase,
                          ctx: OracleContext) -> List[Violation]:
-    """Compiled join plans agree with the reference engine."""
-    left = ctx.run_chase(case)
-    right = ctx.run_chase(case, reference=True)
-    if not both_finite(left, right):
+    """The indexed chase agrees with the naive chase, and the join-plan
+    executor with the reference search (:func:`search_mismatches`) on
+    the case's input instance and on its chased instance.
+
+    A run cut short by its budget has no result to compare, so either
+    run being cut short skips the chase comparison.  When the indexed
+    run is, only the input instance is searched and the naive chase is
+    not started: on a divergent case it searches the whole growing
+    instance again at every step (minutes, not milliseconds).
+    """
+    out: List[Violation] = []
+    indexed = ctx.run_chase(case)
+    searched = [("input", case.instance)]
+    naive = None
+    if indexed.status in _FINITE:
+        searched.append(("chased", indexed.instance))
+        naive = ctx.run_chase(case, naive=True)
+    if naive is not None and naive.status in _FINITE:
+        detail = compare_finite_runs(indexed, naive,
+                                     "indexed vs naive chase")
+        if detail:
+            out.append(Violation("engine_parity", case.label(), detail))
+    else:
         ctx.skip(case, "engine_parity", "a run exceeded its budget")
-        return []
-    detail = compare_finite_runs(left, right, "compiled vs reference engine")
-    return [Violation("engine_parity", case.label(), detail)] \
-        if detail else []
+    for what, instance in searched:
+        out.extend(Violation("engine_parity", case.label(),
+                             f"{what} instance, {detail}")
+                   for detail in search_mismatches(case, instance))
+    return out
 
 
 def oracle_order_cores(case: FuzzCase, ctx: OracleContext) -> List[Violation]:
@@ -343,8 +419,9 @@ def oracle_order_cores(case: FuzzCase, ctx: OracleContext) -> List[Violation]:
 
 def oracle_certain_answers(case: FuzzCase,
                            ctx: OracleContext) -> List[Violation]:
-    """``certain_answers`` is invariant under optimize= and engine
-    (the answer set depends only on the knowledge base)."""
+    """``certain_answers`` is invariant under optimize= and equals the
+    reference evaluation on the terminated chase (the answer set
+    depends only on the knowledge base)."""
     base = ctx.run_chase(case)
     if base.status is not ChaseStatus.TERMINATED:
         ctx.skip(case, "certain_answers",
@@ -358,10 +435,9 @@ def oracle_certain_answers(case: FuzzCase,
             "optimize=True": certain_answers(
                 case.instance, case.sigma, case.query, max_steps=steps,
                 optimize=True),
+            "the reference evaluation": reference_answers(case.query,
+                                                          base.instance),
         }
-        with reference_engine():
-            variants["reference engine"] = certain_answers(
-                case.instance, case.sigma, case.query, max_steps=steps)
     except ReproError as exc:
         ctx.skip(case, "certain_answers", f"evaluation refused: {exc}")
         return []

@@ -7,8 +7,7 @@ from repro.homomorphism.engine import (Assignment, apply_assignment,
                                        homomorphism_between,
                                        instance_maps_into,
                                        is_endomorphism_proper,
-                                       null_renaming_equivalent,
-                                       reference_engine)
+                                       null_renaming_equivalent)
 from repro.homomorphism.extend import (all_satisfied,
                                        constraint_satisfied_for,
                                        freeze_assignment,
@@ -22,7 +21,7 @@ __all__ = [
     "find_homomorphisms", "find_homomorphisms_through",
     "has_homomorphism", "homomorphism_between", "instance_maps_into",
     "is_endomorphism_proper", "null_renaming_equivalent",
-    "reference_engine", "all_satisfied", "constraint_satisfied_for",
+    "all_satisfied", "constraint_satisfied_for",
     "freeze_assignment", "freeze_assignment_ids", "head_extends",
     "is_satisfied", "violation", "JoinPlan", "compile_plan",
 ]

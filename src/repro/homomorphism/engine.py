@@ -19,11 +19,7 @@ from __future__ import annotations
 from typing import (Callable, Dict, Iterable, Iterator, Mapping, Optional,
                     Sequence, Tuple, Union)
 
-from contextlib import contextmanager
-
 from repro.homomorphism.plan import Assignment, JoinPlan, compile_plan
-from repro.homomorphism.reference import (reference_find_homomorphisms,
-                                          reference_find_homomorphisms_through)
 from repro.lang.atoms import Atom
 from repro.lang.instance import Instance
 from repro.lang.terms import GroundTerm, Null, Variable
@@ -33,48 +29,12 @@ __all__ = [
     "find_homomorphisms", "find_homomorphisms_through",
     "has_homomorphism", "homomorphism_between", "instance_maps_into",
     "is_endomorphism_proper", "null_renaming_equivalent",
-    "reference_engine", "reference_mode_active",
 ]
-
-#: When True, searches run on the preserved PR 1 algorithm
-#: (:mod:`repro.homomorphism.reference`) instead of compiled plans.
-_reference_mode = False
-
-
-@contextmanager
-def reference_engine():
-    """Temporarily route all searches through the pre-plan engine.
-
-    The reference oracle for the compiled-plan executor -- used by the
-    cross-validation tests and as the baseline of the storage-layer
-    benchmarks (``benchmarks/bench_chase_scaling.py``).  Not
-    thread-safe; intended for tests and benchmarks only.
-    """
-    global _reference_mode
-    previous = _reference_mode
-    _reference_mode = True
-    try:
-        yield
-    finally:
-        _reference_mode = previous
-
-
-def reference_mode_active() -> bool:
-    """Is a :func:`reference_engine` context currently in force?
-
-    Layers with their own compiled fast paths (the compiled CQ
-    evaluation of :mod:`repro.cq.evaluate`) consult this so that one
-    ``reference_engine()`` block routes the *whole* stack through the
-    pre-plan algorithms.
-    """
-    return _reference_mode
 
 
 def find_homomorphisms(atoms: Sequence[Atom], instance: Instance,
                        partial: Optional[Mapping[Variable, GroundTerm]] = None,
-                       limit: Optional[int] = None,
-                       prune: Optional[Callable[[Mapping[Variable, GroundTerm]],
-                                                bool]] = None
+                       limit: Optional[int] = None
                        ) -> Iterator[Assignment]:
     """Enumerate homomorphisms from ``atoms`` into ``instance``.
 
@@ -82,17 +42,9 @@ def find_homomorphisms(atoms: Sequence[Atom], instance: Instance,
     checks, where the universal variables are already fixed).  Yields
     complete assignments for the variables of ``atoms`` (pre-bound
     variables are included).  ``limit`` caps the number of results.
-
-    ``prune``, if given, is called with each (partial) binding after an
-    extension; returning True abandons the whole subtree.  The trigger
-    index uses this to skip bindings whose frontier is already known to
-    be satisfied (every completion would be satisfied too).
     """
-    if _reference_mode:
-        return reference_find_homomorphisms(atoms, instance, partial=partial,
-                                            limit=limit, prune=prune)
     return compile_plan(tuple(atoms)).execute(
-        instance.store, partial=partial, limit=limit, prune=prune)
+        instance.store, partial=partial, limit=limit)
 
 
 def find_homomorphisms_through(atoms: Union[Sequence[Atom], JoinPlan],
@@ -100,7 +52,7 @@ def find_homomorphisms_through(atoms: Union[Sequence[Atom], JoinPlan],
                                delta_fact: Atom,
                                partial: Optional[Mapping[Variable, GroundTerm]] = None,
                                limit: Optional[int] = None,
-                               prune: Optional[Callable[[Mapping[Variable, GroundTerm]],
+                               prune: Optional[Callable[[Mapping[Variable, int]],
                                                         bool]] = None,
                                project: Optional[Tuple[Variable, ...]] = None
                                ) -> Iterator[Assignment]:
@@ -116,11 +68,10 @@ def find_homomorphisms_through(atoms: Union[Sequence[Atom], JoinPlan],
     itself, which spares callers with a fixed body the plan-cache
     lookup per search.
 
-    ``project``, as in :meth:`JoinPlan.execute`, yields tuples of the
-    listed variables' interned ids instead of assignment dicts.  Under
-    :func:`reference_engine` the reference search runs and its term
-    results are interned, so an id-level caller is cross-validated by
-    the same switch as a term-level one.
+    ``prune`` and ``project`` are :meth:`JoinPlan.execute`'s: a
+    predicate over the id-level binding that abandons a subtree, and
+    tuples of the listed variables' interned ids in place of
+    assignment dicts.
 
     A homomorphism using the delta fact at several positions is
     yielded once: when more than one atom unifies, results are
@@ -134,20 +85,8 @@ def find_homomorphisms_through(atoms: Union[Sequence[Atom], JoinPlan],
     after a chase step adds facts, only these restricted searches run,
     instead of re-enumerating every body homomorphism from scratch.
     """
-    plan = atoms if isinstance(atoms, JoinPlan) else None
-    if _reference_mode:
-        found = reference_find_homomorphisms_through(
-            plan.atoms if plan is not None else atoms, instance,
-            delta_fact, partial=partial, limit=limit, prune=prune)
-        if project is None:
-            yield from found
-        else:
-            intern = instance.store.terms.intern
-            for assignment in found:
-                yield tuple([intern(assignment[var]) for var in project])
-        return
-    if plan is None:
-        plan = compile_plan(tuple(atoms))
+    plan = atoms if isinstance(atoms, JoinPlan) \
+        else compile_plan(tuple(atoms))
     store = instance.store
     base: Assignment = dict(partial) if partial else {}
     pins = []

@@ -246,9 +246,7 @@ class JoinPlan:
         The join runs entirely over interned ids: ``prune``, if given,
         is called with the *id-level* binding (variable -> term id)
         after each extension -- returning True abandons the subtree --
-        and terms are decoded only at yield.  (Under the reference
-        engine the same prune callables receive term-level bindings;
-        the trigger index's predicates accept both.)
+        and terms are decoded only at yield.
 
         Candidate rows come from the store's id-level ``scan``; a
         suspended enumeration keeps consistent snapshots of the access

@@ -1,32 +1,38 @@
-"""The pre-plan homomorphism search, kept as a reference oracle.
+"""The reference searches: the oracles the production paths answer to.
 
-This module preserves the engine exactly as it shipped with the
-incremental trigger index (PR 1): a most-constrained-first
+This module preserves the homomorphism search exactly as it shipped
+with the incremental trigger index (PR 1): a most-constrained-first
 backtracking join that re-derives its atom order on every recursion
 step, pulls candidates through ``Instance.matching`` (set
 intersections of boxed atoms) and copies the binding dict on every
-extension.
+extension.  :func:`reference_answers` is the pre-plan conjunctive
+query evaluation on top of it.
 
-It serves two purposes, mirroring how ``chase(..., naive=True)`` is
-the oracle for the trigger index:
+Nothing on a production path calls these functions; a test
+(``tests/test_import_boundary.py``) fails if a module outside
+:mod:`repro.fuzz` imports this one.  They are called directly by:
 
 * **cross-validation** -- the compiled-plan executor of
   :mod:`repro.homomorphism.plan` must enumerate exactly the same
-  assignments (``tests/homomorphism/test_plan.py``);
+  assignments (``tests/homomorphism/test_plan.py``), and compiled
+  query evaluation must give the same answers
+  (``tests/cq/test_evaluate.py``);
+* **the fuzzer** -- the ``engine_parity`` and ``certain_answers``
+  oracles of :mod:`repro.fuzz.oracles` compare both sides on every
+  generated case;
 * **baseline** -- ``benchmarks/bench_chase_scaling.py`` measures the
-  storage-layer speedup against this path via
-  :func:`repro.homomorphism.engine.reference_engine`.
+  compiled query path against :func:`reference_answers`.
 
 Do not "optimize" this module; its value is staying put.
 """
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterable, Iterator, Mapping, Optional,
-                    Sequence)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.lang.atoms import Atom
-from repro.lang.terms import GroundTerm, Variable
+from repro.lang.terms import GroundTerm, Null, Variable
 
 Assignment = Dict[Variable, GroundTerm]
 
@@ -153,3 +159,31 @@ def reference_find_homomorphisms_through(atoms: Sequence[Atom], instance,
             yield assignment
             if limit is not None and produced >= limit:
                 return
+
+
+def reference_answers(query, instance,
+                      constants_only: bool = True
+                      ) -> Set[Tuple[GroundTerm, ...]]:
+    """The pre-plan evaluation loop, verbatim: enumerate every body
+    homomorphism through :func:`reference_find_homomorphisms`, build
+    the head image at the term level, filter nulls per tuple.
+
+    The oracle for :func:`repro.cq.evaluate.compiled_answers` --
+    deliberately independent of it (different search algorithm,
+    different filtering level), so agreement between the two is
+    meaningful.
+    """
+    answers: Set[Tuple[GroundTerm, ...]] = set()
+    for assignment in reference_find_homomorphisms(list(query.body),
+                                                   instance):
+        row: List[GroundTerm] = []
+        for term in query.head:
+            if isinstance(term, Variable):
+                row.append(assignment[term])
+            else:
+                row.append(term)
+        tup = tuple(row)
+        if constants_only and any(isinstance(t, Null) for t in tup):
+            continue
+        answers.add(tup)
+    return answers

@@ -197,17 +197,15 @@ class HttpGateway:
     The gateway does not own the session's scheduler -- whoever built
     the scheduler closes it (after :meth:`shutdown` has drained).
     ``queue_bound`` bounds the pending queue (backpressure);
-    ``max_body`` bounds request bodies; ``batch_max`` (default: the
-    pool's worker count) bounds how many queued jobs one executor
-    round hands to the scheduler; ``max_records`` bounds the
-    completed-job history kept for polling.
+    ``max_body`` bounds request bodies; one executor round hands the
+    scheduler at most as many queued jobs as the pool has workers;
+    ``max_records`` bounds the completed-job history kept for polling.
     """
 
     def __init__(self, session: ServiceSession,
                  host: str = "127.0.0.1", port: int = 0,
                  queue_bound: int = 64,
                  max_body: int = 1024 * 1024,
-                 batch_max: Optional[int] = None,
                  header_timeout: float = 10.0,
                  max_records: int = 1024,
                  allow_shutdown: bool = False) -> None:
@@ -218,8 +216,6 @@ class HttpGateway:
         self.port = port
         self.queue_bound = queue_bound
         self.max_body = max_body
-        self.batch_max = batch_max or max(
-            1, session.scheduler.pool.workers)
         self.header_timeout = header_timeout
         self.max_records = max_records
         self.allow_shutdown = allow_shutdown
@@ -315,10 +311,11 @@ class HttpGateway:
 
     # -- the runner -----------------------------------------------------
     async def _runner(self) -> None:
+        workers = self.session.scheduler.pool.workers
         while True:
             await self._queued.wait()
             batch: List[_JobRecord] = []
-            while self._queue and len(batch) < self.batch_max:
+            while self._queue and len(batch) < workers:
                 batch.append(self._queue.popleft())
             if not self._queue:
                 self._queued.clear()

@@ -635,7 +635,8 @@ def execute_job(job: ChaseJob,
     try:
         result, instance, sigma = run_declared_chase(
             job, on_event=on_event, progress_every=progress_every)
-        outcome = {"new_nulls": result.new_null_count(),
+        outcome = {"status": result.status.value, "steps": result.length,
+                   "new_nulls": result.new_null_count(),
                    "failure_reason": result.failure_reason}
         if job.query is None:
             outcome["facts_json"] = encode_facts(result.instance)
@@ -645,7 +646,6 @@ def execute_job(job: ChaseJob,
             outcome.update(answer_query(job, result, instance, sigma))
         return JobResult(
             job=job.name, fingerprint=fingerprint,
-            status=result.status.value, steps=result.length,
             elapsed=time.perf_counter() - started, worker=worker,
             **outcome)
     except ReproError as exc:

@@ -31,10 +31,9 @@ When no hard-kill deadline is in play, single-job batches and
 ``workers=1`` runs skip worker startup and execute in-process; jobs
 with a deadline always get a worker process (in-process execution
 could not kill them).  If worker processes cannot be created at all
-(restricted containers) or ``force_inprocess`` is set, the pool
-**degrades gracefully** to sequential in-process execution: same
-results, same events, minus the hard-kill backstop (the soft
-wall-clock budget still bounds each job).
+(restricted containers), the pool **degrades gracefully** to
+sequential in-process execution: same results, same events, minus the
+hard-kill backstop (the soft wall-clock budget still bounds each job).
 
 Workers stream :class:`~repro.service.jobs.ProgressEvent` messages
 through the same pipe (every ``progress_every`` steps, via the
@@ -190,15 +189,13 @@ class WorkerPool:
     def __init__(self, workers: int = 2,
                  default_hard_timeout: Optional[float] = None,
                  hard_timeout_grace: float = 2.0,
-                 progress_every: int = 0,
-                 force_inprocess: bool = False) -> None:
+                 progress_every: int = 0) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.workers = workers
         self.default_hard_timeout = default_hard_timeout
         self.hard_timeout_grace = hard_timeout_grace
         self.progress_every = progress_every
-        self.force_inprocess = force_inprocess
         self.degraded = False
         self.executed = 0  # jobs actually run (workers + in-process)
         # Idle workers survive across run() calls ("one fork per
@@ -233,8 +230,6 @@ class WorkerPool:
         """Run ``jobs`` and return their results in input order."""
         jobs = list(jobs)
         emit = on_event or (lambda event: None)
-        if self.force_inprocess:
-            return self._run_inprocess(jobs, emit, should_cancel)
         needs_kill = any(self.hard_timeout_for(job) is not None
                          for job in jobs)
         if not needs_kill and (self.workers == 1 or len(jobs) <= 1):

@@ -19,7 +19,9 @@ answers:
    :mod:`repro.kb.answering` and evaluate the *original* query on the
    finite prefix (sound for constants-only answers; the prefix need
    not satisfy ``Sigma``, so rewritings are not used) -- the result is
-   flagged ``truncated``;
+   flagged ``truncated``.  A prefix that meets a failing EGD shows the
+   knowledge base inconsistent, and the job is answered as if the
+   exact chase had failed;
 3. evaluate through the compiled id-level path of
    :mod:`repro.cq.evaluate` and return the answers as the JSON text of
    canonically sorted encoded rows
@@ -39,6 +41,7 @@ from repro.chase.result import ChaseResult, ChaseStatus
 from repro.kb.answering import (default_depth, depth_bounded_chase,
                                 optimize_query)
 from repro.lang.constraints import Constraint
+from repro.lang.errors import ChaseFailure
 from repro.lang.instance import Instance
 from repro.lang.parser import render_query
 from repro.service.jobs import ChaseJob
@@ -63,8 +66,10 @@ def answer_query(job: ChaseJob, result: ChaseResult, instance: Instance,
     text of the sorted rows, constants only), the evaluated ``query``
     text and ``truncated`` --
     or, for an inconsistent knowledge base, only the query text and no
-    answers.  The chase's own fields (``new_nulls``,
-    ``failure_reason``) are set by the caller for both job kinds.
+    answers.  The chase's own fields (``status``, ``new_nulls``,
+    ``failure_reason``) are set by the caller for both job kinds; the
+    fields returned here override them when only the depth-bounded
+    fallback meets the failing EGD.
     """
     if result.status is ChaseStatus.FAILED:
         # Inconsistent knowledge base: the chase result is undefined
@@ -86,9 +91,20 @@ def answer_query(job: ChaseJob, result: ChaseResult, instance: Instance,
         # stays within ~2x the declared budget, so a divergent
         # request's blast radius remains bounded even without the
         # pool's hard-timeout backstop.
-        evaluation_instance = depth_bounded_chase(
-            instance, sigma, depth, max_steps=job.max_steps,
-            max_facts=job.max_facts, wall_clock=job.wall_clock).instance
+        try:
+            evaluation_instance = depth_bounded_chase(
+                instance, sigma, depth, max_steps=job.max_steps,
+                max_facts=job.max_facts,
+                wall_clock=job.wall_clock).instance
+        except ChaseFailure as failure:
+            # The prefix met a failing EGD: reply as for a failed exact
+            # chase.  A wall-clock stop keeps its status, which is never
+            # cached: whether the prefix got that far depends on timing.
+            reply = {"failure_reason": str(failure),
+                     "query": render_query(job.query)}
+            if result.status is not ChaseStatus.EXCEEDED_WALL_CLOCK:
+                reply["status"] = ChaseStatus.FAILED.value
+            return reply
     answers = target.evaluate(evaluation_instance, constants_only=True)
     return {"answers_json": encode_rows(answers),
             "query": render_query(target), "truncated": truncated}

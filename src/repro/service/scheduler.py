@@ -90,8 +90,8 @@ def _cached_event(name: str, hit: JobResult,
 class BatchScheduler:
     """Schedule and run a batch of chase jobs.
 
-    ``workers``/``force_inprocess``/``default_hard_timeout``/
-    ``progress_every`` configure the :class:`WorkerPool`; ``cache`` is
+    ``workers``/``default_hard_timeout``/``progress_every`` configure
+    the :class:`WorkerPool`; ``cache`` is
     shared across batches when provided (a server owns one for its
     lifetime).  ``unknown_step_cap`` bounds the step budget of jobs
     whose constraint set guarantees nothing (set to None to trust job
@@ -103,15 +103,13 @@ class BatchScheduler:
                  on_event: Optional[EventCallback] = None,
                  unknown_step_cap: Optional[int] = DEFAULT_UNKNOWN_STEP_CAP,
                  default_hard_timeout: Optional[float] = None,
-                 progress_every: int = 0,
-                 force_inprocess: bool = False) -> None:
+                 progress_every: int = 0) -> None:
         self.cache = cache if cache is not None else ServiceCache()
         self.on_event = on_event
         self.unknown_step_cap = unknown_step_cap
         self.pool = WorkerPool(workers=workers,
                                default_hard_timeout=default_hard_timeout,
-                               progress_every=progress_every,
-                               force_inprocess=force_inprocess)
+                               progress_every=progress_every)
 
     # ------------------------------------------------------------------
     def _emit(self, event: ProgressEvent) -> None:

@@ -4,17 +4,20 @@ The chase graph ``G(Sigma)`` has the constraints as vertices and an
 edge ``(alpha, beta)`` iff ``alpha < beta``; the c-chase graph
 ``G_c(Sigma)`` uses the oblivious relation ``<_c``.  Both
 (c-)stratification and the Theorem 2 chase order are read off these
-graphs.
+graphs.  Both conditions ask the same question of their graph --
+does some cycle fail weak acyclicity? -- and
+:func:`non_weakly_acyclic_cycle_of` answers it for either.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence, Set
+from typing import Callable, Iterable, List, Optional, Set
 
 import networkx as nx
 
 from repro.lang.constraints import Constraint
 from repro.termination.precedence import ORACLE, PrecedenceOracle
+from repro.termination.weak_acyclicity import is_weakly_acyclic
 
 
 def chase_graph(sigma: Iterable[Constraint],
@@ -57,6 +60,24 @@ def nontrivial_sccs(graph: nx.DiGraph) -> List[Set[Constraint]]:
             if graph.has_edge(node, node):
                 out.append(members)
     return out
+
+
+def non_weakly_acyclic_cycle_of(graph: nx.DiGraph
+                                ) -> Optional[List[Constraint]]:
+    """The first cycle of a (c-)chase graph whose constraints are not
+    weakly acyclic, or None when every cycle is.
+
+    Weak acyclicity is closed under subsets, so a weakly acyclic SCC
+    certifies every cycle it contains; only an SCC that fails weak
+    acyclicity has its simple cycles enumerated one by one.
+    """
+    for component in nontrivial_sccs(graph):
+        if is_weakly_acyclic(component):
+            continue
+        for cycle in nx.simple_cycles(graph.subgraph(component)):
+            if not is_weakly_acyclic(cycle):
+                return list(cycle)
+    return None
 
 
 def topological_strata(graph: nx.DiGraph) -> List[List[Constraint]]:

@@ -16,17 +16,14 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-import networkx as nx
-
 from repro.lang.constraints import Constraint
-from repro.termination.chase_graph import c_chase_graph, nontrivial_sccs
+from repro.termination.chase_graph import (c_chase_graph,
+                                           non_weakly_acyclic_cycle_of)
 from repro.termination.precedence import ORACLE, PrecedenceOracle
-from repro.termination.weak_acyclicity import is_weakly_acyclic
 
 
 def is_c_stratified(sigma: Iterable[Constraint],
                     oracle: PrecedenceOracle = ORACLE,
-                    scc_semantics: bool = False,
                     printed_variant: bool = False) -> bool:
     """Definition 5 over the corrected ``<_c``.
 
@@ -35,17 +32,8 @@ def is_c_stratified(sigma: Iterable[Constraint],
     docs/PAPER_MAP.md ("Deviations and interpretation points") for why
     the corrected relation is the reproducible one.
     """
-    graph = c_chase_graph(sigma, oracle, printed_variant=printed_variant)
-    for component in nontrivial_sccs(graph):
-        if is_weakly_acyclic(component):
-            continue
-        if scc_semantics:
-            return False
-        subgraph = graph.subgraph(component)
-        for cycle in nx.simple_cycles(subgraph):
-            if not is_weakly_acyclic(cycle):
-                return False
-    return True
+    return non_weakly_acyclic_cycle_of(c_chase_graph(
+        sigma, oracle, printed_variant=printed_variant)) is None
 
 
 def non_weakly_acyclic_c_cycle(sigma: Iterable[Constraint],
@@ -53,12 +41,4 @@ def non_weakly_acyclic_c_cycle(sigma: Iterable[Constraint],
                                ) -> Optional[List[Constraint]]:
     """A cycle of ``G_c(Sigma)`` that is not weakly acyclic (witnessing
     non-c-stratification), or None."""
-    graph = c_chase_graph(sigma, oracle)
-    for component in nontrivial_sccs(graph):
-        if is_weakly_acyclic(component):
-            continue
-        subgraph = graph.subgraph(component)
-        for cycle in nx.simple_cycles(subgraph):
-            if not is_weakly_acyclic(cycle):
-                return list(cycle)
-    return None
+    return non_weakly_acyclic_cycle_of(c_chase_graph(sigma, oracle))

@@ -8,45 +8,28 @@ claim in [9]); Theorems 1 and 2 salvage the condition: some chase
 sequence terminates, and it can be constructed from the chase graph by
 chasing the strongly connected components in topological order.
 
-Cycle semantics: weak acyclicity is closed under subsets, so a weakly
-acyclic SCC certifies every cycle it contains; only when an SCC fails
-weak acyclicity do we enumerate its simple cycles individually.  The
-stricter SCC-level variant is available via ``scc_semantics=True``.
+Cycles are checked by
+:func:`repro.termination.chase_graph.non_weakly_acyclic_cycle_of`,
+which c-stratification shares.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-import networkx as nx
-
 from repro.chase.strategies import StratifiedStrategy
 from repro.lang.constraints import Constraint
-from repro.termination.chase_graph import (chase_graph, nontrivial_sccs,
+from repro.termination.chase_graph import (chase_graph,
+                                           non_weakly_acyclic_cycle_of,
                                            topological_strata)
 from repro.termination.precedence import ORACLE, PrecedenceOracle
-from repro.termination.weak_acyclicity import is_weakly_acyclic
-
-
-def _cycles_weakly_acyclic(graph: nx.DiGraph, scc_semantics: bool) -> bool:
-    for component in nontrivial_sccs(graph):
-        if is_weakly_acyclic(component):
-            continue  # all cycles inside are subsets, hence WA too
-        if scc_semantics:
-            return False
-        subgraph = graph.subgraph(component)
-        for cycle in nx.simple_cycles(subgraph):
-            if not is_weakly_acyclic(cycle):
-                return False
-    return True
 
 
 def is_stratified(sigma: Iterable[Constraint],
-                  oracle: PrecedenceOracle = ORACLE,
-                  scc_semantics: bool = False) -> bool:
+                  oracle: PrecedenceOracle = ORACLE) -> bool:
     """Definition 3.  Guarantees (only) that *some* chase sequence
     terminates -- see Theorem 1 and Example 4."""
-    return _cycles_weakly_acyclic(chase_graph(sigma, oracle), scc_semantics)
+    return non_weakly_acyclic_cycle(sigma, oracle) is None
 
 
 def chase_strata(sigma: Iterable[Constraint],
@@ -71,12 +54,4 @@ def non_weakly_acyclic_cycle(sigma: Iterable[Constraint],
                              ) -> Optional[List[Constraint]]:
     """A witness cycle whose constraints are not weakly acyclic, or
     None when the set is stratified."""
-    graph = chase_graph(sigma, oracle)
-    for component in nontrivial_sccs(graph):
-        if is_weakly_acyclic(component):
-            continue
-        subgraph = graph.subgraph(component)
-        for cycle in nx.simple_cycles(subgraph):
-            if not is_weakly_acyclic(cycle):
-                return list(cycle)
-    return None
+    return non_weakly_acyclic_cycle_of(chase_graph(sigma, oracle))

@@ -7,8 +7,9 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from repro.homomorphism.reference import reference_find_homomorphisms
 from repro.lang.atoms import Atom
-from repro.lang.constraints import TGD
+from repro.lang.constraints import EGD, TGD
 from repro.lang.instance import Instance
 from repro.lang.terms import Constant, Variable
 
@@ -58,6 +59,26 @@ def graph_tgd_sets(draw, max_size=3, allow_existential=True):
     size = draw(st.integers(min_value=1, max_value=max_size))
     return [draw(graph_tgds(allow_existential=allow_existential))
             for _ in range(size)]
+
+
+def reference_satisfied(sigma, instance) -> bool:
+    """Does ``instance`` satisfy every constraint of ``sigma``, by the
+    reference search alone?  A model check independent of the join
+    plans that the chase and ``all_satisfied`` run on."""
+    for constraint in sigma:
+        for body in reference_find_homomorphisms(list(constraint.body),
+                                                 instance):
+            if isinstance(constraint, EGD):
+                if body[constraint.lhs] != body[constraint.rhs]:
+                    return False
+                continue
+            frontier = {var: body[var]
+                        for var in constraint.frontier_variables()}
+            if next(reference_find_homomorphisms(
+                    list(constraint.head), instance, partial=frontier,
+                    limit=1), None) is None:
+                return False
+    return True
 
 
 @pytest.fixture

@@ -13,10 +13,9 @@ import random
 import pytest
 
 from repro.chase import chase
-from repro.cq.evaluate import (compile_query, compiled_answers,
-                               reference_answers)
+from repro.cq.evaluate import compile_query, compiled_answers
 from repro.cq.query import ConjunctiveQuery
-from repro.homomorphism.engine import reference_engine
+from repro.homomorphism.reference import reference_answers
 from repro.lang.atoms import Atom
 from repro.lang.instance import Instance
 from repro.lang.parser import parse_constraints, parse_instance, parse_query
@@ -86,15 +85,6 @@ class TestParityHandwritten:
         empty = Instance()
         assert not boolean.holds_in(empty)
         assert compiled_answers(boolean, empty) == set()
-
-    def test_evaluate_routes_through_reference_mode(self):
-        """Inside reference_engine() the facade evaluates via the
-        oracle -- and still agrees with the compiled path."""
-        query = parse_query(QUERIES[0])
-        instance = parse_instance(GRAPH)
-        fast = query.evaluate(instance)
-        with reference_engine():
-            assert query.evaluate(instance) == fast
 
     def test_compiled_query_is_cached(self):
         left = parse_query(QUERIES[0])

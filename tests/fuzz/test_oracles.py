@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.chase.triggers import TriggerIndex
 from repro.cq.query import ConjunctiveQuery
 from repro.fuzz import oracles as oracles_module
 from repro.fuzz.generate import FuzzCase, generate_case
 from repro.fuzz.oracles import (ALL_SEQUENCE_CLASSES, DEEP_PROBES, ORACLES,
                                 OracleContext, PROBES, Violation)
+from repro.homomorphism.plan import JoinPlan
 from repro.lang.parser import parse_constraints, parse_instance, parse_query
 from repro.lang.schema import Schema
 
@@ -95,6 +97,37 @@ def test_probes_are_reread_on_each_fresh_case(monkeypatch, ctx):
     assert run_oracle("hierarchy", DIVERGENT, ctx)
 
 
+def drop_one_unpinned_row(monkeypatch):
+    """Every search without a pinned delta fact loses its first row."""
+    execute = JoinPlan.execute
+
+    def lossy(self, store, *args, **kwargs):
+        rows = execute(self, store, *args, **kwargs)
+        if kwargs.get("pin_index") is None:
+            next(rows, None)
+        return rows
+    monkeypatch.setattr(JoinPlan, "execute", lossy)
+
+
+def drop_one_delta(monkeypatch):
+    """Every trigger index loses the first fact it is handed."""
+    init = TriggerIndex.__init__
+
+    def lossy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._events.popleft()
+    monkeypatch.setattr(TriggerIndex, "__init__", lossy)
+
+
+@pytest.mark.parametrize("mutation", [drop_one_unpinned_row, drop_one_delta])
+def test_engine_parity_catches_a_lossy_search(monkeypatch, ctx, mutation):
+    assert run_oracle("engine_parity", WEAKLY_ACYCLIC, ctx) == []
+    mutation(monkeypatch)
+    violations = run_oracle("engine_parity", WEAKLY_ACYCLIC, ctx)
+    assert violations
+    assert all(v.oracle == "engine_parity" for v in violations)
+
+
 # ----------------------------------------------------------------------
 # context mechanics the oracles rely on
 # ----------------------------------------------------------------------
@@ -102,7 +135,7 @@ def test_run_chase_is_memoized_per_configuration(ctx):
     ctx.start_case(WEAKLY_ACYCLIC)
     first = ctx.run_chase(WEAKLY_ACYCLIC)
     assert ctx.run_chase(WEAKLY_ACYCLIC) is first
-    assert ctx.run_chase(WEAKLY_ACYCLIC, reference=True) is not first
+    assert ctx.run_chase(WEAKLY_ACYCLIC, naive=True) is not first
     ctx.start_case(DIVERGENT)
     assert ctx.run_chase(DIVERGENT) is not first
 

@@ -61,7 +61,7 @@ class TestPoolSnapshots:
 
     def test_inprocess_results_carry_no_snapshot(self):
         metrics.enable()
-        pool = WorkerPool(workers=1, force_inprocess=True)
+        pool = WorkerPool(workers=1)
         try:
             results = pool.run([make_job("t1")])
         finally:
@@ -107,20 +107,18 @@ class TestSchedulerMerge:
 
 
 class TestEventsAndElapsed:
-    def run_with_events(self, workers=2, force_inprocess=False):
+    def run_with_events(self, workers=2):
         events = []
         scheduler = BatchScheduler(workers=workers,
-                                   on_event=events.append,
-                                   force_inprocess=force_inprocess)
+                                   on_event=events.append)
         with scheduler:
             results = scheduler.run_batch(batch_jobs())
         return results, events
 
-    @pytest.mark.parametrize("force_inprocess", [False, True])
-    def test_events_carry_timestamp_and_fingerprint(self,
-                                                    force_inprocess):
+    @pytest.mark.parametrize("inprocess", [False, True])
+    def test_events_carry_timestamp_and_fingerprint(self, inprocess):
         results, events = self.run_with_events(
-            force_inprocess=force_inprocess)
+            workers=1 if inprocess else 2)
         by_kind = {}
         for event in events:
             by_kind.setdefault(event.kind, []).append(event)
@@ -157,7 +155,7 @@ class TestTraceReplay:
         # One trace id per job: the *planned* job's fingerprint (the
         # scheduler pins "auto" to a concrete strategy first).
         traces = {r["trace"] for r in records}
-        planner = BatchScheduler(workers=1, force_inprocess=True)
+        planner = BatchScheduler(workers=1)
         expected = {planner.plan_job(job)[0].fingerprint()
                     for job in batch_jobs()}
         assert traces == expected

@@ -38,8 +38,7 @@ def scheduler_factory():
 
     def make(result_size: int) -> BatchScheduler:
         scheduler = BatchScheduler(
-            workers=1, cache=ServiceCache(result_size=result_size),
-            force_inprocess=True)
+            workers=1, cache=ServiceCache(result_size=result_size))
         schedulers.append(scheduler)
         return scheduler
 

@@ -135,6 +135,34 @@ def test_a_fixpoint_reached_at_the_step_cap_is_served_as_terminated(
     assert reply(2) == capped                    # the cached replay
 
 
+def test_an_inconsistency_met_only_by_the_fallback_is_served_as_failed(
+        session):
+    """Under ``ordered`` the exact chase hits its step cap first and
+    only the depth-bounded fallback meets the failing EGD; the reply
+    is ``failed`` as under ``round_robin``, whose exact chase fails,
+    and its repeat is served from the cache."""
+    spec = {"constraints": "a: S(x) -> E(x, y), S(y). e: T(x, y) -> x = y",
+            "instance": "S(a). T(b, c).", "query": "q(x) <- S(x)",
+            "strategy": "ordered", "max_steps": 5, "depth_limit": 1}
+
+    def reply(strategy):
+        payload = session.handle_line(json.dumps(dict(spec,
+                                                      strategy=strategy)))
+        return {key: payload[key] for key in (
+            "status", "steps", "new_nulls", "failure_reason", "answers",
+            "truncated", "cached")}
+
+    first = reply("ordered")
+    assert first == {"status": "failed", "steps": 5, "new_nulls": 5,
+                     "failure_reason": "EGD e equates distinct constants "
+                                       "b and c",
+                     "answers": None, "truncated": False, "cached": False}
+    assert reply("ordered") == dict(first, cached=True)
+    exact = reply("round_robin")
+    assert (exact["status"], exact["failure_reason"]) \
+        == ("failed", first["failure_reason"])
+
+
 # ----------------------------------------------------------------------
 # parse_job / budgets / cached_result (the HTTP gateway surface)
 # ----------------------------------------------------------------------

@@ -172,7 +172,7 @@ PINNED_PLANNED_FINGERPRINTS = {
     ids=lambda path: f"{path.parent.name}/{path.stem}")
 def test_shipped_spec_planned_fingerprints_are_pinned(path):
     job = job_from_dict(json.loads(path.read_text()), name=path.stem)
-    with BatchScheduler(workers=1, force_inprocess=True) as scheduler:
+    with BatchScheduler(workers=1) as scheduler:
         planned = scheduler.plan_job(job).job
     assert planned.fingerprint() \
         == PINNED_PLANNED_FINGERPRINTS[f"{path.parent.name}/{path.stem}"]

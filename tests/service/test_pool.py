@@ -44,11 +44,13 @@ def test_pool_results_match_inprocess_execution():
     assert all(r.worker.startswith("pid-") for r in results)
 
 
-def test_forced_inprocess_degradation_matches_too():
+def test_forced_inprocess_degradation_matches_too(monkeypatch):
     jobs = small_batch()
     expected = [by_comparable(execute_job(job)) for job in jobs]
-    pool = WorkerPool(workers=2, force_inprocess=True)
+    monkeypatch.setattr(WorkerPool, "_spawn", lambda self: None)
+    pool = WorkerPool(workers=2)
     results = pool.run(jobs)
+    assert pool.degraded
     assert [by_comparable(r) for r in results] == expected
     assert all(r.worker == "inproc" for r in results)
 
@@ -171,11 +173,10 @@ def test_degraded_drain_honours_cancellation(monkeypatch):
 def test_degraded_run_emits_the_inprocess_events(monkeypatch):
     """A pool that cannot spawn workers drains its queue through the
     in-process loop: after the ``degraded`` notice, the same events as
-    a ``force_inprocess`` run, ``started`` included."""
+    a ``workers=1`` run, ``started`` included."""
     jobs = [make_job(f"j{i}") for i in range(3)]
     forced = []
-    WorkerPool(workers=2, force_inprocess=True).run(
-        jobs, on_event=forced.append)
+    WorkerPool(workers=1).run(jobs, on_event=forced.append)
     monkeypatch.setattr(WorkerPool, "_spawn", lambda self: None)
     degraded = []
     WorkerPool(workers=2).run(jobs, on_event=degraded.append)

@@ -199,6 +199,39 @@ class TestExecution:
         assert query.failure_reason == chase.failure_reason
         assert query.answers is None
 
+    def test_inconsistency_met_only_by_the_fallback_reports_failure(self):
+        """The exact chase stops at its step cap before the failing EGD
+        fires, and the depth-bounded prefix meets it: the knowledge
+        base is inconsistent, and the job says so as a failed exact
+        chase would, with the exact chase's steps and nulls."""
+        spec = {"constraints": "a: S(x) -> E(x, y), S(y). "
+                               "e: T(x, y) -> x = y",
+                "instance": "S(a). T(b, c).", "query": "q(x) <- S(x)",
+                "strategy": "ordered", "max_steps": 5, "depth_limit": 1}
+        result = execute_job(job_from_dict(spec))
+        assert (result.status, result.steps, result.new_nulls) \
+            == ("failed", 5, 5)
+        assert result.failure_reason \
+            == "EGD e equates distinct constants b and c"
+        assert result.answers is None and not result.truncated
+        assert result.cacheable
+
+    def test_fallback_failure_after_a_wall_clock_stop_stays_uncached(
+            self, monkeypatch):
+        from repro.lang.errors import ChaseFailure
+        from repro.service import query as service_query
+
+        def failing(*args, **kwargs):
+            raise ChaseFailure("EGD e equates distinct constants b and c")
+        monkeypatch.setattr(service_query, "depth_bounded_chase", failing)
+        result = execute_job(make_job(constraints=DIVERGENT,
+                                      instance="S(a).",
+                                      query="q(u) <- S(u)", wall_clock=0))
+        assert result.status == "exceeded_wall_clock"
+        assert result.failure_reason \
+            == "EGD e equates distinct constants b and c"
+        assert result.answers is None and not result.cacheable
+
     def test_errors_never_propagate(self):
         result = execute_job(make_job(strategy="bogus"))
         assert result.status == STATUS_ERROR
@@ -230,8 +263,7 @@ class TestServiceIntegration:
     def test_auto_strategy_pinned_from_report(self):
         from pathlib import Path
         events = []
-        scheduler = BatchScheduler(workers=1, force_inprocess=True,
-                                   on_event=events.append)
+        scheduler = BatchScheduler(workers=1, on_event=events.append)
         job = job_from_path(
             Path(__file__).resolve().parents[2] / "examples" / "queries"
             / "stratified_only.json")
@@ -243,8 +275,7 @@ class TestServiceIntegration:
     def test_warm_cache_rerun_executes_nothing(self):
         jobs = [job_from_dict(spec)
                 for spec in query_batch_specs(6, seed=4)]
-        with BatchScheduler(workers=1, cache=ServiceCache(),
-                            force_inprocess=True) as scheduler:
+        with BatchScheduler(workers=1, cache=ServiceCache()) as scheduler:
             cold = scheduler.run_batch(jobs)
             executed = scheduler.pool.executed
             warm = scheduler.run_batch(jobs)
@@ -261,7 +292,7 @@ class TestServiceIntegration:
         query_spec_ = {"name": "q", "constraints": TERMINATING,
                        "instance": "E(a, b).", "query": "q(x) <- E(x, y)"}
         jobs = [job_from_dict(chase_spec), job_from_dict(query_spec_)]
-        with BatchScheduler(workers=1, force_inprocess=True) as scheduler:
+        with BatchScheduler(workers=1) as scheduler:
             results = scheduler.run_batch(jobs)
         assert [r.job for r in results] == ["c", "q"]
         assert results[0].facts is not None and results[0].answers is None
@@ -274,7 +305,7 @@ class TestServiceIntegration:
                 for spec in query_batch_specs(6, seed=7)]
         with BatchScheduler(workers=2) as parallel:
             pooled = parallel.run_batch(jobs)
-        with BatchScheduler(workers=1, force_inprocess=True) as sequential:
+        with BatchScheduler(workers=1) as sequential:
             inproc = sequential.run_batch(jobs)
         assert ([(r.job, r.status, r.answers, r.truncated) for r in pooled]
                 == [(r.job, r.status, r.answers, r.truncated)

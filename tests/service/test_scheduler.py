@@ -100,8 +100,7 @@ def test_unknown_jobs_get_step_capped():
     job = ChaseJob.from_dict({
         "name": "big", "constraints": DIVERGENT, "instance": "S(a).",
         "max_steps": 100_000_000})
-    scheduler = BatchScheduler(workers=1, unknown_step_cap=100,
-                               force_inprocess=True)
+    scheduler = BatchScheduler(workers=1, unknown_step_cap=100)
     planned, report, guaranteed = scheduler.plan_job(job)
     assert not guaranteed and not report.guarantees_some_sequence
     assert planned.max_steps == 100
@@ -126,7 +125,7 @@ def test_auto_strategy_is_pinned_from_the_cached_report():
         "constraints": render_constraints(example4()),
         "instance": "\n".join(sorted(f"{f}." for f in example4_instance())),
         "strategy": "auto", "max_steps": 2000})
-    scheduler = BatchScheduler(workers=1, force_inprocess=True)
+    scheduler = BatchScheduler(workers=1)
     planned, report, guaranteed = scheduler.plan_job(job)
     assert report.stratified and not report.guarantees_all_sequences
     assert planned.strategy == "stratified"
@@ -150,7 +149,7 @@ def test_warm_plans_build_the_strata_once(monkeypatch):
     report_module.clear_analyze_cache()
     job = ChaseJob(name="ex4", sigma=tuple(example4()), instance=Instance(),
                    strategy="auto")
-    scheduler = BatchScheduler(workers=1, force_inprocess=True)
+    scheduler = BatchScheduler(workers=1)
     plans = [scheduler.plan_job(job) for _ in range(5)]
     assert {plan.job.strategy for plan in plans} == {"stratified"}
     assert len(built) == 1
@@ -160,7 +159,7 @@ def test_explicit_stratified_request_on_unstratifiable_set_errors():
     job = ChaseJob.from_dict({
         "name": "bad", "constraints": DIVERGENT, "instance": "S(a).",
         "strategy": "stratified"})
-    scheduler = BatchScheduler(workers=1, force_inprocess=True)
+    scheduler = BatchScheduler(workers=1)
     sibling = ChaseJob.from_dict({
         "name": "good", "constraints": "c: R(x, y) -> T(x, y)",
         "instance": "R(a, b)."})
@@ -200,8 +199,7 @@ def test_no_cache_disables_dedup_too():
             "max_steps": 30}
     twins = [ChaseJob.from_dict(dict(fast, name="a")),
              ChaseJob.from_dict(dict(fast, name="b"))]
-    scheduler = BatchScheduler(workers=1, force_inprocess=True,
-                               cache=ServiceCache(result_size=0))
+    scheduler = BatchScheduler(workers=1, cache=ServiceCache(result_size=0))
     results = scheduler.run_batch(twins)
     assert scheduler.pool.executed == 2
     assert not any(r.cached for r in results)
@@ -210,7 +208,7 @@ def test_no_cache_disables_dedup_too():
 def test_shared_cache_across_scheduler_instances():
     cache = ServiceCache()
     jobs = load(mixed_batch_specs(4, seed=2))
-    first = BatchScheduler(workers=1, cache=cache, force_inprocess=True)
+    first = BatchScheduler(workers=1, cache=cache)
     first.run_batch(jobs)
     second = BatchScheduler(workers=2, cache=cache)
     results = second.run_batch(load(mixed_batch_specs(4, seed=2)))
@@ -230,8 +228,7 @@ def test_cancellation_racing_completion_keeps_the_contract():
         if event.kind == "finished":
             finished.append(event.job)
 
-    scheduler = BatchScheduler(workers=1, force_inprocess=True,
-                               on_event=on_event)
+    scheduler = BatchScheduler(workers=1, on_event=on_event)
     results = scheduler.run_batch(jobs,
                                   should_cancel=lambda: bool(finished))
     assert [r.job for r in results] == [job.name for job in jobs]
@@ -281,8 +278,7 @@ def test_cancellation_racing_completion_through_the_pool():
 
 def test_cached_events_are_emitted_on_warm_hits():
     events = []
-    scheduler = BatchScheduler(workers=1, force_inprocess=True,
-                               on_event=events.append)
+    scheduler = BatchScheduler(workers=1, on_event=events.append)
     jobs = load(mixed_batch_specs(4, seed=7))
     scheduler.run_batch(jobs)
     events.clear()
@@ -294,7 +290,7 @@ def test_cached_events_are_emitted_on_warm_hits():
 def plan_with_oracle(job, oracle):
     """Plan ``job`` on a report analyzed by ``oracle``, so the
     precedence searches planning spends can be counted."""
-    scheduler = BatchScheduler(workers=1, force_inprocess=True)
+    scheduler = BatchScheduler(workers=1)
     report = analyze(job.sigma, max_k=job.max_k, oracle=oracle)
     scheduler.cache.reports.put(report_key(job.sigma, job.max_k), report)
     plan = scheduler.plan_job(job)
@@ -311,7 +307,7 @@ def test_figure2_is_planned_by_the_t3_probe_alone():
     from repro.workloads.paper import figure2
     job = ChaseJob(name="fig2", sigma=tuple(figure2()), instance=Instance(),
                    strategy="auto")
-    scheduler = BatchScheduler(workers=1, force_inprocess=True)
+    scheduler = BatchScheduler(workers=1)
     planned, report, guaranteed = scheduler.plan_job(job)
     assert (planned.strategy, planned.max_steps, guaranteed) \
         == ("round_robin", job.max_steps, True)
@@ -398,8 +394,7 @@ NAMED_PLANS = {
 def test_every_paper_set_keeps_its_plan(name):
     job = ChaseJob(name=name, sigma=tuple(NAMED_SETS[name][0]()),
                    instance=Instance(), max_steps=100_000)
-    planned, _, guaranteed = BatchScheduler(
-        workers=1, force_inprocess=True).plan_job(job)
+    planned, _, guaranteed = BatchScheduler(workers=1).plan_job(job)
     assert (planned.strategy, guaranteed, planned.max_steps) \
         == NAMED_PLANS[name]
 
@@ -428,8 +423,7 @@ def test_a_plan_runs_as_given_with_the_same_events():
 
     def run(hand_over_plans):
         events = []
-        scheduler = BatchScheduler(workers=1, force_inprocess=True,
-                                   on_event=events.append)
+        scheduler = BatchScheduler(workers=1, on_event=events.append)
         batch = ([scheduler.plan_job(job) for job in jobs]
                  if hand_over_plans else jobs)
         calls = []
