@@ -3,10 +3,9 @@ Stratification* (Meier, Schmidt, Lausen; VLDB 2009 / arXiv:0906.4228).
 
 The library provides:
 
-* a relational substrate (:mod:`repro.lang`) with TGDs/EGDs, instances
-  and a text format;
-* a storage layer (:mod:`repro.storage`): term interning and one
-  columnar fact store over interned term ids;
+* a relational substrate (:mod:`repro.lang`) with TGDs/EGDs, a text
+  format and instances that store their facts as columns of interned
+  term ids (:mod:`repro.storage` interns the terms);
 * a chase engine (:mod:`repro.chase`) with standard and oblivious
   runners and pluggable application strategies;
 * every data-independent termination condition of the paper's Figure 1
@@ -48,7 +47,7 @@ from repro.lang import (Atom, Constant, EGD, Instance, Null, parse_constraint,
                         Position, Schema, TGD, Variable)
 from repro.service import (BatchScheduler, ChaseJob, JobResult, QueryJob,
                            ServiceCache, WorkerPool)
-from repro.storage import FactStore, TermTable
+from repro.storage import TermTable
 from repro.termination import (analyze, chase_strata, check,
                                is_c_stratified, is_inductively_restricted,
                                is_safe, is_stratified, is_weakly_acyclic,
@@ -71,7 +70,7 @@ __all__ = [
     "Schema", "TGD", "Variable", "analyze", "chase_strata", "check",
     "is_c_stratified", "is_inductively_restricted", "is_safe",
     "is_stratified", "is_weakly_acyclic", "stratified_strategy", "t_level",
-    "TerminationReport", "FactStore", "TermTable", "BatchScheduler",
+    "TerminationReport", "TermTable", "BatchScheduler",
     "ChaseJob", "JobResult", "QueryJob", "ServiceCache", "WorkerPool",
     "__version__",
 ]

@@ -12,16 +12,15 @@ away each round).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from repro.chase.core import core
 from repro.chase.result import ChaseResult, ChaseStatus
 from repro.chase.runner import chase as standard_chase
 from repro.chase.step import ChaseStep
-from repro.chase.strategies import OrderedStrategy, Strategy
-from repro.homomorphism.extend import all_satisfied, violation
+from repro.chase.strategies import OrderedStrategy
+from repro.homomorphism.extend import all_satisfied
 from repro.lang.constraints import Constraint
-from repro.lang.errors import ChaseFailure
 from repro.lang.instance import Instance
 from repro.lang.terms import NullFactory, NULLS
 

@@ -283,7 +283,7 @@ class _UnfiredTriggers(Strategy):
 
     def start(self, sigma: Sequence[Constraint], instance: Instance) -> None:
         super().start(sigma, instance)
-        self._table = instance.term_table
+        self._table = instance.terms
         self._fired: set[tuple] = set()
 
     def select(self, instance: Instance) -> Selection:

@@ -16,8 +16,8 @@ already be satisfied.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.homomorphism.engine import Assignment, apply_assignment
 from repro.homomorphism.extend import freeze_assignment as _freeze_assignment

@@ -32,10 +32,10 @@ datalog evaluation, kept *lazy* at homomorphism granularity:
   through the delta feed first.
 
 Every internal key is an interned integer id from the working
-instance's store: the delta queue and the per-constraint backlogs
-carry permanent *fact ids* (:meth:`repro.storage.store.FactStore
-.fact_id` -- stable across EGD remove/re-add cycles, and handed to
-the index with each delta), and the fact ->
+instance: the delta queue and the per-constraint backlogs carry
+permanent *fact ids* (:meth:`repro.lang.instance.Instance.fact_id` --
+stable across EGD remove/re-add cycles, and handed to the index with
+each delta), and the fact ->
 pending-trigger reverse map is keyed on them.  Discovery stays at the
 id level up to the enqueue decision.  Each constraint has a
 :class:`_Layout`, derived once per index: the delta search projects
@@ -80,10 +80,9 @@ from repro.homomorphism.engine import Assignment, find_homomorphisms_through
 from repro.homomorphism.extend import freeze_assignment_ids
 from repro.homomorphism.plan import compile_plan
 from repro.lang.constraints import Constraint, EGD, TGD
-from repro.lang.instance import Instance
+from repro.lang.instance import FactId, Instance
 from repro.lang.terms import Variable
 from repro.obs.metrics import OBS
-from repro.storage.store import FactId
 from repro.storage.interning import TermTable
 
 #: Hashable identity of a trigger within one constraint: the frozen
@@ -221,11 +220,9 @@ class TriggerIndex:
                  oblivious: bool = False) -> None:
         self._sigma: List[Constraint] = list(sigma)
         self._instance = instance
-        self._store = instance.store
-        self._table = instance.store.terms
         self._oblivious = oblivious
         self._layouts: Dict[Constraint, _Layout] = {
-            constraint: _Layout(constraint, self._table, oblivious)
+            constraint: _Layout(constraint, instance.terms, oblivious)
             for constraint in self._sigma}
         #: materialized triggers that were active when discovered
         self._pending: Dict[Constraint, "OrderedDict[TriggerKey, Assignment]"] = {
@@ -254,7 +251,7 @@ class TriggerIndex:
         instance.add_listener(self)
         self._attached = True
         # Lazy seed: the input facts are simply the first deltas.
-        self._events.extend(("+", fid) for fid in self._store.live_fids())
+        self._events.extend(("+", fid) for fid in instance.live_fids())
         # Empty-body TGDs (axioms) have the empty homomorphism as their
         # one body trigger; its image uses no fact, so delta discovery
         # would never surface it -- seed it explicitly.
@@ -269,7 +266,7 @@ class TriggerIndex:
     # ------------------------------------------------------------------
     def _freeze(self, assignment: Assignment) -> TriggerKey:
         """The interned trigger key of a body assignment ``mu``."""
-        return freeze_assignment_ids(assignment, self._table)
+        return freeze_assignment_ids(assignment, self._instance.terms)
 
     # ------------------------------------------------------------------
     # InstanceListener protocol: buffer deltas, processed on refresh()
@@ -309,7 +306,7 @@ class TriggerIndex:
             if op == "-":
                 self._retire_fact(fid)
                 continue
-            relation = self._store.fact_of(fid).relation
+            relation = self._instance.fact_of(fid).relation
             for constraint in self._constraints_by_relation.get(relation, ()):
                 self._backlog[constraint].append(fid)
 
@@ -353,7 +350,7 @@ class TriggerIndex:
         """Does the TGD head map with its frontier bound to the ids
         ``frontier``?  One ``limit=1`` run of the head plan."""
         binding = dict(zip(layout.head_frontier, frontier))
-        for _ in layout.head.execute(self._store, partial_ids=binding,
+        for _ in layout.head.execute(self._instance, partial_ids=binding,
                                      limit=1, project=()):
             return True
         return False
@@ -376,8 +373,8 @@ class TriggerIndex:
         sound across mutations).
         """
         layout = self._layouts[constraint]
-        store = self._store
-        term_of = self._table.term
+        instance = self._instance
+        term_of = instance.terms.term
         seen = self._seen[constraint]
         pending = self._pending[constraint]
         backlog = self._backlog[constraint]
@@ -389,8 +386,8 @@ class TriggerIndex:
                 fact = None
                 while backlog:
                     candidate = backlog.popleft()
-                    if store.alive(candidate):
-                        fact = store.fact_of(candidate)
+                    if instance.alive(candidate):
+                        fact = instance.fact_of(candidate)
                         break
                 if fact is None:
                     return
@@ -398,7 +395,7 @@ class TriggerIndex:
                     OBS.inc("triggers.backlog_expanded")
                     OBS.observe("triggers.backlog_depth", len(backlog))
                 enumeration = find_homomorphisms_through(
-                    layout.plan, self._instance, fact, prune=layout.prune,
+                    layout.plan, instance, fact, prune=layout.prune,
                     project=variables)
                 self._expanding[constraint] = enumeration
             for row in enumeration:
@@ -417,7 +414,7 @@ class TriggerIndex:
                 grounded = row + constants if constants else row
                 image_fids = []
                 for relation, arity, pick in images:
-                    fid = store.row_fid(relation, arity, pick(grounded))
+                    fid = instance.row_fid(relation, arity, pick(grounded))
                     if fid is None:
                         break
                     image_fids.append(fid)

@@ -17,7 +17,6 @@ from repro.cq.query import ConjunctiveQuery
 from repro.homomorphism.engine import find_homomorphisms
 from repro.lang.constraints import Constraint
 from repro.lang.errors import NonTerminationBudget
-from repro.lang.instance import Instance
 from repro.lang.terms import GroundTerm, Variable
 
 

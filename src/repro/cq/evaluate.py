@@ -1,4 +1,4 @@
-"""Compiled conjunctive-query evaluation over the fact-store layer.
+"""Compiled conjunctive-query evaluation over interned-id columns.
 
 ``q(I)`` (Section 2; the workload of Section 5's certain-answer
 computation, Theorem 9 / Corollary 1) used to be computed by
@@ -8,7 +8,7 @@ module compiles the query once onto the same
 :class:`~repro.homomorphism.plan.JoinPlan` machinery the chase runs
 on, and pushes the head projection *into* the plan:
 
-* the body join runs over interned ids with the store's
+* the body join runs over interned ids with the instance's
   selectivity-ordered access paths (one compiled plan per body tuple,
   shared with any constraint of identical body for the process
   lifetime);
@@ -67,14 +67,13 @@ class CompiledQuery:
     # ------------------------------------------------------------------
     def answers(self, instance: Instance,
                 constants_only: bool = True) -> Set[Tuple[GroundTerm, ...]]:
-        """``q(I)`` over the instance's store, dedup/filter on ids.
+        """``q(I)`` over the instance's columns, dedup/filter on ids.
 
         With ``constants_only`` (the paper's certain-answer semantics)
         head images containing labeled nulls are dropped -- decided on
         the interned id, before any term is materialized.
         """
-        store = instance.store
-        term_of = store.terms.term
+        term_of = instance.terms.term
         head = self.head
         var_positions = self.var_positions
         seen: Set[Tuple[int, ...]] = set()
@@ -82,7 +81,7 @@ class CompiledQuery:
         #: id -> is it a null?  Memoized per call: answer rows share
         #: ids heavily, so each distinct id is classified once.
         null_id: dict = {}
-        for row in self.plan.execute(store, project=self.project):
+        for row in self.plan.execute(instance, project=self.project):
             if row in seen:
                 continue
             seen.add(row)
@@ -106,7 +105,7 @@ class CompiledQuery:
 
     def holds_in(self, instance: Instance) -> bool:
         """Boolean satisfaction: does any body match exist?"""
-        for _ in self.plan.execute(instance.store, limit=1, project=()):
+        for _ in self.plan.execute(instance, limit=1, project=()):
             return True
         return False
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.chase.core import core
 from repro.chase.result import ChaseStatus
@@ -26,7 +26,7 @@ from repro.lang.atoms import Atom, atoms_variables
 from repro.lang.constraints import Constraint
 from repro.lang.errors import NonTerminationBudget
 from repro.lang.instance import Instance
-from repro.lang.terms import Constant, Null, Term, Variable
+from repro.lang.terms import Constant, Null, Term
 
 #: Tags marking the frozen terms of :func:`minimize_query` -- tuple
 #: values cannot collide with any parsed constant (str/number).

@@ -10,13 +10,13 @@ instance -- is chased").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.cq.evaluate import compiled_answers, compiled_holds_in
 from repro.lang.atoms import Atom, atoms_variables
 from repro.lang.errors import SchemaError
 from repro.lang.instance import Instance
-from repro.lang.terms import Constant, GroundTerm, Null, Term, Variable
+from repro.lang.terms import GroundTerm, Null, Term, Variable
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import networkx as nx
 from repro.lang.atoms import Atom
 from repro.lang.constraints import Constraint, TGD
 from repro.lang.instance import Instance
-from repro.lang.terms import Constant, GroundTerm, Null, Variable
+from repro.lang.terms import GroundTerm, Variable
 from repro.termination.chase_graph import c_chase_graph
 from repro.termination.hierarchy import in_t_level
 from repro.termination.precedence import ORACLE, PrecedenceOracle

@@ -25,7 +25,7 @@ O(parents x labels) per created null.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.chase.step import ChaseStep
 from repro.lang.atoms import Position

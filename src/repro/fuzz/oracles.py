@@ -224,7 +224,7 @@ class OracleContext:
         if self._inproc is None:
             self._inproc = BatchScheduler(
                 workers=1,
-                cache=ServiceCache(result_size=64, report_size=64),
+                cache=ServiceCache(result_size=64),
                 unknown_step_cap=None)
         return self._inproc
 

@@ -10,7 +10,7 @@ body (variables + constants) or an already-grounded atom set.
 The search itself is a backtracking join executed by a compiled
 :class:`repro.homomorphism.plan.JoinPlan`: the atom order is chosen
 once per binding signature (selectivity-informed most-constrained
-first), candidates come from the fact store's interned-id access
+first), candidates come from the instance's interned-id access
 paths, and terms are decoded only when a binding survives.
 """
 
@@ -44,7 +44,7 @@ def find_homomorphisms(atoms: Sequence[Atom], instance: Instance,
     variables are included).  ``limit`` caps the number of results.
     """
     return compile_plan(tuple(atoms)).execute(
-        instance.store, partial=partial, limit=limit)
+        instance, partial=partial, limit=limit)
 
 
 def find_homomorphisms_through(atoms: Union[Sequence[Atom], JoinPlan],
@@ -87,7 +87,6 @@ def find_homomorphisms_through(atoms: Union[Sequence[Atom], JoinPlan],
     """
     plan = atoms if isinstance(atoms, JoinPlan) \
         else compile_plan(tuple(atoms))
-    store = instance.store
     base: Assignment = dict(partial) if partial else {}
     pins = []
     for index in range(len(plan.atoms)):
@@ -98,7 +97,7 @@ def find_homomorphisms_through(atoms: Union[Sequence[Atom], JoinPlan],
         return
     if len(pins) == 1:
         index, entries = pins[0]
-        yield from plan.execute(store, partial=base, pin_index=index,
+        yield from plan.execute(instance, partial=base, pin_index=index,
                                 pin_entries=entries, limit=limit,
                                 prune=prune, project=project)
         return
@@ -106,11 +105,11 @@ def find_homomorphisms_through(atoms: Union[Sequence[Atom], JoinPlan],
     # results dedup on that id tuple, then go out in the caller's form.
     variables = plan.variable_order
     as_is = project == variables
-    table = store.terms
+    table = instance.terms
     seen: set = set()
     produced = 0
     for index, entries in pins:
-        for row in plan.execute(store, partial=base, pin_index=index,
+        for row in plan.execute(instance, partial=base, pin_index=index,
                                 pin_entries=entries, prune=prune,
                                 project=variables):
             if row in seen:

@@ -1,6 +1,6 @@
 """Compiled join plans: one access path per constraint body.
 
-The pre-storage-layer engine re-derived its join order on *every*
+A naive backtracking search re-derives its join order on *every*
 homomorphism search: each recursion step scanned all pending body
 atoms for the most-constrained one and copied the binding dict per
 candidate fact.  A :class:`JoinPlan` hoists all of that out of the hot
@@ -14,10 +14,10 @@ loop:
   atom)`` signature: a greedy most-constrained-first walk -- which
   positions are bound after each atom is a *static* property of the
   signature -- with ties broken by the selectivity statistics the
-  fact store exposes (:meth:`repro.storage.store.FactStore
+  instance exposes (:meth:`repro.lang.instance.Instance
   .relation_size`);
-* execution runs over interned term ids against the store's
-  :meth:`~repro.storage.store.FactStore.scan` access path with a single
+* execution runs over interned term ids against the instance's
+  :meth:`~repro.lang.instance.Instance.scan` access path with a single
   mutable binding and trail-based undo, decoding ids back to terms
   only when a binding survives (at most one list index per bound
   variable) and copying the assignment only at yield.
@@ -31,7 +31,7 @@ order.
 Orders are cached per plan together with the statistics observed when
 they were chosen; statistics only break ties, so a stale snapshot can
 never cost correctness -- but it *can* cost speed, so the cache is
-generation-aware: when the store's mutation counter has moved, the
+generation-aware: when the instance's mutation counter has moved, the
 current relation sizes are re-checked against the decision-time
 snapshot and the order is recomputed once any body relation has grown
 or shrunk by more than 4x.
@@ -46,8 +46,8 @@ from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
 
 from repro.lang.atoms import Atom
 from repro.lang.terms import GroundTerm, Variable
+from repro.lang.instance import Instance
 from repro.obs.metrics import OBS
-from repro.storage.store import FactStore
 
 #: A complete (or partial) homomorphism: variable -> ground term.
 Assignment = Dict[Variable, GroundTerm]
@@ -100,25 +100,25 @@ class JoinPlan:
         self.variable_order: Tuple[Variable, ...] = tuple(
             sorted(self.variables, key=lambda var: var.name))
         #: (prebound variable set, pinned atom index) ->
-        #: [order, decision-time relation sizes, store id, generation]
+        #: [order, decision-time relation sizes, instance id, generation]
         self._orders: Dict[Tuple[frozenset, Optional[int]], list] = {}
 
     # ------------------------------------------------------------------
     # Order selection
     # ------------------------------------------------------------------
-    def order_for(self, store: FactStore, prebound: frozenset,
+    def order_for(self, instance: Instance, prebound: frozenset,
                   pin: Optional[int] = None) -> Tuple[int, ...]:
         """The cached atom order for this binding signature.
 
         Greedy most-constrained-first: repeatedly pick the atom with
         the most statically-bound argument positions, breaking ties by
-        the store's cardinality estimate -- the relation size, sharpened
+        the instance's cardinality estimate -- the relation size, sharpened
         to the smallest posting list of any ground argument -- and then
         by body position.  Bound-ness propagates statically: after an
         atom is placed, its variables count as bound for the rest.
 
         Cached orders carry the relation sizes they were decided on.
-        While the store's :attr:`~repro.storage.store.FactStore
+        While the instance's :attr:`~repro.lang.instance.Instance
         .generation` is unchanged the cache hit is two comparisons;
         once it moves, the current sizes are compared against the
         *original* decision-time snapshot (no ratchet drift across
@@ -128,19 +128,20 @@ class JoinPlan:
         key = (prebound, pin)
         entry = self._orders.get(key)
         if entry is not None:
-            order, snapshot, store_id, generation = entry
-            if store_id == id(store) and generation == store.generation:
+            order, snapshot, instance_id, generation = entry
+            if instance_id == id(instance) \
+                    and generation == instance.generation:
                 if OBS.enabled:
                     OBS.inc("plan.order_cache.hits")
                 return order
-            current = tuple(store.relation_size(spec.relation)
+            current = tuple(instance.relation_size(spec.relation)
                             for spec in self.specs)
             if all(cur <= 4 * max(old, 1) and old <= 4 * max(cur, 1)
                    for old, cur in zip(snapshot, current)):
                 # Same ballpark: keep the order, refresh the fast path
                 # (sizes were just verified against the snapshot).
-                entry[2] = id(store)
-                entry[3] = store.generation
+                entry[2] = id(instance)
+                entry[3] = instance.generation
                 if OBS.enabled:
                     OBS.inc("plan.order_cache.revalidated")
                 return order
@@ -148,7 +149,7 @@ class JoinPlan:
                 OBS.inc("plan.order_cache.invalidations")
         elif OBS.enabled:
             OBS.inc("plan.order_cache.misses")
-        id_of = store.terms.id_of
+        id_of = instance.terms.id_of
         bound: Set[Variable] = set(prebound)
         if pin is not None:
             bound |= self.specs[pin].variables
@@ -161,10 +162,10 @@ class JoinPlan:
                 spec = self.specs[index]
                 bound_args = len(spec.ground_positions) + sum(
                     1 for _, var in spec.var_positions if var in bound)
-                estimate = store.relation_size(spec.relation)
+                estimate = instance.relation_size(spec.relation)
                 for position, term in spec.ground_positions:
                     tid = id_of(term)
-                    posting = (0 if tid is None else store.posting_size(
+                    posting = (0 if tid is None else instance.posting_size(
                         spec.relation, position, tid))
                     if posting < estimate:
                         estimate = posting
@@ -177,9 +178,9 @@ class JoinPlan:
         order = tuple(chosen)
         self._orders[key] = [
             order,
-            tuple(store.relation_size(spec.relation)
+            tuple(instance.relation_size(spec.relation)
                   for spec in self.specs),
-            id(store), store.generation]
+            id(instance), instance.generation]
         return order
 
     # ------------------------------------------------------------------
@@ -215,7 +216,7 @@ class JoinPlan:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(self, store: FactStore,
+    def execute(self, instance: Instance,
                 partial: Optional[Mapping[Variable, GroundTerm]] = None,
                 pin_index: Optional[int] = None,
                 pin_entries: Optional[Assignment] = None,
@@ -224,10 +225,10 @@ class JoinPlan:
                 project: Optional[Tuple[Variable, ...]] = None,
                 partial_ids: Optional[Mapping[Variable, int]] = None
                 ) -> Iterator[Assignment]:
-        """Enumerate homomorphisms of the compiled body into ``store``.
+        """Enumerate homomorphisms of the compiled body into ``instance``.
 
         ``partial`` pre-binds variables to terms, ``partial_ids`` to
-        interned ids of ``store``'s term table (the trigger index's
+        interned ids of ``instance``'s term table (the trigger index's
         head checks hold their frontier as ids already);
         ``pin_index``/``pin_entries`` (from :meth:`pin_binding`) exclude
         one atom whose bindings were already unified against a delta
@@ -248,7 +249,7 @@ class JoinPlan:
         after each extension -- returning True abandons the subtree --
         and terms are decoded only at yield.
 
-        Candidate rows come from the store's id-level ``scan``; a
+        Candidate rows come from the instance's id-level ``scan``; a
         suspended enumeration keeps consistent snapshots of the access
         path, so yields that outlive later mutations must be
         re-validated by the caller (the trigger index does).
@@ -260,7 +261,7 @@ class JoinPlan:
         """
         if OBS.enabled:
             OBS.inc("plan.executions")
-        table = store.terms
+        table = instance.terms
         intern = table.intern
         term_of = table.term
         binding_ids: Dict[Variable, int] = (
@@ -290,19 +291,19 @@ class JoinPlan:
         if not specs or (len(specs) == 1 and pin_index is not None):
             yield emit()
             return
-        scan = store.scan
+        scan = instance.scan
 
         # Fully-bound fast path: every plan variable is already bound,
         # so the join degenerates into one id-level containment probe
         # per atom (the shape of head-extension checks on full
-        # frontiers -- O(1) row_of lookups in the fact store).
+        # frontiers -- O(1) row_of lookups in the instance).
         if all(var in binding_ids for var in self.variables):
             for index, spec in enumerate(specs):
                 if index == pin_index:
                     continue
                 ids = tuple(binding_ids[arg] if isinstance(arg, Variable)
                             else intern(arg) for arg in spec.args)
-                if not store.has_row(spec.relation, spec.arity, ids):
+                if not instance.has_row(spec.relation, spec.arity, ids):
                     return
             yield emit()
             return
@@ -362,7 +363,7 @@ class JoinPlan:
 
         prebound = frozenset(var for var in binding_ids
                              if var in self.variables)
-        order = self.order_for(store, prebound, pin_index)
+        order = self.order_for(instance, prebound, pin_index)
         last = len(order) - 1
         produced = 0
         # Ground argument ids are interned once per execution.

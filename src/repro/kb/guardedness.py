@@ -13,7 +13,7 @@ applies (Corollary 1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 from repro.lang.atoms import Atom, occurrences, Position
 from repro.lang.constraints import Constraint, TGD

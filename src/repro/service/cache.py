@@ -31,10 +31,10 @@ The service cache has three compartments:
   plan or fingerprint.  Sized like **results**: a disabled result
   cache disables the memo too.
 
-Each compartment is bounded by its entry count and reports the
-encoded size of what it holds as ``bytes`` in :meth:`stats`: a
-result's reply text, a spec entry's JSON, a report's rendered
-constraint set.
+Each compartment is bounded by its entry count, **reports** by the
+fixed :data:`REPORT_SIZE`, and reports the encoded size of what it
+holds as ``bytes`` in :meth:`stats`: a result's reply text, a spec
+entry's JSON, a report's rendered constraint set.
 
 Unlike the process-wide ``functools.lru_cache`` memo inside
 :func:`repro.termination.report.analyze`, these caches are owned by a
@@ -138,14 +138,17 @@ class LRUCache:
         return f"LRUCache({self.stats()})"
 
 
+#: Termination reports a :class:`ServiceCache` keeps.
+REPORT_SIZE = 128
+
+
 class ServiceCache:
     """The three-compartment cache a scheduler (or server) owns."""
 
-    def __init__(self, result_size: int = 256,
-                 report_size: int = 128) -> None:
+    def __init__(self, result_size: int = 256) -> None:
         self.results = LRUCache(result_size, metric="results",
                                 weigh=_result_bytes)
-        self.reports = LRUCache(report_size, metric="reports",
+        self.reports = LRUCache(REPORT_SIZE, metric="reports",
                                 weigh=_report_bytes)
         self.specs = LRUCache(result_size, metric="specs",
                               weigh=_spec_bytes)

@@ -75,17 +75,15 @@ class RequestError(ReproError):
     """A structured request rejection any transport can map.
 
     ``code`` is a stable machine-readable discriminator (the
-    ``error`` field of the reply payload), ``http_status`` the status
-    the HTTP transport should use, ``kind`` the request kind when the
-    dispatch-table lookup got far enough to know it.
+    ``error`` field of the reply payload), ``kind`` the request kind
+    when the dispatch-table lookup got far enough to know it.  The
+    HTTP transport answers every one with 400.
     """
 
     def __init__(self, reason: str, *, code: str = "bad_request",
-                 http_status: int = 400,
                  kind: Optional[str] = None) -> None:
         super().__init__(reason)
         self.code = code
-        self.http_status = http_status
         self.kind = kind
 
 

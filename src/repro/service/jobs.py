@@ -53,7 +53,8 @@ from repro.lang.parser import (_render_constraint_body, parse_atoms,
                                render_constraints, render_query)
 from repro.lang.terms import NullFactory
 from repro.obs import trace as _trace
-from repro.service.serialize import (canonical_facts, decode_atom, dumps,
+from repro.service.serialize import (canonical_facts, decode_atom,
+                                     decode_instance, dumps,
                                      encode_facts, encode_instance,
                                      encode_term, raw, WireError)
 from repro.storage.interning import TermTable
@@ -108,7 +109,7 @@ def instance_fingerprint(instance: Instance) -> str:
     taken over both the id-level fact rows *and* the id -> term
     decoding table -- so the fingerprint depends on exactly the
     instance content, never on insertion order or interning history
-    of the live store.
+    of the live instance.
     """
     table = TermTable()
     rows: List[list] = []
@@ -133,7 +134,9 @@ def resolve_strategy(spec: Optional[str],
     inductive restriction do not certify gets Theorem 2's stratum
     order; every other set keeps the default round-robin (returns
     None), which terminates when one of those classes or a T[k] level
-    holds and otherwise must be bounded by budgets.
+    holds and otherwise must be bounded by budgets.  Any other spec
+    raises a :class:`~repro.lang.errors.ReproError` naming it, which
+    fails the job with a one-line reason.
     """
     if spec is None or spec == "auto":
         from repro.termination.report import analyze
@@ -144,11 +147,16 @@ def resolve_strategy(spec: Optional[str],
     if name == "round_robin":
         return RoundRobinStrategy()
     if name == "random":
-        return RandomStrategy(seed=int(arg) if arg else 0)
+        try:
+            seed = int(arg) if arg else 0
+        except ValueError:
+            raise ReproError(f"strategy spec {spec!r}: the random seed "
+                             "must be an integer") from None
+        return RandomStrategy(seed=seed)
     if name == "stratified":
         from repro.termination.stratification import stratified_strategy
         return stratified_strategy(sigma)
-    raise ValueError(f"unknown strategy spec {spec!r} "
+    raise ReproError(f"unknown strategy spec {spec!r} "
                      f"(expected one of {_STRATEGY_NAMES})")
 
 
@@ -157,8 +165,11 @@ def decode_spec_instance(raw_instance) -> Instance:
     identifiers are constants, ``?n7`` nulls) or the wire dict of
     :func:`repro.service.serialize.encode_instance`."""
     if isinstance(raw_instance, dict):
-        return Instance(decode_atom(fact) for fact in raw_instance["facts"])
-    return Instance(parse_atoms(raw_instance, instance_mode=True))
+        return decode_instance(raw_instance)
+    if isinstance(raw_instance, str):
+        return Instance(parse_atoms(raw_instance, instance_mode=True))
+    raise WireError(f"instance must be instance text or a fact dict, "
+                    f"got {raw_instance!r}")
 
 
 def check_spec_schema(sigma, instance: Instance, *extra_atoms) -> None:
@@ -397,8 +408,12 @@ class ChaseJob:
         except KeyError as missing:
             raise WireError(f"{'query job' if is_query else 'job'} spec "
                             f"misses key {missing}") from None
-        if isinstance(constraints, (list, tuple)):
+        if isinstance(constraints, (list, tuple)) \
+                and all(isinstance(line, str) for line in constraints):
             constraints = "\n".join(constraints)
+        elif not isinstance(constraints, str):
+            raise WireError(f"constraints must be constraint text or a "
+                            f"list of strings, got {constraints!r}")
         if is_query and not isinstance(query_text, str):
             raise WireError(f"query must be query text, got {query_text!r}")
         sigma = tuple(parse_constraints(constraints))
@@ -621,8 +636,8 @@ def execute_job(job: ChaseJob,
     answers instead.
 
     Deterministic by construction: a private null factory (labels
-    restart at 1 per job), seeded strategies and a fact store that
-    scans in insertion order, never in hash order, mean the encoded
+    restart at 1 per job), seeded strategies and instances that
+    scan in insertion order, never in hash order, mean the encoded
     result depends only on the job content -- the same bytes in any
     process and under any string-hash seed.  This is the invariant
     behind both the fingerprint cache and the parallel-vs-sequential

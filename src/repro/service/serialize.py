@@ -2,9 +2,9 @@
 
 Everything that crosses a process boundary in the service layer does
 so as plain JSON-able data produced here -- worker processes never
-pickle live ``Instance``/``ChaseResult`` objects (their fact stores
-carry listeners, posting lists and interning tables that have no
-business on a wire).  The encoding is *stable*: encoding the same
+pickle live ``Instance``/``ChaseResult`` objects (instances carry
+listeners, posting lists and interning tables that have no business
+on a wire).  The encoding is *stable*: encoding the same
 content always yields the same bytes (facts are emitted in a canonical
 sort order), which is what makes the encodings usable as fingerprint
 payloads (:func:`repro.service.jobs.instance_fingerprint`).
@@ -38,6 +38,7 @@ it.
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, List, Optional, Sequence
 
@@ -64,15 +65,26 @@ def encode_term(term: GroundTerm) -> list:
 
 
 def decode_term(payload: Any) -> GroundTerm:
+    """The inverse of :func:`encode_term`, refusing anything it does
+    not write: a constant is a string, a boolean or a finite number, a
+    null label an integer, each of the exact type ``json`` decodes it
+    to."""
     # The isinstance guard matters: bare strings like "c7" would also
     # unpack into two characters and decode silently wrong.
     if not isinstance(payload, (list, tuple)) or len(payload) != 2:
         raise WireError(f"malformed term payload {payload!r}")
     tag, value = payload
+    kind = type(value)
     if tag == "c":
-        return Constant(value)
+        if kind in (str, bool, int) or (kind is float
+                                        and math.isfinite(value)):
+            return Constant(value)
+        raise WireError(f"constant must be a string, a boolean or a "
+                        f"finite number, got {value!r}")
     if tag == "n":
-        return Null(int(value))
+        if kind is int:
+            return Null(value)
+        raise WireError(f"null label must be an integer, got {value!r}")
     raise WireError(f"unknown term tag {tag!r}")
 
 
@@ -80,7 +92,7 @@ def decode_atom(payload: Any) -> Atom:
     if not isinstance(payload, (list, tuple)) or len(payload) != 2:
         raise WireError(f"malformed atom payload {payload!r}")
     relation, args = payload
-    if not isinstance(args, (list, tuple)):
+    if not isinstance(relation, str) or not isinstance(args, (list, tuple)):
         raise WireError(f"malformed atom payload {payload!r}")
     return Atom(relation, tuple(decode_term(arg) for arg in args))
 
@@ -190,6 +202,7 @@ def encode_instance(instance: Instance) -> dict:
 
 def decode_instance(payload: dict) -> Instance:
     """Rebuild an instance from :func:`encode_instance`'s dict."""
-    if not isinstance(payload, dict) or "facts" not in payload:
+    if not isinstance(payload, dict) \
+            or not isinstance(payload.get("facts"), list):
         raise WireError(f"malformed instance payload {payload!r}")
     return Instance(decode_atom(fact) for fact in payload["facts"])

@@ -1,12 +1,11 @@
-"""Fact storage: term interning and the columnar fact store.
+"""Term interning: the dense integer ids the engine works over.
 
-The storage layer sits below :mod:`repro.lang.instance` -- an
-``Instance`` is a thin facade over one :class:`FactStore`, which keeps
-per-relation columns of interned term ids with array-backed posting
-lists, the access paths of the compiled join plans.
+Every :class:`repro.lang.instance.Instance` interns its constants and
+nulls in one :class:`TermTable`; its columns, posting lists and the
+compiled join plans of :mod:`repro.homomorphism.plan` then compare
+plain ints instead of hashing term objects.
 """
 
-from repro.storage.interning import TermId, TermTable
-from repro.storage.store import FactId, FactStore
+from repro.storage.interning import TermTable
 
-__all__ = ["FactId", "FactStore", "TermId", "TermTable"]
+__all__ = ["TermTable"]

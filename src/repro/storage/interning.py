@@ -1,10 +1,10 @@
 """Term interning: dense integer ids for constants and labeled nulls.
 
 Every :class:`~repro.lang.terms.Constant` and
-:class:`~repro.lang.terms.Null` that enters a fact store is assigned a
-dense integer id by a :class:`TermTable`.  Downstream machinery -- the
-fact store's posting lists, the compiled join plans of
-:mod:`repro.homomorphism.plan`, the trigger-key and
+:class:`~repro.lang.terms.Null` that enters an instance is assigned a
+dense integer id by the instance's :class:`TermTable`.  Downstream
+machinery -- the instance's columns and posting lists, the compiled
+join plans of :mod:`repro.homomorphism.plan`, the trigger-key and
 satisfied-frontier caches of :class:`repro.chase.triggers.TriggerIndex`
 -- then works over plain ``int`` comparisons instead of hashing boxed
 term objects, decoding back to terms only at result boundaries.

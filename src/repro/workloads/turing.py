@@ -16,8 +16,8 @@ of course, is a theorem, not a test).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.lang.atoms import Atom
 from repro.lang.constraints import Constraint, TGD

@@ -114,9 +114,9 @@ class TestPlanUnits:
     def test_order_cached_per_signature(self):
         inst = parse_instance("E(a,b). E(b,c). S(a)")
         plan = JoinPlan([Atom("E", (x, y)), Atom("S", (x,))])
-        first = plan.order_for(inst.store, frozenset())
-        assert plan.order_for(inst.store, frozenset()) is first
-        pinned = plan.order_for(inst.store, frozenset(), pin=0)
+        first = plan.order_for(inst, frozenset())
+        assert plan.order_for(inst, frozenset()) is first
+        pinned = plan.order_for(inst, frozenset(), pin=0)
         assert pinned == (1,)
 
     def test_order_prefers_selective_relation(self):
@@ -124,7 +124,7 @@ class TestPlanUnits:
         # starts at the smaller relation.
         inst = parse_instance("E(a,b). E(b,c). E(c,a). S(a)")
         plan = JoinPlan([Atom("E", (x, y)), Atom("S", (x,))])
-        assert plan.order_for(inst.store, frozenset()) == (1, 0)
+        assert plan.order_for(inst, frozenset()) == (1, 0)
 
     def test_pin_binding_rejects_mismatches(self):
         plan = JoinPlan([Atom("E", (x, x)), Atom("E", (a, y))])
@@ -155,10 +155,10 @@ class TestPlanUnits:
     def test_partial_ids_bind_like_partial_terms(self):
         inst = parse_instance("E(a,b). E(b,c). E(a,c). E(c,a)")
         plan = compile_plan((Atom("E", (x, y)), Atom("E", (y, z))))
-        ids = {x: inst.store.terms.intern(a)}
-        assert _freeze(plan.execute(inst.store, partial_ids=ids)) == \
-            _freeze(plan.execute(inst.store, partial={x: a}))
-        assert list(plan.execute(inst.store, partial_ids=ids, limit=1,
+        ids = {x: inst.terms.intern(a)}
+        assert _freeze(plan.execute(inst, partial_ids=ids)) == \
+            _freeze(plan.execute(inst, partial={x: a}))
+        assert list(plan.execute(inst, partial_ids=ids, limit=1,
                                  project=())) == [()]
 
     def test_projected_multi_pin_yields_each_trigger_once(self):
@@ -173,7 +173,7 @@ class TestPlanUnits:
         variables = compile_plan(tuple(pattern)).variable_order
         assert variables == (a1, a2, n)
         inst = Instance(facts)
-        ids = inst.store.terms.intern
+        ids = inst.terms.intern
         expected = sorted((ids(h[a1]), ids(h[a2]), ids(h[n]))
                           for h in reference_find_homomorphisms_through(
                               pattern, inst, delta))
@@ -220,7 +220,7 @@ class TestPlanUnits:
         pattern = [Atom("E", (x, y)), Atom("S", (u,))]
 
         plan = compile_plan(tuple(pattern))
-        a_id = inst.term_table.intern(a)
+        a_id = inst.terms.intern(a)
 
         def make_prune(declare):
             def prune(binding):
@@ -229,8 +229,8 @@ class TestPlanUnits:
                 prune.depends_on = frozenset((x,))
             return prune
 
-        plain = list(plan.execute(inst.store, prune=make_prune(False)))
-        declared = list(plan.execute(inst.store, prune=make_prune(True)))
+        plain = list(plan.execute(inst, prune=make_prune(False)))
+        declared = list(plan.execute(inst, prune=make_prune(True)))
         assert _freeze(plain) == _freeze(declared)
         assert declared and all(h[x] != a for h in declared)
 
@@ -240,53 +240,53 @@ class TestStaleStatisticsInvalidation:
     past it (regression: orders used to be cached forever with the
     sizes observed at first use)."""
 
-    def _plan_and_store(self, n_s, n_e):
+    def _plan_and_instance(self, n_s, n_e):
         facts = [Atom("S", (Constant(f"s{i}"),)) for i in range(n_s)]
         facts += [Atom("E", (Constant(f"e{i}"), Constant(f"e{i+1}")))
                   for i in range(n_e)]
-        store = Instance(facts).store
-        return JoinPlan([Atom("S", (x,)), Atom("E", (x, y))]), store
+        return JoinPlan([Atom("S", (x,)), Atom("E", (x, y))]), \
+            Instance(facts)
 
     def test_pathological_stale_order_is_recomputed(self):
         # Decision time: S holds 1 fact, E holds 100 -> scan S first.
-        plan, store = self._plan_and_store(1, 100)
-        assert plan.order_for(store, frozenset()) == (0, 1)
+        plan, inst = self._plan_and_instance(1, 100)
+        assert plan.order_for(inst, frozenset()) == (0, 1)
         # The chase then grows S far past E (a >4x shift): the cached
         # order would now enumerate 800 S facts per execution when
         # starting from E costs 100.  The generation-aware cache must
         # flip it.
         for i in range(800):
-            store.add(Atom("S", (Constant(f"grown{i}"),)))
-        assert plan.order_for(store, frozenset()) == (1, 0)
+            inst.add(Atom("S", (Constant(f"grown{i}"),)))
+        assert plan.order_for(inst, frozenset()) == (1, 0)
 
     def test_small_shifts_keep_the_cached_order(self):
-        plan, store = self._plan_and_store(10, 40)
-        first = plan.order_for(store, frozenset())
+        plan, inst = self._plan_and_instance(10, 40)
+        first = plan.order_for(inst, frozenset())
         assert first == (0, 1)
         # Growth within 4x of the decision-time snapshot: same order
         # object, no recompute (the tie could legitimately flip at
         # exactly equal sizes, but the rule is cheap stability).
         for i in range(25):
-            store.add(Atom("S", (Constant(f"g{i}"),)))
-        assert plan.order_for(store, frozenset()) is first
+            inst.add(Atom("S", (Constant(f"g{i}"),)))
+        assert plan.order_for(inst, frozenset()) is first
 
     def test_shrink_also_invalidates(self):
-        plan, store = self._plan_and_store(64, 8)
-        assert plan.order_for(store, frozenset()) == (1, 0)
-        for fact in list(store.facts("E"))[:6]:
-            store.discard(fact)
-        assert plan.order_for(store, frozenset()) == (1, 0)  # 8->2: 4x ok
-        victim = next(iter(store.facts("E")))
-        store.discard(victim)
-        assert plan.order_for(store, frozenset()) == (1, 0)  # still E first
+        plan, inst = self._plan_and_instance(64, 8)
+        assert plan.order_for(inst, frozenset()) == (1, 0)
+        for fact in list(inst.facts("E"))[:6]:
+            inst.discard(fact)
+        assert plan.order_for(inst, frozenset()) == (1, 0)  # 8->2: 4x ok
+        victim = next(iter(inst.facts("E")))
+        inst.discard(victim)
+        assert plan.order_for(inst, frozenset()) == (1, 0)  # still E first
 
-    def test_unchanged_generation_is_a_fast_path(self):
-        plan, store = self._plan_and_store(3, 9)
-        first = plan.order_for(store, frozenset())
+    def test_unchanged_generation_is_a_fast_path(self, monkeypatch):
+        plan, inst = self._plan_and_instance(3, 9)
+        first = plan.order_for(inst, frozenset())
         calls = []
-        original = store.relation_size
-        store.relation_size = lambda rel: (calls.append(rel),
-                                           original(rel))[1]
-        assert plan.order_for(store, frozenset()) is first
+        original = Instance.relation_size
+        monkeypatch.setattr(Instance, "relation_size",
+                            lambda self, rel: (calls.append(rel),
+                                               original(self, rel))[1])
+        assert plan.order_for(inst, frozenset()) is first
         assert calls == []      # no statistics were consulted
-        store.relation_size = original

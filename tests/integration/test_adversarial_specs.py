@@ -111,21 +111,42 @@ def test_duplicate_relation_arities_are_a_structured_error():
 # ----------------------------------------------------------------------
 # repro serve: one structured error payload per bad line, loop survives
 # ----------------------------------------------------------------------
+def facts(*terms):
+    """A wire instance of unary ``S`` facts over ``terms``."""
+    return {"facts": [["S", [term]] for term in terms]}
+
+
+#: Spec fields of the wrong shape: each is an ``invalid_spec``.
+MALFORMED_FIELDS = [
+    {"instance": {}}, {"instance": 5}, {"instance": {"facts": 5}},
+    {"constraints": 5}, {"constraints": ["S(x) -> T(x)", 5]},
+    {"instance": facts(["n", "x"])}, {"instance": facts(["c", [1]])},
+    {"instance": facts(["c", None])}, {"instance": facts(["n", True])},
+    {"instance": facts(["c", float("nan")], ["c", float("nan")])},
+    {"instance": {"facts": [[5, [["c", "a"]]]]}},
+]
+
+
 def test_serve_survives_adversarial_requests(monkeypatch, capsys):
-    replies = serve_lines(monkeypatch, capsys, [
+    bad = [
         "not json at all",
         json.dumps(["a", "list"]),
         json.dumps({**GOOD, "kind": "bogus"}),
         json.dumps({**GOOD, "max_steps": -5}),
         json.dumps({**GOOD, "query": 17}),
+        json.dumps({**GOOD, "strategy": "bogus"}),
+    ] + [json.dumps({**GOOD, **fields}) for fields in MALFORMED_FIELDS]
+    replies = serve_lines(monkeypatch, capsys, bad + [
         json.dumps({**GOOD, "name": "ok"}),          # sanity: still serves
         "quit",
     ])
-    assert len(replies) == 6
-    for reply in replies[:5]:
+    assert len(replies) == len(bad) + 1
+    for reply in replies[:-1]:
         assert reply["status"] == "error"
         assert "Traceback" not in reply["failure_reason"]
-    assert replies[5]["status"] == "terminated"
+    for reply in replies[-len(MALFORMED_FIELDS) - 1:-1]:
+        assert reply["error"] == "invalid_spec", reply
+    assert replies[-1]["status"] == "terminated"
 
 
 def test_serve_negative_budget_error_names_the_knob(monkeypatch, capsys):

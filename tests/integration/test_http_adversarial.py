@@ -25,6 +25,23 @@ from repro.service.http import HttpGateway
 GOOD = {"constraints": "S(x) -> E(x, y)", "instance": "S(a)."}
 
 
+def facts(*terms):
+    """A wire instance of unary ``S`` facts over ``terms``."""
+    return {"facts": [["S", [term]] for term in terms]}
+
+
+#: Spec fields of the wrong shape (``test_adversarial_specs.py`` sends
+#: the same through ``repro serve``): each is a 400 ``invalid_spec``.
+MALFORMED_FIELDS = [
+    {"instance": {}}, {"instance": 5}, {"instance": {"facts": 5}},
+    {"constraints": 5}, {"constraints": ["S(x) -> T(x)", 5]},
+    {"instance": facts(["n", "x"])}, {"instance": facts(["c", [1]])},
+    {"instance": facts(["c", None])}, {"instance": facts(["n", True])},
+    {"instance": facts(["c", float("nan")], ["c", float("nan")])},
+    {"instance": {"facts": [[5, [["c", "a"]]]]}},
+]
+
+
 @contextlib.asynccontextmanager
 async def gateway(**kw):
     scheduler = BatchScheduler(workers=1,
@@ -215,19 +232,22 @@ def test_unknown_paths_methods_and_bodies():
     async def main():
         async with gateway() as gw:
             cases = [
-                (plain(path="/../../etc/passwd"), 404),
-                (plain(method="DELETE", path="/jobs"), 405),
-                (plain(method="PUT", path="/stats"), 405),
-                (plain(body=b"\xde\xad\xbe\xef"), 400),   # binary body
-                (plain(body=b'"just a string"'), 400),    # non-object
-                (plain(body=b"[1, 2, 3]"), 400),          # array
+                (plain(path="/../../etc/passwd"), 404, None),
+                (plain(method="DELETE", path="/jobs"), 405, None),
+                (plain(method="PUT", path="/stats"), 405, None),
+                (plain(body=b"\xde\xad\xbe\xef"), 400, None),   # binary
+                (plain(body=b'"just a string"'), 400, None),  # non-object
+                (plain(body=b"[1, 2, 3]"), 400, None),        # array
                 (plain(body=json.dumps(
-                    {**GOOD, "kind": "bogus"}).encode()), 400),
-            ]
-            for raw_bytes, expected in cases:
+                    {**GOOD, "kind": "bogus"}).encode()), 400, None),
+            ] + [(plain(body=json.dumps({**GOOD, **fields}).encode()), 400,
+                  "invalid_spec") for fields in MALFORMED_FIELDS]
+            for raw_bytes, expected, code in cases:
                 raw = await exchange(gw.port, raw_bytes, eof_after=False)
-                status, _ = status_and_error(raw)
+                status, payload = status_and_error(raw)
                 assert status == expected, raw_bytes[:40]
+                if code is not None:
+                    assert payload["error"] == code, raw_bytes
             await still_serving(gw.port)
     asyncio.run(main())
 

@@ -156,18 +156,18 @@ class TestIndexHygiene:
         inst = Instance([Atom("E", (a, b)), Atom("S", (a,))])
         inst.discard(Atom("E", (a, b)))
         # b's entry goes; a keeps only the position it still holds.
-        table = inst.store.terms
-        assert inst.store._term_pos == {table.id_of(a): {("S", 0): 1}}
+        table = inst.terms
+        assert inst._term_pos == {table.id_of(a): {("S", 0): 1}}
         inst.discard(Atom("S", (a,)))
-        assert inst.store._term_pos == {}
+        assert inst._term_pos == {}
         assert inst.relations() == set()
 
     def test_substitute_leaves_no_stale_term_entries(self):
         inst = Instance([Atom("E", (a, n1)), Atom("E", (n1, b))])
         inst.substitute_term(n1, c)
-        table = inst.store.terms
-        assert table.id_of(n1) not in inst.store._term_pos
-        assert inst.store._term_pos[table.id_of(c)] == \
+        table = inst.terms
+        assert table.id_of(n1) not in inst._term_pos
+        assert inst._term_pos[table.id_of(c)] == \
             {("E", 0): 1, ("E", 1): 1}
         assert inst.positions_of(n1) == set()
 

@@ -1,6 +1,7 @@
 """ChaseJob specs, content fingerprints and in-process execution."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from repro.chase import ChaseStatus
 from repro.chase.strategies import (OrderedStrategy, RandomStrategy,
                                     RoundRobinStrategy, StratifiedStrategy)
 from repro.lang.atoms import Atom
+from repro.lang.errors import ReproError
 from repro.lang.instance import Instance
 from repro.lang.parser import parse_constraints
 from repro.lang.terms import Constant
@@ -187,8 +189,9 @@ def test_resolve_strategy_names():
     assert isinstance(resolve_strategy("round_robin", sigma),
                       RoundRobinStrategy)
     assert isinstance(resolve_strategy("random:7", sigma), RandomStrategy)
-    with pytest.raises(ValueError):
-        resolve_strategy("simulated_annealing", sigma)
+    for spec in ("simulated_annealing", "random:abc", "['ordered']"):
+        with pytest.raises(ReproError, match=re.escape(repr(spec))):
+            resolve_strategy(spec, sigma)
 
 
 def test_resolve_auto_uses_the_termination_report():

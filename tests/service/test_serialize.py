@@ -66,6 +66,17 @@ def test_malformed_payloads_raise_wire_error():
         decode_atom({"relation": "S"})
     with pytest.raises(WireError):
         decode_instance(["not", "a", "dict"])
+    # Only what encode_term writes: string relation names, constants
+    # that are strings, booleans or finite numbers, integer labels.
+    for term in (["n", "x"], ["n", True], ["n", 1.0], ["c", [1]],
+                 ["c", None], ["c", float("nan")], ["c", float("inf")]):
+        with pytest.raises(WireError):
+            decode_term(term)
+    with pytest.raises(WireError):
+        decode_atom([5, [["c", "a"]]])
+    for payload in ({}, {"facts": 5}, {"facts": "S(a)"}):
+        with pytest.raises(WireError):
+            decode_instance(payload)
     with pytest.raises(WireError):
         encode_term(Variable("x"))
     with pytest.raises(WireError):

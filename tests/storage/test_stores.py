@@ -1,14 +1,15 @@
-"""Fact-store tests: the store against a brute-force model.
+"""Instance storage tests: an instance against a brute-force model.
 
-The model is a plain Python set of atoms plus the bookkeeping the
-store promises on top of set semantics: first-insertion fact ids,
+The model is a plain Python set of atoms plus the bookkeeping an
+instance promises on top of set semantics: first-insertion fact ids,
 last-insertion row order (the order ``scan`` yields in) and the
 listener events each mutation must emit.  Seeded sequences of
-``add``, ``discard`` and ``substitute_term`` drive store and model
+``add``, ``discard`` and ``substitute_term`` drive instance and model
 alike, with enough removals to compact buckets, and every query of
-the store is compared with what the set answers.  The chase itself is
-cross-validated against the naive chase, and its terminated results
-are checked to be models by the reference search.
+the instance -- ``copy()`` included -- is compared with what the set
+answers.  The chase itself is cross-validated against the naive
+chase, and its terminated results are checked to be models by the
+reference search.
 """
 
 import random
@@ -22,11 +23,9 @@ from repro.homomorphism.engine import (find_homomorphisms,
 from repro.homomorphism.extend import all_satisfied
 from repro.lang.atoms import Atom, Position
 from repro.lang.errors import SchemaError
-from repro.lang.instance import Instance
+from repro.lang.instance import _Bucket, _COMPACT_MIN_DEAD, Instance
 from repro.lang.parser import parse_constraints, parse_instance
 from repro.lang.terms import Constant, Null, Variable
-from repro.storage import FactStore
-from repro.storage.store import _Bucket, _COMPACT_MIN_DEAD
 from repro.workloads.generators import (random_constraint_set,
                                         random_full_tgds,
                                         random_graph_instance,
@@ -42,7 +41,7 @@ n1, n2 = Null(901), Null(902)
 # The brute-force model
 # ----------------------------------------------------------------------
 class SetModel:
-    """What the store must answer, computed from a set of atoms."""
+    """What an instance must answer, computed from a set of atoms."""
 
     def __init__(self):
         #: live facts, in last-insertion order (a dict keeps it)
@@ -98,7 +97,7 @@ class SetModel:
                         for position, term in bindings.items())]
 
     def positions(self, term):
-        return {(fact.relation, index) for fact in self.live
+        return {Position(fact.relation, index + 1) for fact in self.live
                 for index, arg in enumerate(fact.args) if arg == term}
 
     def domain(self):
@@ -120,22 +119,35 @@ class EventLog:
 SHAPES = (("E", 2), ("S", 1), ("P", 0), ("R", 1), ("R", 2), ("T", 3))
 
 
-def check_store(store, model, terms):
-    """Every store query against the model."""
-    assert len(store) == len(model.live)
-    assert list(store) == model.in_id_order()
-    assert store.generation == model.generation
-    assert store.relations() == {fact.relation for fact in model.live}
-    assert store.domain() == model.domain()
+def check_instance(inst, model, terms):
+    """The instance-level queries against the model, and ``copy()``:
+    an equal instance with the same fact order and no listeners."""
+    domain = model.domain()
+    assert inst.domain() == domain
+    assert inst.constants() == {t for t in domain if isinstance(t, Constant)}
+    assert inst.nulls() == {t for t in domain if isinstance(t, Null)}
+    for term in terms:
+        assert inst.positions_of(term) == model.positions(term)
+    clone = inst.copy()
+    assert clone == inst and list(clone) == model.in_id_order()
+    assert clone._listeners == []
+
+
+def check_store(inst, model, terms):
+    """Every query of the instance against the model."""
+    check_instance(inst, model, terms)
+    assert len(inst) == len(model.live)
+    assert list(inst) == model.in_id_order()
+    assert inst.generation == model.generation
+    assert inst.relations() == {fact.relation for fact in model.live}
     for relation in {name for name, _ in SHAPES}:
         live = {fact for fact in model.live if fact.relation == relation}
-        assert store.facts(relation) == live
-        assert store.relation_size(relation) == len(live)
-    id_of = store.terms.id_of
+        assert inst.facts(relation) == live
+        assert inst.relation_size(relation) == len(live)
+    id_of = inst.terms.id_of
     for term in terms:
-        assert store.term_positions(term) == model.positions(term)
-        assert store.facts_with_term(term) == model.with_term(term)
-        assert store.matching("E", {0: term}) == model.matching("E", {0: term})
+        assert inst.facts_with_term(term) == model.with_term(term)
+        assert inst.matching("E", {0: term}) == model.matching("E", {0: term})
         tid = id_of(term)
         for relation, arity in SHAPES:
             for position in range(arity):
@@ -143,29 +155,29 @@ def check_store(store, model, terms):
                 if tid is None:
                     assert count == 0
                 else:
-                    assert store.posting_size(relation, position,
-                                              tid) >= count
+                    assert inst.posting_size(relation, position,
+                                             tid) >= count
     for fact, fid in model.ids.items():
-        assert store.fact_id(fact) == fid
-        assert store.fact_of(fid) == fact
+        assert inst.fact_id(fact) == fid
+        assert inst.fact_of(fid) == fact
         live = fact in model.live
-        assert store.alive(fid) is live
-        assert (fact in store) is live
+        assert inst.alive(fid) is live
+        assert (fact in inst) is live
         ids = tuple(id_of(term) for term in fact.args)
-        assert store.has_row(fact.relation, fact.arity, ids) is live
-        assert store.row_fid(fact.relation, fact.arity, ids) == \
+        assert inst.has_row(fact.relation, fact.arity, ids) is live
+        assert inst.row_fid(fact.relation, fact.arity, ids) == \
             (fid if live else None)
-        assert store.matching(fact.relation, dict(enumerate(fact.args))) == \
+        assert inst.matching(fact.relation, dict(enumerate(fact.args))) == \
             model.matching(fact.relation, dict(enumerate(fact.args)))
-    assert list(store.live_fids()) == [model.ids[fact]
-                                       for fact in model.in_id_order()]
+    assert list(inst.live_fids()) == [model.ids[fact]
+                                      for fact in model.in_id_order()]
 
 
-def check_scans(store, model, rng, terms):
+def check_scans(inst, model, rng, terms):
     """Decoded scans, with zero, one and every position bound, in row
     order."""
-    term_of = store.terms.term
-    id_of = store.terms.id_of
+    term_of = inst.terms.term
+    id_of = inst.terms.id_of
     for relation, arity in SHAPES:
         patterns = [{}]
         patterns += [{position: rng.choice(terms)}
@@ -182,7 +194,7 @@ def check_scans(store, model, rng, terms):
                 assert expected == []
                 continue
             decoded = [tuple(term_of(tid) for tid in row)
-                       for row in store.scan(relation, arity, bound)]
+                       for row in inst.scan(relation, arity, bound)]
             assert decoded == expected, (relation, bindings)
 
 
@@ -192,31 +204,31 @@ def random_fact(rng, terms):
 
 
 def drive(seed, steps=900):
-    """A seeded add/discard/substitute sequence on store and model:
+    """A seeded add/discard/substitute sequence on instance and model:
     a fill phase, a drain phase that crosses the compaction threshold,
     then a mixed phase.  Yields after every step."""
     rng = random.Random(seed)
     terms = [Constant(f"c{i}") for i in range(10)] + \
         [Null(i) for i in range(1, 7)] + [Constant(7)]
-    store, model, log = FactStore(), SetModel(), EventLog()
-    store.add_listener(log)
+    inst, model, log = Instance(), SetModel(), EventLog()
+    inst.add_listener(log)
     for step in range(steps):
         phase = step * 3 // steps
         roll = rng.random()
         if roll < 0.06:
             old, new = rng.choice(terms), rng.choice(terms)
-            assert store.substitute_term(old, new) == \
+            assert inst.substitute_term(old, new) == \
                 model.substitute(old, new)
         elif roll < (0.85, 0.2, 0.5)[phase]:
             fact = random_fact(rng, terms)
-            assert store.add(fact) == model.add(fact)
+            assert inst.add(fact) == model.add(fact)
         else:
             live = list(model.live)
             fact = (rng.choice(live) if live and rng.random() < 0.9
                     else random_fact(rng, terms))
-            assert store.discard(fact) == model.discard(fact)
+            assert inst.discard(fact) == model.discard(fact)
         assert log.events == model.events
-        yield store, model, terms
+        yield inst, model, terms
 
 
 class TestModelSequences:
@@ -228,32 +240,34 @@ class TestModelSequences:
             _Bucket, "compact",
             lambda bucket: compactions.append(bucket.dead)
             or compact(bucket))
-        for step, (store, model, terms) in enumerate(drive(seed)):
+        for step, (inst, model, terms) in enumerate(drive(seed)):
             if step % 25 == 0:
-                check_store(store, model, terms)
-                check_scans(store, model, random.Random(step), terms)
-        check_store(store, model, terms)
-        check_scans(store, model, random.Random(seed), terms)
+                check_store(inst, model, terms)
+                check_scans(inst, model, random.Random(step), terms)
+            else:
+                check_instance(inst, model, terms)
+        check_store(inst, model, terms)
+        check_scans(inst, model, random.Random(seed), terms)
         assert compactions and min(compactions) > _COMPACT_MIN_DEAD
 
     def test_removed_facts_keep_their_ids_through_compaction(self):
-        store = FactStore()
+        inst = Instance()
         facts = [Atom("E", (Constant(i), Constant(i + 1)))
                  for i in range(3 * _COMPACT_MIN_DEAD)]
         for fact in facts:
-            store.add(fact)
-        ids = [store.fact_id(fact) for fact in facts]
+            inst.add(fact)
+        ids = [inst.fact_id(fact) for fact in facts]
         for fact in facts[:-1]:
-            store.discard(fact)
+            inst.discard(fact)
         for fact in facts:
-            store.add(fact)
-        assert [store.fact_id(fact) for fact in facts] == ids
+            inst.add(fact)
+        assert [inst.fact_id(fact) for fact in facts] == ids
         # Re-inserted rows come after the survivor, in insertion order.
-        term_of = store.terms.term
+        term_of = inst.terms.term
         assert [Atom("E", tuple(term_of(tid) for tid in row))
-                for row in store.scan("E", 2, [])] == \
+                for row in inst.scan("E", 2, [])] == \
             facts[-1:] + facts[:-1]
-        assert list(store) == facts
+        assert list(inst) == facts
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +280,7 @@ class TestQueryParity:
         model = SetModel()
         for fact in inst:
             model.add(fact)
-        check_store(inst.store, model, sorted(inst.domain(), key=str))
+        check_store(inst, model, sorted(inst.domain(), key=str))
         assert inst.matching("E", {}) == model.matching("E", {})
 
     @given(graph_instances())
@@ -275,7 +289,7 @@ class TestQueryParity:
         model = SetModel()
         for fact in inst:
             model.add(fact)
-        check_scans(inst.store, model, random.Random(0),
+        check_scans(inst, model, random.Random(0),
                     sorted(inst.domain(), key=str))
 
     def test_mutation_semantics(self):
@@ -301,17 +315,16 @@ class TestQueryParity:
         assert n1 not in inst.domain()
 
     def test_nullary_relations_scan(self):
-        """Regression: zip() over zero columns yields nothing, so the
-        store used to lose arity-0 facts from scans."""
+        """Regression: zip() over zero columns yields nothing, so
+        scans used to lose arity-0 facts."""
         x = Variable("x")
         facts = [Atom("P", ()), Atom("Q", (a,))]
         pattern = [Atom("P", ()), Atom("Q", (x,))]
         inst = Instance(facts)
         assert list(find_homomorphisms(pattern, inst)) == [{x: a}]
-        store = inst.store
-        assert list(store.scan("P", 0, [])) == [()]
+        assert list(inst.scan("P", 0, [])) == [()]
         inst.discard(Atom("P", ()))
-        assert list(store.scan("P", 0, [])) == []
+        assert list(inst.scan("P", 0, [])) == []
 
     def test_positions_of_after_discard(self):
         inst = Instance([Atom("E", (a, n1)), Atom("S", (n1,))])
@@ -357,86 +370,86 @@ class TestListenerOrdering:
 # ----------------------------------------------------------------------
 class TestFactIds:
     def test_ids_survive_removal_and_reinsertion(self):
-        store = FactStore()
+        inst = Instance()
         fact = Atom("E", (a, b))
-        store.add(fact)
-        fid = store.fact_id(fact)
-        assert fid is not None and store.alive(fid)
-        store.discard(fact)
-        assert store.fact_id(fact) == fid and not store.alive(fid)
-        assert store.fact_of(fid) == fact
-        store.add(Atom("E", (a, b)))
-        assert store.fact_id(fact) == fid and store.alive(fid)
+        inst.add(fact)
+        fid = inst.fact_id(fact)
+        assert fid is not None and inst.alive(fid)
+        inst.discard(fact)
+        assert inst.fact_id(fact) == fid and not inst.alive(fid)
+        assert inst.fact_of(fid) == fact
+        inst.add(Atom("E", (a, b)))
+        assert inst.fact_id(fact) == fid and inst.alive(fid)
 
     def test_row_fid_matches_fact_id(self):
-        store = FactStore()
+        inst = Instance()
         fact = Atom("E", (a, b))
-        store.add(fact)
-        ids = tuple(store.terms.id_of(term) for term in fact.args)
-        assert store.row_fid("E", 2, ids) == store.fact_id(fact)
-        assert store.has_row("E", 2, ids)
-        store.discard(fact)
-        assert store.row_fid("E", 2, ids) is None
-        assert not store.has_row("E", 2, ids)
+        inst.add(fact)
+        ids = tuple(inst.terms.id_of(term) for term in fact.args)
+        assert inst.row_fid("E", 2, ids) == inst.fact_id(fact)
+        assert inst.has_row("E", 2, ids)
+        inst.discard(fact)
+        assert inst.row_fid("E", 2, ids) is None
+        assert not inst.has_row("E", 2, ids)
 
     def test_column_store_compaction_preserves_answers(self):
-        store = FactStore()
+        inst = Instance()
         facts = [Atom("E", (Constant(f"v{i}"), Constant(f"v{i+1}")))
                  for i in range(200)]
         for fact in facts:
-            store.add(fact)
+            inst.add(fact)
         keep = facts[::3]
         for fact in facts:
             if fact not in keep:
-                store.discard(fact)  # tombstones, then compaction
-        bucket = store._buckets[("E", 2)]
+                inst.discard(fact)  # tombstones, then compaction
+        bucket = inst._buckets[("E", 2)]
         assert bucket.dead < len(facts)  # compaction ran at some point
-        assert store.facts("E") == set(keep)
+        assert inst.facts("E") == set(keep)
         for fact in keep:
-            fid = store.fact_id(fact)
-            assert store.alive(fid) and store.fact_of(fid) == fact
-            assert store.matching("E", {0: fact.args[0]}) == {fact}
-        decoded = [tuple(store.terms.term(tid) for tid in row)
-                   for row in store.scan("E", 2, [])]
+            fid = inst.fact_id(fact)
+            assert inst.alive(fid) and inst.fact_of(fid) == fact
+            assert inst.matching("E", {0: fact.args[0]}) == {fact}
+        decoded = [tuple(inst.terms.term(tid) for tid in row)
+                   for row in inst.scan("E", 2, [])]
         assert decoded == [fact.args for fact in keep]
 
 
 class TestJoinStatistics:
-    """What join ordering reads from a store
+    """What join ordering reads from an instance
     (:meth:`repro.homomorphism.plan.JoinPlan.order_for`): the mutation
     counter its order cache keys on, and the size estimates."""
 
-    def _store(self):
+    def _instance(self):
         facts = [Atom("E", (Constant(f"a{i % 4}"), Constant(f"b{i % 3}")))
                  for i in range(12)]
         facts += [Atom("S", (Constant("a1"),)), Atom("S", (Constant("z"),))]
-        return Instance(facts).store
+        return Instance(facts)
 
     def test_generation_counts_successful_mutations(self):
-        store = self._store()
-        start = store.generation
+        inst = self._instance()
+        start = inst.generation
         fact = Atom("E", (Constant("fresh"), Constant("fresh")))
-        assert store.add(fact) and store.generation == start + 1
-        assert not store.add(fact) and store.generation == start + 1
-        assert store.discard(fact) and store.generation == start + 2
-        assert not store.discard(fact) and store.generation == start + 2
+        assert inst.add(fact) and inst.generation == start + 1
+        assert not inst.add(fact) and inst.generation == start + 1
+        assert inst.discard(fact) and inst.generation == start + 2
+        assert not inst.discard(fact) and inst.generation == start + 2
 
     def test_posting_size_bounds_matching(self):
-        store = self._store()
-        a1 = store.terms.id_of(Constant("a1"))
-        facts = store.matching("E", {0: Constant("a1")})
-        assert store.posting_size("E", 0, a1) == len(facts) == 3
-        store.discard(next(iter(facts)))
-        assert store.posting_size("E", 0, a1) >= 2
-        assert store.relation_size("E") == len(store.facts("E")) == 11
+        inst = self._instance()
+        a1 = inst.terms.id_of(Constant("a1"))
+        facts = inst.matching("E", {0: Constant("a1")})
+        assert inst.posting_size("E", 0, a1) == len(facts) == 3
+        inst.discard(next(iter(facts)))
+        assert inst.posting_size("E", 0, a1) >= 2
+        assert inst.relation_size("E") == len(inst.facts("E")) == 11
 
 
 # ----------------------------------------------------------------------
 # Randomized cross-validation: the chase against its oracles
 # ----------------------------------------------------------------------
 def _runs(sigma, facts, run=chase, **kw):
-    """The chase on the store and the naive chase, with the same
-    strategy and budget."""
+    """The chase on the trigger index and the naive chase, with the
+    same strategy and budget."""
     out = []
     for naive in (False, True):
         if run is chase:
