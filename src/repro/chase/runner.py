@@ -10,9 +10,12 @@ satisfies the constraint set (``TERMINATED``), an EGD fails
 
 One loop, :func:`_run`, steps every chase run (only the precedence
 search of :mod:`repro.termination.precedence` replays short step
-sequences of its own); the variants differ only in the selection rule
-(a :class:`~repro.chase.strategies.Strategy`) it consults for the next
-trigger:
+sequences of its own).  It builds one trigger source per run and
+hands it to the selection rule (a
+:class:`~repro.chase.strategies.Strategy`), which chooses among the
+source's active triggers; the loop fires the chosen assignment and
+hands its key back to the source.  The variants differ only in the
+source's mode and the rule:
 
 * ``chase`` -- the caller's strategy (round-robin by default) over a
   standard :class:`repro.chase.triggers.TriggerIndex` (semi-naive
@@ -22,9 +25,9 @@ trigger:
   fires exactly once regardless of satisfaction, the variant
   underlying the corrected stratification condition of Section 3.3:
   constraint order over an ``oblivious=True`` index;
-* :func:`repro.kb.answering.depth_bounded_chase` -- ``chase`` with a
-  selection rule that skips triggers creating too-deep nulls, and an
-  observer recording null depths.
+* :func:`repro.kb.answering.depth_bounded_chase` -- ``chase(...,
+  naive=True)`` with a selection rule that skips triggers creating
+  too-deep nulls, and an observer recording null depths.
 
 Budgets follow one rule.  A run with no active trigger left is
 ``TERMINATED``, whatever its budgets; otherwise the step cap, then the
@@ -35,8 +38,10 @@ budgets never raise, so a divergent chase can be bounded and its
 prefix inspected (the operational face of the paper's termination
 guarantees; the batch service of :mod:`repro.service` relies on it).
 
-``naive=True`` disables the index -- the reference paths used by the
-cross-validation tests: the standard chase re-enumerates every body
+``naive=True`` swaps the index for the reference source
+:class:`repro.chase.triggers.NaiveTriggers`, which the
+cross-validation tests and the ``engine_parity`` fuzz oracle check the
+index against: the standard chase re-enumerates every body
 homomorphism on each selection, and the oblivious chase restarts its
 enumeration after every step, skipping the triggers it already fired.
 """
@@ -49,10 +54,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.chase.result import ChaseResult, ChaseStatus
 from repro.chase.step import ChaseStep, apply_step
 from repro.chase.strategies import (OrderedStrategy, RoundRobinStrategy,
-                                    Selection, Strategy)
-from repro.chase.triggers import TriggerIndex
-from repro.homomorphism.engine import find_homomorphisms
-from repro.homomorphism.extend import freeze_assignment_ids
+                                    Strategy)
+from repro.chase.triggers import NaiveTriggers, TriggerIndex
 from repro.lang.constraints import Constraint
 from repro.lang.errors import ChaseFailure
 from repro.lang.instance import Instance
@@ -157,19 +160,16 @@ def _run(instance: Instance, sigma: Iterable[Constraint],
     """The chase loop: fire the trigger ``strategy`` selects until it
     selects none or :class:`_Budget` cuts the run short.
 
-    ``oblivious`` builds the index in oblivious mode and marks the
-    steps oblivious; the selection rule is entirely the strategy's.
+    The run's one trigger source is a :class:`TriggerIndex`, or with
+    ``naive`` a :class:`NaiveTriggers`; ``oblivious`` builds it in
+    oblivious mode and marks the steps oblivious.  The selection rule
+    is entirely the strategy's.
     """
     sigma = list(sigma)
     budget = _Budget(max_steps, max_facts, wall_clock)
     working = instance.copy() if copy else instance
     _guard_fresh_nulls(working, nulls)
-    # start() keeps its historical two-argument shape, and the attach
-    # hook is optional, so pre-index strategy objects (duck-typed or
-    # subclassed) still work -- they just enumerate naively, and no
-    # index is built (or fed deltas) for them at all.
-    attach = getattr(strategy, "attach_triggers", None)
-    triggers = (None if naive or attach is None
+    triggers = (NaiveTriggers(working, oblivious=oblivious) if naive
                 else TriggerIndex(sigma, working, oblivious=oblivious))
     tracer = _trace.active()
     run_span = (tracer.start("chase", constraints=len(sigma),
@@ -190,27 +190,25 @@ def _run(instance: Instance, sigma: Iterable[Constraint],
         return result
 
     try:
-        strategy.start(sigma, working)
-        if attach is not None:
-            attach(triggers)
+        strategy.start(sigma, triggers)
         sequence: list[ChaseStep] = []
         while True:
             index = len(sequence)
             if tracer is not None and tracer.sampled(index):
                 step_span = tracer.start("step", index=index)
                 search_span = tracer.start("homomorphism_search")
-                selection = strategy.select(working)
+                selection = strategy.select()
                 tracer.finish(search_span)
             else:
                 step_span = None
-                selection = strategy.select(working)
+                selection = strategy.select()
             if selection is None:
                 return done(ChaseResult(ChaseStatus.TERMINATED, working,
                                         sequence), step_span)
             aborted = budget.check(working, sequence)
             if aborted is not None:
                 return done(aborted, step_span)
-            constraint, assignment = selection
+            constraint, assignment, key = selection
             try:
                 step = apply_step(working, constraint, assignment,
                                   index=index, oblivious=oblivious,
@@ -220,8 +218,7 @@ def _run(instance: Instance, sigma: Iterable[Constraint],
                                         sequence,
                                         failure_reason=str(failure)),
                             step_span)
-            if triggers is not None:
-                triggers.mark_fired(constraint, assignment)
+            triggers.mark_fired(constraint, key)
             sequence.append(step)
             if step_span is not None:
                 tracer.finish(step_span,
@@ -235,13 +232,7 @@ def _run(instance: Instance, sigma: Iterable[Constraint],
                                         working, sequence,
                                         failure_reason=abort.reason))
     finally:
-        if triggers is not None:
-            triggers.detach()
-        if attach is not None:
-            # Release the run-local index so a reused strategy falls
-            # back to naive enumeration instead of consulting a dead
-            # index bound to this run's working instance.
-            attach(None)
+        triggers.detach()
 
 
 def chase(instance: Instance, sigma: Iterable[Constraint],
@@ -256,9 +247,9 @@ def chase(instance: Instance, sigma: Iterable[Constraint],
     """Run the standard chase of ``instance`` with ``sigma`` (Section 2).
 
     The input instance is left untouched unless ``copy=False``.
-    ``naive=True`` disables the incremental trigger index and
-    re-enumerates all body homomorphisms on every selection (the
-    pre-index reference behaviour, kept for cross-validation).
+    ``naive=True`` draws the triggers from :class:`NaiveTriggers`,
+    which searches the whole instance again on every selection (the
+    reference the incremental trigger index is checked against).
 
     ``max_facts`` bounds the working instance size (abort status
     ``EXCEEDED_BUDGET``, like the step budget); ``wall_clock`` bounds
@@ -269,36 +260,6 @@ def chase(instance: Instance, sigma: Iterable[Constraint],
                 RoundRobinStrategy() if strategy is None else strategy,
                 max_steps, copy, nulls, observers, naive, max_facts,
                 wall_clock)
-
-
-class _UnfiredTriggers(Strategy):
-    """The naive oblivious selection rule: restart the enumeration in
-    constraint order and take the first body homomorphism not fired
-    yet (trivial EGD triggers never fire).
-
-    Fired-trigger keys are (constraint, interned assignment) pairs --
-    like the trigger index, the set never hashes a boxed term.  A key
-    is recorded on selection: the loop fires every trigger it is
-    handed, or ends the run."""
-
-    def start(self, sigma: Sequence[Constraint], instance: Instance) -> None:
-        super().start(sigma, instance)
-        self._table = instance.terms
-        self._fired: set[tuple] = set()
-
-    def select(self, instance: Instance) -> Selection:
-        for constraint in self._sigma:
-            for assignment in find_homomorphisms(list(constraint.body),
-                                                 instance):
-                key = (constraint,
-                       freeze_assignment_ids(assignment, self._table))
-                if key in self._fired:
-                    continue
-                self._fired.add(key)
-                if not (constraint.is_egd and assignment[constraint.lhs]
-                        == assignment[constraint.rhs]):  # type: ignore
-                    return constraint, assignment
-        return None
 
 
 def oblivious_chase(instance: Instance, sigma: Iterable[Constraint],
@@ -314,18 +275,17 @@ def oblivious_chase(instance: Instance, sigma: Iterable[Constraint],
 
     Triggers are identified by (constraint, body image); new facts
     create new triggers, so the run terminates only when no unfired
-    trigger remains.  The selection rule is constraint order: the
-    first unfired trigger of the first constraint that has one, drawn
-    from an ``oblivious=True`` trigger index -- or, with
-    ``naive=True``, by restarting the full enumeration after every
-    step and skipping the triggers already fired.
+    trigger remains.  The selection rule is constraint order
+    (:class:`OrderedStrategy`): the first unfired trigger of the first
+    constraint that has one, drawn from an oblivious trigger index --
+    or, with ``naive=True``, from an oblivious :class:`NaiveTriggers`,
+    which restarts the full enumeration after every step and skips the
+    triggers already fired.
     """
     if OBS.enabled:
         OBS.inc("chase.oblivious_runs")
-    return _run(instance, sigma,
-                _UnfiredTriggers() if naive else OrderedStrategy(),
-                max_steps, copy, nulls, observers, naive, max_facts,
-                wall_clock, oblivious=True)
+    return _run(instance, sigma, OrderedStrategy(), max_steps, copy, nulls,
+                observers, naive, max_facts, wall_clock, oblivious=True)
 
 
 def chase_with_budget_probe(instance: Instance, sigma: Iterable[Constraint],

@@ -12,74 +12,58 @@ parameterized by a strategy.  Four are essential to the reproduction:
   connected components of the chase graph in topological order, which
   yields a terminating sequence for every stratified constraint set.
 
-Strategies draw active triggers from a
-:class:`repro.chase.triggers.TriggerIndex` when the runner provides
-one (the default), falling back to the naive full re-enumeration of
-:func:`repro.homomorphism.extend.violation` otherwise (the
-``naive=True`` escape hatch of :func:`repro.chase.runner.chase`).
+Strategies only choose: finding the active triggers is the engine's
+job.  The runner hands each strategy one trigger source per run --
+a :class:`repro.chase.triggers.TriggerIndex` by default, or the
+reference :class:`repro.chase.triggers.NaiveTriggers` for
+``chase(..., naive=True)`` -- and strategies read nothing else.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Iterable, Optional, Sequence
 
-from repro.homomorphism.engine import Assignment, find_homomorphisms
-from repro.homomorphism.extend import head_extends, violation
-from repro.lang.constraints import Constraint, EGD, TGD
-from repro.lang.instance import Instance
+from repro.chase.triggers import TriggerKey, TriggerSource
+from repro.homomorphism.engine import Assignment
+from repro.lang.constraints import Constraint
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.chase.triggers import TriggerIndex
-
-Selection = Optional[tuple[Constraint, Assignment]]
+#: A chosen trigger: the constraint, the body assignment to fire and
+#: the key the runner hands back to the source once it has fired.
+Selection = Optional[tuple[Constraint, Assignment, Optional[TriggerKey]]]
 
 
 class Strategy:
     """Base class: pick the next (constraint, active trigger) pair."""
 
-    _triggers: "Optional[TriggerIndex]" = None
-
-    def start(self, sigma: Sequence[Constraint], instance: Instance) -> None:
-        """Called once before the run begins.
-
-        The incremental trigger index is delivered separately through
-        :meth:`attach_triggers` (and the runner treats that hook as
-        optional), so strategies implementing only this historical
-        start/select contract keep working -- they simply enumerate
-        naively.
-        """
+    def start(self, sigma: Sequence[Constraint],
+              triggers: TriggerSource) -> None:
+        """Called once before the run begins, with the run's trigger
+        source."""
         self._sigma = list(sigma)
-
-    def attach_triggers(self, triggers: "Optional[TriggerIndex]") -> None:
-        """Hand the strategy the runner's trigger index (None detaches,
-        restoring naive enumeration)."""
         self._triggers = triggers
 
-    def select(self, instance: Instance) -> Selection:
+    def select(self) -> Selection:
         """Return the next step to execute, or None when ``I |= Sigma``."""
         raise NotImplementedError
 
-    def _next_violation(self, constraint: Constraint, instance: Instance
-                        ) -> Optional[Assignment]:
-        """An active trigger of ``constraint`` -- from the index when
-        available, by full enumeration otherwise."""
-        if self._triggers is not None and self._triggers.tracks(constraint):
-            return self._triggers.next_active(constraint)
-        return violation(constraint, instance)
+    def _first_active(self, constraints: Iterable[Constraint]) -> Selection:
+        """The first active trigger of the first of ``constraints``
+        that has one."""
+        for constraint in constraints:
+            found = self._triggers.next_active(constraint)
+            if found is not None:
+                return (constraint, *found)
+        return None
 
 
 class OrderedStrategy(Strategy):
     """Always fire the first violated constraint in the listed order
     (one deterministic instantiation of Section 2's free choice)."""
 
-    def select(self, instance: Instance) -> Selection:
+    def select(self) -> Selection:
         """First constraint (in listed order) with an active trigger."""
-        for constraint in self._sigma:
-            assignment = self._next_violation(constraint, instance)
-            if assignment is not None:
-                return constraint, assignment
-        return None
+        return self._first_active(self._sigma)
 
 
 class RoundRobinStrategy(Strategy):
@@ -89,20 +73,21 @@ class RoundRobinStrategy(Strategy):
     divergent sequence ``alpha_1, ..., alpha_4, alpha_1, ...``.
     """
 
-    def start(self, sigma: Sequence[Constraint], instance: Instance) -> None:
+    def start(self, sigma: Sequence[Constraint],
+              triggers: TriggerSource) -> None:
         """Reset the cursor to the first constraint."""
-        super().start(sigma, instance)
+        super().start(sigma, triggers)
         self._cursor = 0
 
-    def select(self, instance: Instance) -> Selection:
+    def select(self) -> Selection:
         """Next active trigger at or after the cursor (cyclically)."""
         n = len(self._sigma)
         for offset in range(n):
             constraint = self._sigma[(self._cursor + offset) % n]
-            assignment = self._next_violation(constraint, instance)
-            if assignment is not None:
+            found = self._triggers.next_active(constraint)
+            if found is not None:
                 self._cursor = (self._cursor + offset + 1) % n
-                return constraint, assignment
+                return (constraint, *found)
         return None
 
 
@@ -119,35 +104,12 @@ class RandomStrategy(Strategy):
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
 
-    def _naive_candidates(self, constraint: Constraint, instance: Instance
-                          ) -> List[Assignment]:
-        candidates: list[Assignment] = []
-        for assignment in find_homomorphisms(list(constraint.body),
-                                             instance):
-            if isinstance(constraint, TGD):
-                active = not head_extends(constraint, instance, assignment)
-            else:
-                assert isinstance(constraint, EGD)
-                active = (assignment[constraint.lhs]
-                          != assignment[constraint.rhs])
-            if active:
-                candidates.append(assignment)
-                if len(candidates) >= self.TRIGGER_CAP:
-                    break
-        return candidates
-
-    def select(self, instance: Instance) -> Selection:
+    def select(self) -> Selection:
         """A seeded-random choice among (capped) active triggers."""
-        candidates: list[tuple[Constraint, Assignment]] = []
-        for constraint in self._sigma:
-            if (self._triggers is not None
-                    and self._triggers.tracks(constraint)):
-                assignments = self._triggers.active_triggers(
-                    constraint, cap=self.TRIGGER_CAP)
-            else:
-                assignments = self._naive_candidates(constraint, instance)
-            candidates.extend((constraint, assignment)
-                              for assignment in assignments)
+        candidates = [(constraint, assignment, key)
+                      for constraint in self._sigma
+                      for assignment, key in self._triggers.active_triggers(
+                          constraint, cap=self.TRIGGER_CAP)]
         if not candidates:
             return None
         return self._rng.choice(candidates)
@@ -170,35 +132,38 @@ class StratifiedStrategy(Strategy):
         self._verify = verify
         self._level = 0
 
-    def start(self, sigma: Sequence[Constraint], instance: Instance) -> None:
-        """Validate that the strata cover ``sigma``; reset to level 0."""
-        super().start(sigma, instance)
+    def start(self, sigma: Sequence[Constraint],
+              triggers: TriggerSource) -> None:
+        """Validate that the strata partition ``sigma`` exactly; reset
+        to level 0."""
+        super().start(sigma, triggers)
         covered = {c for stratum in self._strata for c in stratum}
-        missing = [c for c in sigma if c not in covered]
+        missing = [c for c in self._sigma if c not in covered]
         if missing:
             raise ValueError(
                 "strata do not cover the constraint set: missing "
                 + ", ".join(c.display_name() for c in missing))
+        members = set(self._sigma)
+        extra = [c for stratum in self._strata for c in stratum
+                 if c not in members]
+        if extra:
+            raise ValueError(
+                "strata name constraints outside the constraint set: "
+                + ", ".join(c.display_name() for c in extra))
         self._level = 0
 
-    def select(self, instance: Instance) -> Selection:
+    def select(self) -> Selection:
         """Next active trigger of the current stratum, advancing to the
         next stratum once the current one is satisfied (Theorem 2)."""
         while self._level < len(self._strata):
-            for constraint in self._strata[self._level]:
-                assignment = self._next_violation(constraint, instance)
-                if assignment is not None:
-                    return constraint, assignment
+            selection = self._first_active(self._strata[self._level])
+            if selection is not None:
+                return selection
             if self._verify:
                 for earlier in self._strata[:self._level]:
-                    for constraint in earlier:
-                        if self._next_violation(constraint,
-                                                instance) is not None:
-                            raise AssertionError(
-                                "Theorem 2 violated: earlier stratum "
-                                f"re-violated at level {self._level}")
+                    if self._first_active(earlier) is not None:
+                        raise AssertionError(
+                            "Theorem 2 violated: earlier stratum "
+                            f"re-violated at level {self._level}")
             self._level += 1
         return None
-
-
-StrategyFactory = Callable[[], Strategy]

@@ -1,9 +1,12 @@
-"""Incremental trigger discovery: the semi-naive chase index.
+"""Trigger sources: the semi-naive chase index and its naive reference.
 
-The naive runners re-enumerate every body homomorphism of every
-constraint on each ``select()`` call -- quadratic in the chase length.
-:class:`TriggerIndex` replaces that with the semi-naive discipline of
-datalog evaluation, kept *lazy* at homomorphism granularity:
+Each chase run reads its active triggers from one source, which hands
+each out as an ``(assignment, key)`` pair and takes the key back
+through ``mark_fired`` once the step has fired.  The naive source,
+:class:`NaiveTriggers`, re-enumerates every body homomorphism on each
+selection -- quadratic in the chase length.  :class:`TriggerIndex`
+replaces that with the semi-naive discipline of datalog evaluation,
+kept *lazy* at homomorphism granularity:
 
 * **Seed.** Every fact of the input instance is queued as a delta
   (the seed is just the first batch of deltas).
@@ -64,20 +67,21 @@ against the live instance.
 
 The oblivious mode (Section 3.3's chase variant) keeps every pending
 body homomorphism eligible regardless of head satisfaction and relies
-on :meth:`TriggerIndex.mark_fired` to consume each exactly once; the
-oblivious chase selects with :meth:`TriggerIndex.next_active` in
-constraint order, like any strategy.
+on :meth:`TriggerIndex.mark_fired` to consume each exactly once.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from itertools import islice
 from operator import itemgetter
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
-                    Optional, Sequence, Set, Tuple)
+                    Optional, Sequence, Set, Tuple, Union)
 
-from repro.homomorphism.engine import Assignment, find_homomorphisms_through
-from repro.homomorphism.extend import freeze_assignment_ids
+from repro.homomorphism.engine import (Assignment, find_homomorphisms,
+                                       find_homomorphisms_through)
+from repro.homomorphism.extend import (active_assignments,
+                                       freeze_assignment_ids)
 from repro.homomorphism.plan import compile_plan
 from repro.lang.constraints import Constraint, EGD, TGD
 from repro.lang.instance import FactId, Instance
@@ -90,6 +94,11 @@ from repro.storage.interning import TermTable
 #: pairs.  Ids come from the working instance's term table, so the key
 #: is two machine ints per variable instead of a boxed term hash.
 TriggerKey = Tuple[Tuple[str, int], ...]
+
+#: An active trigger as a source hands it out: the body assignment to
+#: fire, and the key to hand back to ``mark_fired`` once it has fired
+#: (None from the standard naive source, which keeps no trigger state).
+Trigger = Tuple[Assignment, Optional[TriggerKey]]
 
 
 def _picker(indices: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -262,13 +271,6 @@ class TriggerIndex:
                     self._pending[constraint][()] = {}
 
     # ------------------------------------------------------------------
-    # Trigger identity
-    # ------------------------------------------------------------------
-    def _freeze(self, assignment: Assignment) -> TriggerKey:
-        """The interned trigger key of a body assignment ``mu``."""
-        return freeze_assignment_ids(assignment, self._instance.terms)
-
-    # ------------------------------------------------------------------
     # InstanceListener protocol: buffer deltas, processed on refresh()
     # ------------------------------------------------------------------
     def fact_added(self, fact, fid: FactId) -> None:
@@ -358,8 +360,7 @@ class TriggerIndex:
     # ------------------------------------------------------------------
     # Expansion (lazy semi-naive delta search)
     # ------------------------------------------------------------------
-    def _expand_backlog(self, constraint: Constraint,
-                        found: List[Assignment],
+    def _expand_backlog(self, constraint: Constraint, found: List[Trigger],
                         found_keys: Set[TriggerKey],
                         cap: Optional[int]) -> None:
         """Expand backlog facts until ``cap`` active triggers are in
@@ -425,7 +426,7 @@ class TriggerIndex:
                     for fid in image_fids:
                         self._by_fact.setdefault(fid, set()).add(
                             (constraint, key))
-                    found.append(dict(assignment))
+                    found.append((dict(assignment), key))
                     found_keys.add(key)
                     if cap is not None and len(found) >= cap:
                         return  # enumeration stays suspended for next time
@@ -434,8 +435,8 @@ class TriggerIndex:
     # ------------------------------------------------------------------
     # Selection
     # ------------------------------------------------------------------
-    def _collect_active(self, constraint: Constraint,
-                        found: List[Assignment], found_keys: Set[TriggerKey],
+    def _collect_active(self, constraint: Constraint, found: List[Trigger],
+                        found_keys: Set[TriggerKey],
                         cap: Optional[int]) -> None:
         """One pass over the materialized queue: drop settled triggers,
         collect active ones not yet in ``found`` (up to ``cap``)."""
@@ -448,7 +449,7 @@ class TriggerIndex:
             if self._is_settled(layout, [tid for _, tid in key]):
                 settled.append(key)
                 continue
-            found.append(dict(assignment))
+            found.append((dict(assignment), key))
             found_keys.add(key)
             if cap is not None and len(found) >= cap:
                 break
@@ -457,13 +458,8 @@ class TriggerIndex:
         for key in settled:
             del pending[key]
 
-    def tracks(self, constraint: Constraint) -> bool:
-        """Is ``constraint`` part of the indexed set?  (Strategies fall
-        back to naive enumeration for untracked constraints.)"""
-        return constraint in self._pending
-
     def active_triggers(self, constraint: Constraint,
-                        cap: Optional[int] = None) -> List[Assignment]:
+                        cap: Optional[int] = None) -> List[Trigger]:
         """Up to ``cap`` pending active triggers of ``constraint``
         (all of them when ``cap`` is None), dropping satisfied ones.
 
@@ -472,14 +468,14 @@ class TriggerIndex:
         trigger is always at hand -- do almost no delta searching.
         """
         self.refresh()
-        found: List[Assignment] = []
+        found: List[Trigger] = []
         found_keys: Set[TriggerKey] = set()
         self._collect_active(constraint, found, found_keys, cap)
         if cap is None or len(found) < cap:
             self._expand_backlog(constraint, found, found_keys, cap)
         return found
 
-    def next_active(self, constraint: Constraint) -> Optional[Assignment]:
+    def next_active(self, constraint: Constraint) -> Optional[Trigger]:
         """The first pending active trigger of ``constraint``, or None
         (None is definitive: the backlog has been fully drained).
 
@@ -490,11 +486,11 @@ class TriggerIndex:
         found = self.active_triggers(constraint, cap=1)
         return found[0] if found else None
 
-    def mark_fired(self, constraint: Constraint,
-                   assignment: Assignment) -> None:
-        """Consume a trigger that was just executed (it stays *seen*,
-        so it can never be re-discovered and re-fired)."""
-        self._pending[constraint].pop(self._freeze(assignment), None)
+    def mark_fired(self, constraint: Constraint, key: TriggerKey) -> None:
+        """Consume the trigger handed out under ``key``, which was just
+        executed (it stays *seen*, so it can never be re-discovered and
+        re-fired)."""
+        self._pending[constraint].pop(key, None)
 
     # ------------------------------------------------------------------
     # Introspection (tests, diagnostics)
@@ -520,3 +516,63 @@ class TriggerIndex:
         self._materialize(constraint)
         return [dict(assignment)
                 for assignment in self._pending[constraint].values()]
+
+
+class NaiveTriggers:
+    """The reference trigger source of ``chase(..., naive=True)``:
+    every selection searches the whole instance again.
+
+    It has the surface of :class:`TriggerIndex` that strategies and
+    the runner use, plus :meth:`iter_active`, the lazy walk the
+    depth-bounded chase filters.  The standard mode hands out
+    :func:`repro.homomorphism.extend.active_assignments` and keeps no
+    state: a fired trigger is satisfied, so it never comes back.  The
+    oblivious mode hands out every body homomorphism but trivial EGD
+    triggers and the fired ones, whose keys it keeps.
+    """
+
+    def __init__(self, instance: Instance, oblivious: bool = False) -> None:
+        self.instance = instance
+        self._oblivious = oblivious
+        self._fired: Set[Tuple[Constraint, TriggerKey]] = set()
+
+    def iter_active(self, constraint: Constraint) -> Iterator[Trigger]:
+        """The active triggers of ``constraint``, lazily, in search
+        order."""
+        if not self._oblivious:
+            for assignment in active_assignments(constraint, self.instance):
+                yield assignment, None
+            return
+        table = self.instance.terms
+        for assignment in find_homomorphisms(list(constraint.body),
+                                             self.instance):
+            key = freeze_assignment_ids(assignment, table)
+            if (constraint, key) in self._fired or (
+                    constraint.is_egd and assignment[constraint.lhs]
+                    == assignment[constraint.rhs]):  # type: ignore
+                continue
+            yield assignment, key
+
+    def next_active(self, constraint: Constraint) -> Optional[Trigger]:
+        """The first active trigger of ``constraint``, or None."""
+        return next(self.iter_active(constraint), None)
+
+    def active_triggers(self, constraint: Constraint,
+                        cap: Optional[int] = None) -> List[Trigger]:
+        """The first ``cap`` active triggers of ``constraint`` (all of
+        them when ``cap`` is None)."""
+        return list(islice(self.iter_active(constraint), cap))
+
+    def mark_fired(self, constraint: Constraint,
+                   key: Optional[TriggerKey]) -> None:
+        """Record a fired trigger (the oblivious mode's fired set)."""
+        if self._oblivious:
+            self._fired.add((constraint, key))
+
+    def detach(self) -> None:
+        """Nothing to release: the naive source keeps no listener."""
+
+
+#: What a chase run reads its triggers from: the index, or the naive
+#: reference source.
+TriggerSource = Union[TriggerIndex, NaiveTriggers]

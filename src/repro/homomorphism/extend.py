@@ -10,7 +10,7 @@ checks, both for instances and for fixed parameter vectors
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from repro.homomorphism.engine import (Assignment, apply_assignment,
                                        find_homomorphisms, has_homomorphism)
@@ -57,20 +57,31 @@ def constraint_satisfied_for(constraint: Constraint, instance: Instance,
     return egd_satisfied_for(constraint, instance, binding)
 
 
-def violation(constraint: Constraint, instance: Instance
-              ) -> Optional[Assignment]:
-    """An *active trigger*: a body homomorphism witnessing
-    ``I not|= alpha``, or None when the constraint is satisfied."""
+def active_assignments(constraint: Constraint, instance: Instance
+                       ) -> Iterator[Assignment]:
+    """The *active triggers* of ``constraint``, lazily, in search order:
+    the body homomorphisms witnessing ``I not|= alpha`` (Section 2).
+
+    The one full enumeration of active triggers: the naive chase draws
+    its selections from it
+    (:class:`repro.chase.triggers.NaiveTriggers`), so its order is the
+    reference order the indexed chase is checked against."""
     if isinstance(constraint, TGD):
         for assignment in find_homomorphisms(list(constraint.body), instance):
             if not head_extends(constraint, instance, assignment):
-                return assignment
-        return None
+                yield assignment
+        return
     assert isinstance(constraint, EGD)
     for assignment in find_homomorphisms(list(constraint.body), instance):
         if assignment[constraint.lhs] != assignment[constraint.rhs]:
-            return assignment
-    return None
+            yield assignment
+
+
+def violation(constraint: Constraint, instance: Instance
+              ) -> Optional[Assignment]:
+    """An active trigger (the first of :func:`active_assignments`), or
+    None when the constraint is satisfied."""
+    return next(active_assignments(constraint, instance), None)
 
 
 def is_satisfied(constraint: Constraint, instance: Instance) -> bool:
@@ -87,7 +98,7 @@ def freeze_assignment(assignment: Mapping[Variable, GroundTerm]) -> tuple:
     """The canonical hashable form of a body assignment ``mu`` --
     sorted (variable-name, value) pairs.  Used where the key must be
     self-describing (chase-step records); the id-keyed variant
-    :func:`freeze_assignment_ids` serves the hot paths."""
+    :func:`freeze_assignment_ids` keys trigger sets."""
     return tuple(sorted(((var.name, value)
                          for var, value in assignment.items()),
                         key=lambda kv: kv[0]))
@@ -98,9 +109,8 @@ def freeze_assignment_ids(assignment: Mapping[Variable, GroundTerm],
     """Like :func:`freeze_assignment`, but with each term interned to
     its dense id in ``table`` (a :class:`repro.storage.TermTable`) --
     two machine ints per variable instead of a boxed term hash.  The
-    trigger identity used by the incremental
-    :class:`repro.chase.triggers.TriggerIndex` and the naive oblivious
-    runner's fired set."""
+    trigger identity of the naive oblivious chase's fired set
+    (:class:`repro.chase.triggers.NaiveTriggers`)."""
     intern = table.intern
     return tuple(sorted(
         (var.name, intern(value)) for var, value in assignment.items()))

@@ -14,11 +14,12 @@ decidability mechanism (finite-treewidth prefixes) without
 re-implementing [5]'s alternating algorithm; the full rationale lives
 in ``docs/PAPER_MAP.md`` ("Deviations from the paper").
 
-The depth-bounded chase owns no loop: it runs
-:func:`repro.chase.runner.chase` with a selection rule that restarts
-the enumeration in constraint order and skips the triggers that would
-create too-deep nulls, and an observer that records each new null's
-depth.  Its budgets are therefore the runner's, under the same rule.
+The depth-bounded chase owns no loop and no trigger search: it runs
+:func:`repro.chase.runner.chase` with ``naive=True`` and a selection
+rule that walks the naive trigger source in constraint order and
+skips the triggers that would create too-deep nulls, and an observer
+that records each new null's depth.  Its budgets are therefore the
+runner's, under the same rule.
 
 Queries are evaluated through the compiled id-level path of
 :mod:`repro.cq.evaluate`, and :func:`optimize_query` wires Section 4's
@@ -37,10 +38,9 @@ from repro.chase.result import ChaseStatus
 from repro.chase.runner import chase
 from repro.chase.step import ChaseStep
 from repro.chase.strategies import Selection, Strategy
+from repro.chase.triggers import NaiveTriggers
 from repro.cq.query import ConjunctiveQuery, unfreeze
-from repro.homomorphism.engine import find_homomorphisms
-from repro.homomorphism.extend import head_extends
-from repro.lang.constraints import Constraint, EGD
+from repro.lang.constraints import Constraint, TGD
 from repro.lang.errors import ChaseFailure, SchemaError
 from repro.lang.instance import Instance
 from repro.lang.terms import GroundTerm, Null
@@ -60,8 +60,8 @@ class BoundedChaseResult:
 class _DepthBoundedRule(Strategy):
     """The depth-bounded chase's selection rule and null-depth observer.
 
-    :meth:`select` restarts the enumeration in constraint order and
-    returns the first active trigger, skipping (and noting, in
+    :meth:`select` walks the naive trigger source in constraint order
+    and returns the first active trigger, skipping (and noting, in
     :attr:`truncated`) the TGD triggers whose nulls would lie deeper
     than the limit; :meth:`observe` records the depth of every null a
     step creates."""
@@ -69,9 +69,11 @@ class _DepthBoundedRule(Strategy):
     def __init__(self, depth_limit: int) -> None:
         self.depth_limit = depth_limit
 
-    def start(self, sigma: Sequence[Constraint], instance: Instance) -> None:
-        super().start(sigma, instance)
-        self.depths: Dict[Null, int] = {null: 0 for null in instance.nulls()}
+    def start(self, sigma: Sequence[Constraint],
+              triggers: NaiveTriggers) -> None:
+        super().start(sigma, triggers)
+        self.depths: Dict[Null, int] = {
+            null: 0 for null in triggers.instance.nulls()}
         self.truncated = False
 
     def _depth(self, values: Iterable[GroundTerm]) -> int:
@@ -79,23 +81,16 @@ class _DepthBoundedRule(Strategy):
         return max((self.depths.get(value, 0) for value in values
                     if isinstance(value, Null)), default=0)
 
-    def select(self, instance: Instance) -> Selection:
+    def select(self) -> Selection:
         for constraint in self._sigma:
-            for assignment in find_homomorphisms(list(constraint.body),
-                                                 instance):
-                if isinstance(constraint, EGD):
-                    if (assignment[constraint.lhs]
-                            != assignment[constraint.rhs]):
-                        return constraint, assignment
-                    continue
-                if head_extends(constraint, instance, assignment):
-                    continue
-                if (constraint.existential_variables()
-                        and self._depth(assignment.values()) + 1
+            creates_nulls = (isinstance(constraint, TGD)
+                             and constraint.existential_variables())
+            for assignment, key in self._triggers.iter_active(constraint):
+                if (creates_nulls and self._depth(assignment.values()) + 1
                         > self.depth_limit):
                     self.truncated = True
                     continue
-                return constraint, assignment
+                return constraint, assignment, key
         return None
 
     def observe(self, step: ChaseStep, _working: Instance) -> None:
@@ -120,7 +115,7 @@ def depth_bounded_chase(instance: Instance, sigma: Iterable[Constraint],
     c-chase graphs / k-restriction systems bound data-independently
     (proofs of Theorems 3 and 7, citing [11]).
 
-    The run is :func:`~repro.chase.runner.chase` with a selection rule
+    The run is a naive :func:`~repro.chase.runner.chase` with a rule
     of its own, so its budgets follow the runner's rule: a prefix with
     no active trigger left is complete (not ``truncated``), and
     ``max_steps`` / ``max_facts`` / ``wall_clock`` otherwise cut it

@@ -11,6 +11,7 @@ dispatch on the term kind cheaply.
 from __future__ import annotations
 
 import threading
+from math import copysign
 from typing import Union
 
 
@@ -48,7 +49,16 @@ class Constant(Term):
         raise AttributeError("Constant is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Constant) and self.value == other.value
+        # Python equates True, 1 and 1.0, and 0.0 with -0.0; as wire
+        # constants they differ, so equal constants also share the value
+        # type and, for floats, the sign.  The hash stays the value's:
+        # unequal constants may share it.
+        if not isinstance(other, Constant):
+            return False
+        mine, theirs = self.value, other.value
+        return (type(mine) is type(theirs) and mine == theirs
+                and (type(mine) is not float
+                     or copysign(1.0, mine) == copysign(1.0, theirs)))
 
     def __hash__(self) -> int:
         return self._hash

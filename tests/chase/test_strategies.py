@@ -61,42 +61,19 @@ class TestStratifiedStrategyValidation:
         with pytest.raises(ValueError):
             chase(parse_instance("S(a)"), sigma, strategy=strategy)
 
+    @pytest.mark.parametrize("naive", [False, True], ids=["index", "naive"])
+    def test_rejects_strata_outside_sigma(self, naive):
+        """A stratum naming a constraint outside Sigma is refused before
+        any step, not chased as if it were part of Sigma."""
+        a, b = parse_constraints("a: S(x) -> T(x)\nb: T(x) -> U(x)")
+        strategy = StratifiedStrategy([[a], [b]])
+        with pytest.raises(ValueError, match="outside the constraint "
+                                             "set: b"):
+            chase(parse_instance("S(c)"), [a], strategy=strategy,
+                  naive=naive)
+
     def test_single_stratum_behaves_like_ordered(self):
         sigma = parse_constraints("S(x) -> E(x,y)")
         strategy = StratifiedStrategy([sigma])
         result = chase(parse_instance("S(a)"), sigma, strategy=strategy)
         assert result.terminated
-
-
-class TestStrategyCompatibility:
-    def test_reused_strategy_falls_back_to_naive(self):
-        """After a run ends, a reused strategy must answer select()
-        for a new instance instead of consulting the dead index."""
-        from repro.lang.parser import parse_constraints, parse_instance
-        sigma = parse_constraints("S(x) -> E(x,y)")
-        strategy = OrderedStrategy()
-        result = chase(parse_instance("S(a)"), sigma, strategy=strategy)
-        assert result.terminated
-        selection = strategy.select(parse_instance("S(zz)"))
-        assert selection is not None  # S(zz) violates the TGD
-
-    def test_duck_typed_pre_index_strategy_still_works(self):
-        """A plain object honouring the pre-index start/select contract
-        (no Strategy subclassing, no attach_triggers) must still run."""
-        from repro.homomorphism.extend import violation
-        from repro.lang.parser import parse_constraints, parse_instance
-
-        class Legacy:
-            def start(self, sigma, instance):
-                self.sigma = list(sigma)
-
-            def select(self, instance):
-                for constraint in self.sigma:
-                    assignment = violation(constraint, instance)
-                    if assignment is not None:
-                        return constraint, assignment
-                return None
-
-        sigma = parse_constraints("S(x) -> E(x,y)")
-        result = chase(parse_instance("S(a)"), sigma, strategy=Legacy())
-        assert result.terminated and result.length == 1

@@ -235,8 +235,8 @@ class TestTriggerIndexUnit:
         sigma = parse_constraints("a: E(x,y) -> E(y,x)")
         inst = parse_instance("E(a,b)")
         index = TriggerIndex(sigma, inst, oblivious=True)
-        assignment = index.next_active(sigma[0])
-        index.mark_fired(sigma[0], assignment)
+        _, key = index.next_active(sigma[0])
+        index.mark_fired(sigma[0], key)
         # Re-adding nothing: the fired trigger must not reappear.
         assert index.next_active(sigma[0]) is None
         index.detach()

@@ -38,7 +38,7 @@ PATTERNS = [
 ]
 
 
-def _freeze(assignments):
+def _as_set(assignments):
     return {frozenset(h.items()) for h in assignments}
 
 
@@ -58,9 +58,9 @@ class TestPlanMatchesReference:
         facts = sorted(inst.facts(), key=str)
         instance = Instance(facts)
         for pattern in PATTERNS:
-            expected = _freeze(
+            expected = _as_set(
                 reference_find_homomorphisms(pattern, instance))
-            actual = _freeze(find_homomorphisms(pattern, instance))
+            actual = _as_set(find_homomorphisms(pattern, instance))
             assert actual == expected, pattern
 
     @given(graph_instances())
@@ -70,9 +70,9 @@ class TestPlanMatchesReference:
         instance = Instance(facts)
         delta = facts[0]
         for pattern in PATTERNS:
-            expected = _freeze(reference_find_homomorphisms_through(
+            expected = _as_set(reference_find_homomorphisms_through(
                 pattern, instance, delta))
-            actual = _freeze(find_homomorphisms_through(
+            actual = _as_set(find_homomorphisms_through(
                 pattern, instance, delta))
             assert actual == expected, pattern
 
@@ -99,9 +99,9 @@ class TestPlanMatchesReference:
     def test_partial_binding_agrees(self):
         inst = parse_instance("E(a,b). E(b,c). E(a,c). S(a). S(b)")
         pattern = [Atom("E", (x, y)), Atom("E", (y, z))]
-        expected = _freeze(
+        expected = _as_set(
             reference_find_homomorphisms(pattern, inst, partial={x: a}))
-        assert _freeze(find_homomorphisms(pattern, inst,
+        assert _as_set(find_homomorphisms(pattern, inst,
                                           partial={x: a})) == expected
 
 
@@ -140,9 +140,9 @@ class TestPlanUnits:
         inst = parse_instance("E(a,b). E(b,c). S(a). S(b)")
         pattern = [Atom("E", (x, y)), Atom("S", (x,))]
         delta = Atom("S", (b,))
-        expected = _freeze(reference_find_homomorphisms_through(
+        expected = _as_set(reference_find_homomorphisms_through(
             pattern, inst, delta))
-        assert _freeze(find_homomorphisms_through(pattern, inst,
+        assert _as_set(find_homomorphisms_through(pattern, inst,
                                                   delta)) == expected
 
     def test_multi_pin_deduplicates(self):
@@ -156,8 +156,8 @@ class TestPlanUnits:
         inst = parse_instance("E(a,b). E(b,c). E(a,c). E(c,a)")
         plan = compile_plan((Atom("E", (x, y)), Atom("E", (y, z))))
         ids = {x: inst.terms.intern(a)}
-        assert _freeze(plan.execute(inst, partial_ids=ids)) == \
-            _freeze(plan.execute(inst, partial={x: a}))
+        assert _as_set(plan.execute(inst, partial_ids=ids)) == \
+            _as_set(plan.execute(inst, partial={x: a}))
         assert list(plan.execute(inst, partial_ids=ids, limit=1,
                                  project=())) == [()]
 
@@ -231,7 +231,7 @@ class TestPlanUnits:
 
         plain = list(plan.execute(inst, prune=make_prune(False)))
         declared = list(plan.execute(inst, prune=make_prune(True)))
-        assert _freeze(plain) == _freeze(declared)
+        assert _as_set(plain) == _as_set(declared)
         assert declared and all(h[x] != a for h in declared)
 
 class TestStaleStatisticsInvalidation:

@@ -163,6 +163,30 @@ def test_an_inconsistency_met_only_by_the_fallback_is_served_as_failed(
         == ("failed", first["failure_reason"])
 
 
+def test_constants_of_different_json_types_stay_distinct():
+    """``true``, ``1`` and ``1.0`` are three constants, and ``0.0`` and
+    ``-0.0`` two, although Python equates them; the order the facts
+    are listed in moves neither the fingerprint nor the reply bytes."""
+    def reply(values):
+        facts = [["S", [["c", value]]] for value in values]
+        with make_session() as fresh:
+            payload = fresh.handle_line(json.dumps(
+                {"constraints": "S(x) -> T(x)",
+                 "instance": {"facts": facts}}))
+        return json.dumps({key: value for key, value in payload.items()
+                           if key not in ("elapsed", "worker")},
+                          sort_keys=True)
+
+    mixed = reply([True, 1, 1.0])
+    assert json.loads(mixed)["facts"] == [
+        ["S", [["c", 1.0]]], ["S", [["c", 1]]], ["S", [["c", True]]],
+        ["T", [["c", 1.0]]], ["T", [["c", 1]]], ["T", [["c", True]]]]
+    assert reply([1, 1.0, True]) == reply([1.0, True, 1]) == mixed
+    zeros = json.loads(reply([0.0, -0.0]))
+    assert len(zeros["facts"]) == 4
+    assert reply([-0.0, 0.0]) == json.dumps(zeros, sort_keys=True)
+
+
 # ----------------------------------------------------------------------
 # parse_job / budgets / cached_result (the HTTP gateway surface)
 # ----------------------------------------------------------------------
